@@ -26,4 +26,6 @@ type LockedTimedRing = des.LockedTimedRing[Token]
 func NewTimedRing(capacity int) *TimedRing { return des.NewTimedRing[Token](capacity) }
 
 // NewLockedTimedRing returns the locked variant.
-func NewLockedTimedRing(capacity int) *LockedTimedRing { return des.NewLockedTimedRing[Token](capacity) }
+func NewLockedTimedRing(capacity int) *LockedTimedRing {
+	return des.NewLockedTimedRing[Token](capacity)
+}

@@ -25,6 +25,45 @@ func BenchmarkKernelChurn(b *testing.B) {
 	}
 }
 
+// BenchmarkProcPingPong prices one switch between two processes: each
+// op wakes the peer through a shared Signal and blocks on it, so the
+// kernel resumes the other process every time.
+func BenchmarkProcPingPong(b *testing.B) {
+	k := NewKernel()
+	var sig Signal
+	left := b.N
+	body := func(p *Proc) {
+		for left > 0 {
+			left--
+			k.Broadcast(&sig)
+			p.Wait(&sig)
+		}
+	}
+	k.Spawn("ping", 0, body)
+	k.Spawn("pong", 0, body)
+	b.ReportAllocs()
+	b.ResetTimer()
+	k.Run(0)
+	b.StopTimer()
+	k.Shutdown()
+}
+
+// BenchmarkProcSelfResume prices a yield whose next event resumes the
+// same process: a lone process calling Delay(0).
+func BenchmarkProcSelfResume(b *testing.B) {
+	k := NewKernel()
+	k.Spawn("solo", 0, func(p *Proc) {
+		for i := 0; i < b.N; i++ {
+			p.Delay(0)
+		}
+	})
+	b.ReportAllocs()
+	b.ResetTimer()
+	k.Run(0)
+	b.StopTimer()
+	k.Shutdown()
+}
+
 // BenchmarkEventSchedule isolates push/pop of pure callback events with
 // no process machinery at all: the per-event cost of the heap plus the
 // freelist, and zero allocs/op after warm-up.

@@ -2,9 +2,16 @@
 // cooperative goroutine processes. It provides the virtual-time substrate
 // on which the SCC platform model and the Kahn-process-network runtime
 // execute: processes advance a shared virtual clock by sleeping
-// (Proc.Delay) and blocking on conditions (Proc.Block), and the kernel
+// (Proc.Delay) and blocking on conditions (Proc.Wait), and the kernel
 // resumes exactly one process at a time, ordered by (time, sequence
 // number), so every run of the same program is bit-identical.
+//
+// Control passes directly between goroutines. A yielding process runs
+// the dispatch loop itself: it executes due callbacks inline and hands
+// the processor straight to the next process to resume, one goroutine
+// handoff per switch. When that next process is the yielding one, it
+// just continues, with no switch at all. Control returns to the caller
+// of Run only when the run ends.
 //
 // Time is in ticks; one tick is one microsecond of virtual time
 // throughout this repository.
@@ -32,15 +39,21 @@ type event struct {
 // Kernel is a discrete-event simulator. The zero value is not usable;
 // create kernels with NewKernel.
 type Kernel struct {
-	now     Time
-	seq     uint64
-	events  eventQueue
-	procs   []*Proc
-	running *Proc  // the process currently executing, nil in kernel context
-	free    *event // freelist of consumed events, reused by push
+	now        Time
+	seq        uint64
+	events     eventQueue
+	procs      []*Proc
+	free       *event // freelist of consumed events, reused by push
 	stopped    bool
-	panicV     any    // re-thrown panic from a process
+	panicV     any    // panic to re-throw from Run
 	dispatched uint64 // events consumed across all Run calls
+
+	// The limit rule of the run in progress: the queue is probed with
+	// probe, and only events at or before cut are dispatched.
+	probe, cut Time
+	// home receives control back from process goroutines when a run
+	// ends, and from each process Shutdown terminates.
+	home chan struct{}
 
 	tracer func(TraceEvent)
 }
@@ -83,7 +96,7 @@ func NewKernel() *Kernel {
 // queue implementation. Both kinds dequeue in identical (time, FIFO)
 // order; the choice affects host performance only.
 func NewKernelWithQueue(kind QueueKind) *Kernel {
-	return &Kernel{events: newQueue(kind)}
+	return &Kernel{events: newQueue(kind), home: make(chan struct{})}
 }
 
 // Now returns the current virtual time.
@@ -152,17 +165,51 @@ func (k *Kernel) recycle(e *event) {
 	k.free = e
 }
 
+// noLimit is the cut of a Run without a time limit.
+const noLimit = Time(1<<63 - 1)
+
 // Run executes the simulation until no events remain, the virtual clock
 // would pass `until` (use a non-positive value for "no limit"), or Stop
 // is called. It returns the virtual time at which the simulation settled.
 // A panic inside any process is re-thrown from Run.
 func (k *Kernel) Run(until Time) Time {
+	if until > 0 {
+		k.run(until, until)
+	} else {
+		k.run(0, noLimit)
+	}
+	return k.now
+}
+
+// run dispatches events under the limit rule (probe, cut) until the
+// rule, an empty queue or Stop ends the run. The dispatch loop runs on
+// whichever goroutine holds control: here until the first process
+// resumes, then on process goroutines, which pass control directly to
+// one another and send it back through k.home when the run ends.
+func (k *Kernel) run(probe, cut Time) {
+	k.probe, k.cut = probe, cut
+	if p := k.nextProc(); p != nil {
+		p.wake <- struct{}{}
+		<-k.home
+	}
+	if v := k.panicV; v != nil {
+		k.panicV = nil
+		panic(v)
+	}
+}
+
+// nextProc is the dispatch loop. It pops events in (time, FIFO) order,
+// running callbacks inline, and returns the first process to resume,
+// marked running, or nil when the run is over. A run that ends at the
+// cut leaves the clock at the cut; one that empties the queue leaves it
+// at the last dispatched instant.
+func (k *Kernel) nextProc() *Proc {
 	for !k.stopped && k.events.len() > 0 {
 		// Probe first: an event past the limit stays queued untouched, so
 		// a later Run call resumes with the original FIFO order intact.
-		if _, ok := k.events.next(until); !ok {
-			k.now = until
-			return k.now
+		if t, ok := k.events.next(k.probe); !ok || t > k.cut {
+			k.now = k.cut
+			return nil
 		}
 		e := k.events.pop()
 		k.dispatched++
@@ -170,30 +217,39 @@ func (k *Kernel) Run(until Time) Time {
 		if e.fn != nil {
 			k.emit("callback", "")
 			e.fn()
-		} else if e.proc != nil && e.proc.state != stateDone {
-			k.emit("resume", e.proc.name)
-			k.resume(e.proc)
+		} else if p := e.proc; p != nil && p.state != stateDone {
+			k.emit("resume", p.name)
+			k.recycle(e)
+			p.state = stateRunning
+			return p
 		}
 		k.recycle(e)
-		if k.panicV != nil {
-			v := k.panicV
-			k.panicV = nil
-			panic(v)
-		}
 	}
-	return k.now
+	return nil
 }
 
-// resume hands control to p and waits for it to yield, block or finish.
-func (k *Kernel) resume(p *Proc) {
-	k.running = p
-	p.state = stateRunning
-	p.resume <- struct{}{}
-	<-p.yielded
-	k.running = nil
-	if p.state == stateDone {
-		k.emit("end", p.name)
+// step runs the dispatch loop on a process goroutine. A callback that
+// panics there must neither unwind the process's stack nor pass for a
+// panic of the process: step catches it, and run re-panics the raw
+// value once control is back home.
+func (k *Kernel) step() (next *Proc) {
+	defer func() {
+		if v := recover(); v != nil {
+			k.panicV = v
+			next = nil
+		}
+	}()
+	return k.nextProc()
+}
+
+// pass hands control to process next, or back to the run caller when
+// next is nil.
+func (k *Kernel) pass(next *Proc) {
+	if next == nil {
+		k.home <- struct{}{}
+		return
 	}
+	next.wake <- struct{}{}
 }
 
 // Blocked returns the names of processes that are blocked on a Signal,
@@ -234,7 +290,7 @@ func (k *Kernel) Shutdown() {
 			continue
 		}
 		p.killed = true
-		p.resume <- struct{}{}
-		<-p.yielded
+		p.wake <- struct{}{}
+		<-k.home
 	}
 }

@@ -1,8 +1,12 @@
 package des
 
 import (
+	"fmt"
+	"runtime"
+	"slices"
 	"strings"
 	"testing"
+	"time"
 )
 
 func TestDelayAdvancesClock(t *testing.T) {
@@ -202,23 +206,44 @@ func TestBlockedReporting(t *testing.T) {
 }
 
 func TestStop(t *testing.T) {
+	// The stopping body keeps delaying; b, due at the same instant,
+	// must not run again, and neither must anything after a second Run.
 	k := NewKernel()
-	var count int
-	k.Spawn("p", 0, func(p *Proc) {
+	var log []string
+	var kinds []string
+	k.Trace(func(e TraceEvent) { kinds = append(kinds, e.Kind) })
+	k.Spawn("a", 0, func(p *Proc) {
 		for {
-			count++
-			if count == 3 {
+			log = append(log, fmt.Sprintf("a@%d", p.Now()))
+			if p.Now() == 20 {
 				k.Stop()
 			}
 			p.Delay(10)
 		}
 	})
-	k.Run(0)
-	if count != 3 {
-		t.Errorf("count = %d, want 3", count)
+	k.Spawn("b", 0, func(p *Proc) {
+		for {
+			log = append(log, fmt.Sprintf("b@%d", p.Now()))
+			p.Delay(10)
+		}
+	})
+	if end := k.Run(0); end != 20 {
+		t.Errorf("Run returned %d, want 20", end)
+	}
+	if got, want := strings.Join(log, ","), "a@0,b@0,a@10,b@10,a@20"; got != want {
+		t.Errorf("log = %s, want %s", got, want)
 	}
 	if !k.Stopped() {
 		t.Error("Stopped() = false after Stop")
+	}
+	if got := k.Dispatched(); got != 5 {
+		t.Errorf("Dispatched = %d, want 5", got)
+	}
+	if got := kinds[len(kinds)-1]; got != "stop" {
+		t.Errorf("last trace event = %q, want stop", got)
+	}
+	if end := k.Run(0); end != 20 || len(log) != 5 {
+		t.Errorf("Run after Stop: end %d, %d log entries; want 20 and 5", end, len(log))
 	}
 	k.Shutdown()
 }
@@ -336,5 +361,150 @@ func TestTraceStop(t *testing.T) {
 	k.Shutdown()
 	if !sawStop {
 		t.Error("stop not traced")
+	}
+}
+
+func TestCallbackPanicWhileProcessDispatchesIsRaw(t *testing.T) {
+	// The dispatch loop runs on process goroutines too: a callback that
+	// panics there must reach Run's caller with its raw value, not
+	// wrapped as a panic of the process that happened to dispatch it.
+	cases := []struct {
+		name string
+		body func(p *Proc)
+	}{
+		{"yield", func(p *Proc) {
+			for {
+				p.Delay(5)
+			}
+		}},
+		{"end", func(p *Proc) { p.Delay(1) }},
+	}
+	for _, c := range cases {
+		name, body := c.name, c.body
+		t.Run(name, func(t *testing.T) {
+			k := NewKernel()
+			cleaned := false
+			k.Spawn("p", 0, func(p *Proc) {
+				defer func() { cleaned = true }()
+				body(p)
+			})
+			k.At(3, func() { panic("callback boom") })
+			func() {
+				defer func() {
+					if v := recover(); v != "callback boom" {
+						t.Errorf("Run panicked with %#v, want the raw callback value", v)
+					}
+				}()
+				k.Run(0)
+			}()
+			if k.Now() != 3 {
+				t.Errorf("clock after the panic = %d, want 3", k.Now())
+			}
+			if name == "yield" && cleaned {
+				t.Error("the callback panic unwound the dispatching process")
+			}
+			k.Shutdown()
+			if !cleaned {
+				t.Error("Shutdown did not unwind the process")
+			}
+		})
+	}
+}
+
+func TestRunUntilThenRunKeepsFIFO(t *testing.T) {
+	// Unlike TestRunUntilKeepsQueueOrder, the limit is hit by a process
+	// goroutine's dispatch loop, which must hand control back mid-run.
+	run := func(kind QueueKind, firstUntil Time) string {
+		k := NewKernelWithQueue(kind)
+		var log []string
+		k.At(10, func() { log = append(log, fmt.Sprintf("cb@%d", k.Now())) })
+		for _, name := range []string{"a", "b", "c"} {
+			name := name
+			k.Spawn(name, 0, func(p *Proc) {
+				for i := 0; i < 3; i++ {
+					log = append(log, fmt.Sprintf("%s@%d", name, p.Now()))
+					p.Delay(10)
+				}
+			})
+		}
+		k.At(10, func() { log = append(log, fmt.Sprintf("cb2@%d", k.Now())) })
+		if firstUntil > 0 {
+			if end := k.Run(firstUntil); end != firstUntil {
+				t.Errorf("Run(%d) returned %d", firstUntil, end)
+			}
+		}
+		k.Run(0)
+		k.Shutdown()
+		return strings.Join(log, ",")
+	}
+	const want = "a@0,b@0,c@0,cb@10,cb2@10,a@10,b@10,c@10,a@20,b@20,c@20"
+	for _, kind := range []QueueKind{QueueBucket, QueueHeap} {
+		for _, until := range []Time{0, 5, 9, 15} {
+			if got := run(kind, until); got != want {
+				t.Errorf("queue %d, Run(%d) then Run(0): %s, want %s", kind, until, got, want)
+			}
+		}
+	}
+}
+
+func TestShutdownReleasesAllGoroutines(t *testing.T) {
+	before := runtime.NumGoroutine()
+	k := NewKernel()
+	var sig Signal
+	k.Spawn("finished", 0, func(p *Proc) { p.Delay(1) })
+	k.Spawn("waiting", 0, func(p *Proc) { p.Wait(&sig) })
+	k.Spawn("delaying", 0, func(p *Proc) { p.Delay(1000) })
+	k.Spawn("never-started", 500, func(p *Proc) { t.Error("should not run") })
+	k.Run(10)
+	if got := k.Blocked(); len(got) != 1 || got[0] != "waiting" {
+		t.Fatalf("Blocked() = %v, want [waiting]", got)
+	}
+	k.Shutdown()
+	// A terminated goroutine reports back before it exits; give the
+	// stragglers a moment.
+	deadline := time.Now().Add(5 * time.Second)
+	for runtime.NumGoroutine() > before && time.Now().Before(deadline) {
+		time.Sleep(time.Millisecond)
+	}
+	if got := runtime.NumGoroutine(); got > before {
+		t.Errorf("%d goroutines after Shutdown, want %d", got, before)
+	}
+}
+
+func TestTraceGoldenThreeProcesses(t *testing.T) {
+	k := NewKernel()
+	var got []TraceEvent
+	k.Trace(func(e TraceEvent) { got = append(got, e) })
+	var sig Signal
+	k.Spawn("a", 0, func(p *Proc) {
+		p.Delay(5)
+		k.Broadcast(&sig)
+		p.Delay(0)
+	})
+	k.Spawn("b", 0, func(p *Proc) {
+		p.Wait(&sig)
+		p.Delay(2) // the only event left: resumes without a switch
+	})
+	k.Spawn("c", 3, func(p *Proc) { p.Wait(&sig) })
+	k.At(5, func() {})
+	k.Run(0)
+	k.Shutdown()
+	want := []TraceEvent{
+		{0, "spawn", "a"}, {0, "spawn", "b"}, {0, "spawn", "c"},
+		{0, "resume", "a"},
+		{0, "resume", "b"}, {0, "block", "b"},
+		{3, "resume", "c"}, {3, "block", "c"},
+		{5, "callback", ""},
+		{5, "resume", "a"},
+		{5, "resume", "b"},
+		{5, "resume", "c"}, {5, "end", "c"},
+		{5, "resume", "a"}, {5, "end", "a"},
+		{7, "resume", "b"}, {7, "end", "b"},
+	}
+	if !slices.Equal(got, want) {
+		t.Errorf("trace:\n got %v\nwant %v", got, want)
+	}
+	if k.Dispatched() != 9 {
+		t.Errorf("Dispatched = %d, want 9", k.Dispatched())
 	}
 }

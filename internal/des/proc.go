@@ -17,12 +17,14 @@ const (
 // structures built on them. All Proc methods must be called from the
 // process's own body function.
 type Proc struct {
-	k       *Kernel
-	name    string
-	state   procState
-	killed  bool
-	resume  chan struct{}
-	yielded chan struct{}
+	k      *Kernel
+	name   string
+	state  procState
+	killed bool
+	// wake hands the processor to this process, from the dispatcher or
+	// from Shutdown. One slot of buffer lets the sender move on when the
+	// goroutine has not parked yet, as on a new process's first resume.
+	wake chan struct{}
 }
 
 // errKilled is the sentinel used by Kernel.Shutdown to unwind process
@@ -36,32 +38,29 @@ func (k *Kernel) Spawn(name string, startDelay Time, body func(p *Proc)) *Proc {
 	if startDelay < 0 {
 		panic(fmt.Sprintf("des: negative start delay %d for process %q", startDelay, name))
 	}
-	p := &Proc{
-		k:       k,
-		name:    name,
-		state:   stateReady,
-		resume:  make(chan struct{}),
-		yielded: make(chan struct{}),
-	}
+	p := &Proc{k: k, name: name, state: stateReady, wake: make(chan struct{}, 1)}
 	k.procs = append(k.procs, p)
 	k.emit("spawn", name)
 	go func() {
-		<-p.resume
-		if p.killed {
-			p.state = stateDone
-			p.yielded <- struct{}{}
-			return
-		}
 		defer func() {
-			if v := recover(); v != nil {
-				if _, ok := v.(errKilled); !ok {
-					k.panicV = fmt.Errorf("des: process %q panicked: %v", name, v)
-				}
-			}
+			v := recover()
 			p.state = stateDone
-			p.yielded <- struct{}{}
+			if p.killed { // terminated by Shutdown, which waits on k.home
+				k.home <- struct{}{}
+				return
+			}
+			k.emit("end", name)
+			if v != nil {
+				k.panicV = fmt.Errorf("des: process %q panicked: %v", name, v)
+				k.home <- struct{}{}
+				return
+			}
+			k.pass(k.step())
 		}()
-		body(p)
+		<-p.wake
+		if !p.killed {
+			body(p)
+		}
 	}()
 	k.push(k.now+startDelay, p, nil)
 	return p
@@ -87,15 +86,23 @@ func (p *Proc) Delay(d Time) {
 	p.yield(stateReady)
 }
 
-// yield returns control to the kernel, recording the new state.
+// yield gives up the processor, recording the new state, and runs the
+// dispatch loop on this goroutine until control passes on. When the
+// next resumed process is p itself, yield returns without any goroutine
+// switch; otherwise it hands control to the next process (or back to
+// the Run caller) and parks until resumed.
 func (p *Proc) yield(s procState) {
 	p.state = s
-	p.yielded <- struct{}{}
-	<-p.resume
+	k := p.k
+	next := k.step()
+	if next == p {
+		return
+	}
+	k.pass(next)
+	<-p.wake
 	if p.killed {
 		panic(errKilled{})
 	}
-	p.state = stateRunning
 }
 
 // Signal is a wait queue processes can block on. The zero value is ready

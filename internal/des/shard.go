@@ -97,6 +97,10 @@ type shardState struct {
 	out    []*Link
 	drains []func(k *Kernel) int64
 	chunk  Time // Run slice length; maxTime when the shard has no outbound links
+	// through is the end of the last completed Run slice: every event at
+	// or before it has been dispatched. It leads the kernel clock when
+	// the queue ran dry inside a slice.
+	through Time
 
 	parked atomic.Bool  // runner is parking/parked (Dekker flag for wakers)
 	lastH  atomic.Int64 // horizon the runner last read before draining
@@ -282,6 +286,7 @@ func (sk *ShardedKernel) Run(until Time) Time {
 		// promise can overshoot its next send. Stale grants must not
 		// lift horizons in this run.
 		s.grant.Store(0)
+		s.through = s.k.Now()
 		if s.chunk == 0 {
 			s.chunk = chunkFor(s)
 		}
@@ -425,42 +430,22 @@ func (s *shardState) inflight() bool {
 	return false
 }
 
-// runWindow executes events at times <= target and leaves the virtual
-// clock at target. Unlike Kernel.Run, the limit is literal — target 0
+// runWindow dispatches every event at or before target and returns the
+// instant through which the kernel is done: target, or the clock if
+// Stop was called. Unlike Kernel.Run, the limit is literal — target 0
 // runs exactly the time-0 events, which a shard whose horizon is the
-// minimum lookahead legitimately needs. A target in the past is a
-// no-op. Probing with target+1 keeps the bucket queue's clock at or
-// below target+1, so cross-shard pushes at times >= target+1 (the
-// protocol guarantees no earlier ones) stay valid.
+// minimum lookahead legitimately needs. The clock follows Run's rule:
+// it moves to target only while events remain beyond it, so a shard
+// that drains its queue keeps its last dispatched instant and a later
+// Run schedules relative to it. Probing with target+1 keeps the bucket
+// queue's clock at or below target+1, so cross-shard pushes at times
+// >= target+1 (the protocol guarantees no earlier ones) stay valid.
 func (k *Kernel) runWindow(target Time) Time {
-	if target < k.now {
+	k.run(target+1, target)
+	if k.stopped {
 		return k.now
 	}
-	for !k.stopped && k.events.len() > 0 {
-		if t, ok := k.events.next(target + 1); !ok || t > target {
-			break
-		}
-		e := k.events.pop()
-		k.dispatched++
-		k.now = e.at
-		if e.fn != nil {
-			k.emit("callback", "")
-			e.fn()
-		} else if e.proc != nil && e.proc.state != stateDone {
-			k.emit("resume", e.proc.name)
-			k.resume(e.proc)
-		}
-		k.recycle(e)
-		if k.panicV != nil {
-			v := k.panicV
-			k.panicV = nil
-			panic(v)
-		}
-	}
-	if !k.stopped {
-		k.now = target
-	}
-	return k.now
+	return target
 }
 
 // runShard is one shard's runner loop. Safety argument for every Run
@@ -489,12 +474,12 @@ func (sk *ShardedKernel) runShard(s *shardState, until Time) {
 		// Execute the safe window in chunks, publishing progress after
 		// each slice so downstream shards overlap with us. Dead space
 		// (no events for many chunks) is skipped via the queue's
-		// non-mutating bound.
+		// non-mutating bound. A target behind the last slice runs nothing.
 		worked := drained > 0
 		before := k.Dispatched()
-		for k.Pending() > 0 && !k.Stopped() {
-			step := k.Now() + s.chunk
-			if step < k.Now() { // overflow on an effectively infinite chunk
+		for k.Pending() > 0 && !k.Stopped() && target >= s.through {
+			step := s.through + s.chunk
+			if step < s.through { // overflow on an effectively infinite chunk
 				step = target
 			}
 			if eb, ok := k.events.bound(); ok && eb > step {
@@ -503,11 +488,11 @@ func (sk *ShardedKernel) runShard(s *shardState, until Time) {
 			if step > target {
 				step = target
 			}
-			reached := k.runWindow(step)
-			// Future sends happen at ≥ reached+1 (events ≤ reached are
-			// done; cross-shard arrivals are ≥ H ≥ reached+1).
-			sk.publish(s, reached+1)
-			if reached >= target {
+			s.through = k.runWindow(step)
+			// Future sends happen at ≥ through+1 (events ≤ through are
+			// done; cross-shard arrivals are ≥ H ≥ through+1).
+			sk.publish(s, s.through+1)
+			if s.through >= target {
 				break
 			}
 		}

@@ -410,7 +410,7 @@ func BenchmarkShardDispatch(b *testing.B) {
 					remaining[sh] = count/shards - timers/shards
 				}
 				for t := 0; t < timers; t++ {
-					sk.Shard(t % shards).After(periods[t%len(periods)], ticks[t])
+					sk.Shard(t%shards).After(periods[t%len(periods)], ticks[t])
 				}
 				sk.Run(0)
 			}
@@ -419,5 +419,39 @@ func BenchmarkShardDispatch(b *testing.B) {
 			b.ResetTimer()
 			arm(b.N + 10*timers)
 		})
+	}
+}
+
+func TestShardedRerunAfterQuiescence(t *testing.T) {
+	// A run that reaches quiescence leaves each shard's clock at its
+	// last dispatched instant, as Kernel.Run does, so events scheduled
+	// relative to it before a second Run(0) all fire.
+	for _, n := range []int{1, 2} {
+		sk := NewShardedKernel(n)
+		if n > 1 {
+			sk.Connect(0, 1, 5)
+		}
+		fired := make([]int, n)
+		schedule := func() {
+			for i := 0; i < n; i++ {
+				k, i := sk.Shard(i), i
+				for d := Time(0); d <= 100; d++ {
+					k.After(d, func() { fired[i]++ })
+				}
+			}
+		}
+		for round := 1; round <= 2; round++ {
+			schedule()
+			sk.Run(0)
+			for i, got := range fired {
+				if want := 101 * round; got != want {
+					t.Errorf("%d shards, run %d: shard %d fired %d events, want %d", n, round, i, got, want)
+				}
+				if got, want := sk.Shard(i).Now(), Time(100*round); got != want {
+					t.Errorf("%d shards, run %d: shard %d clock %d, want %d", n, round, i, got, want)
+				}
+			}
+		}
+		sk.Shutdown()
 	}
 }

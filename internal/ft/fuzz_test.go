@@ -152,11 +152,11 @@ func FuzzSelectorInterleavings(f *testing.F) {
 }
 
 func FuzzReplicatorInterleavings(f *testing.F) {
-	f.Add([]byte{0})                                  // symmetric, minimal
-	f.Add([]byte{1, 4, 2, 6, 1, 0, 3, 2, 4, 1})       // asymmetric delays
-	f.Add([]byte{2, 5, 5, 3, 8, 3, 12, 2, 1, 4, 0})   // outage + re-arm + slide window
-	f.Add([]byte{2, 2, 2, 0, 5, 7, 25, 1, 1, 1, 1})   // long pause after re-arm (slide stress)
-	f.Add([]byte{2, 6, 6, 6, 10, 0, 0, 3, 3, 3, 3})   // re-arm with empty fill
+	f.Add([]byte{0})                                // symmetric, minimal
+	f.Add([]byte{1, 4, 2, 6, 1, 0, 3, 2, 4, 1})     // asymmetric delays
+	f.Add([]byte{2, 5, 5, 3, 8, 3, 12, 2, 1, 4, 0}) // outage + re-arm + slide window
+	f.Add([]byte{2, 2, 2, 0, 5, 7, 25, 1, 1, 1, 1}) // long pause after re-arm (slide stress)
+	f.Add([]byte{2, 6, 6, 6, 10, 0, 0, 3, 3, 3, 3}) // re-arm with empty fill
 	f.Fuzz(func(t *testing.T, data []byte) {
 		sc := &fuzzScript{data: data}
 		mode := sc.next() % 3 // 0 symmetric, 1 asymmetric, 2 outage+reintegrate
