@@ -9,7 +9,6 @@
 //	ftpnsim -exp campaign -n 1000 -seed 1 -out BENCH_PR2.json
 //	ftpnsim -exp obsbench -out BENCH_PR4.json
 //	ftpnsim -exp corebench -out BENCH_PR5.json
-//	ftpnsim -exp shardbench -shards 1,2,4,8 -out BENCH_PR6.json
 //	ftpnsim -exp detectbench -runs 25 -seed 1 -out BENCH_PR7.json
 //	ftpnsim -exp topobench -n 1000 -seed 1 -out BENCH_PR8.json
 //	ftpnsim -exp campaign -policy mk+value -mk 2,16
@@ -27,21 +26,17 @@
 // the heap oracle, SPSC channel fast path vs the locked oracle, and the
 // memoized campaign with its parallel-level bit-identity check;
 // -seed-campaign-ns feeds it the seed tree's campaign wall-clock. The
-// shardbench experiment sweeps the conservative sharded kernel across
-// the -shards counts — dispatch and pipeline scaling plus the
-// application identity matrix (every app, shards 1..8, byte-identical
-// canonical traces against the single-kernel oracle). The detectbench
-// experiment measures detection latency and false-positive rate per
-// fault class (transient glitch/burst, permanent stop/drift/drop,
-// value corruption) under the binary, per-app (m,k) weakly-hard, and
-// (m,k)+value-check policies, and compares measured latency against
-// the analytic detection bound. The topobench experiment generates -n
-// seeded random topologies from the internal/topo DSL and
-// property-checks each one — analytic sizing admits zero false
-// convictions, Lemma 1 isolation and masking under a scripted fault,
-// (m,k) detection bounds, and sequential-vs-sharded trace identity —
-// then round-trips the paper apps through the DSL against their golden
-// streams; it exits non-zero on any violation.
+// detectbench experiment measures detection latency and false-positive
+// rate per fault class (transient glitch/burst, permanent
+// stop/drift/drop, value corruption) under the binary, per-app (m,k)
+// weakly-hard, and (m,k)+value-check policies, and compares measured
+// latency against the analytic detection bound. The topobench
+// experiment generates -n seeded random topologies from the
+// internal/topo DSL and property-checks each one — analytic sizing
+// admits zero false convictions, Lemma 1 isolation and masking under a
+// scripted fault, and (m,k) detection bounds — then round-trips the
+// paper apps through the DSL against their golden streams; it exits
+// non-zero on any violation.
 //
 // -cpuprofile/-memprofile write pprof profiles covering the selected
 // experiment (the memory profile is written at exit, after a final GC).
@@ -66,7 +61,6 @@ import (
 	"os"
 	"runtime"
 	"runtime/pprof"
-	"strconv"
 	"strings"
 
 	"ftpn/internal/des"
@@ -92,7 +86,6 @@ type cliConfig struct {
 
 	seedCampaignNs int64  // seed campaign wall-clock ns for corebench
 	golden         string // pre-PR campaign report for corebench's diff
-	shards         string // shard counts CSV for shardbench
 	cpuprofile     string // pprof CPU profile path ("" = off)
 	memprofile     string // pprof heap profile path ("" = off)
 
@@ -132,8 +125,8 @@ func parsePolicy(policy, mk string) (ft.PolicySpec, error) {
 
 func main() {
 	var cfg cliConfig
-	flag.StringVar(&cfg.expName, "exp", "table2", "experiment: table1, table2, table3, report, fills, bench, campaign, obsbench, corebench, shardbench, detectbench, topobench or latbench")
-	flag.StringVar(&cfg.appName, "app", "all", "application: mjpeg, adpcm, h264 or all")
+	flag.StringVar(&cfg.expName, "exp", "table2", "experiment: table1, table2, table3, report, fills, bench, campaign, obsbench, corebench, detectbench, topobench or latbench")
+	flag.StringVar(&cfg.appName, "app", "all", "application: mjpeg, adpcm, h264, radar or all")
 	flag.IntVar(&cfg.runs, "runs", 20, "fault-injection runs per configuration")
 	flag.Int64Var(&cfg.pollUs, "poll", 1000, "distance-function poll period in µs (table3)")
 	flag.Int64Var(&cfg.tokens, "tokens", 0, "override workload length in tokens (0 = default)")
@@ -146,7 +139,6 @@ func main() {
 	flag.Int64Var(&cfg.seedRepNs, "seed-rep-ns", 0, "seed replicator ns/op baseline for obsbench (0 = skip seed comparison)")
 	flag.Int64Var(&cfg.seedCampaignNs, "seed-campaign-ns", 0, "seed campaign wall-clock ns baseline for corebench (0 = skip seed comparison)")
 	flag.StringVar(&cfg.golden, "golden", "", "pre-PR campaign report corebench diffs against (default BENCH_PR2.json)")
-	flag.StringVar(&cfg.shards, "shards", "1,2,4,8", "shard counts shardbench sweeps (comma-separated)")
 	flag.StringVar(&cfg.cpuprofile, "cpuprofile", "", "write a pprof CPU profile of the experiment to this path")
 	flag.StringVar(&cfg.memprofile, "memprofile", "", "write a pprof heap profile at exit to this path")
 	flag.StringVar(&cfg.policy, "policy", "", "campaign detection policy: binary, mk, binary+value or mk+value (default: inline first-violation path)")
@@ -156,26 +148,6 @@ func main() {
 		fmt.Fprintf(os.Stderr, "ftpnsim: %v\n", err)
 		os.Exit(1)
 	}
-}
-
-// parseShards parses the -shards CSV into positive shard counts.
-func parseShards(s string) ([]int, error) {
-	var out []int
-	for _, part := range strings.Split(s, ",") {
-		part = strings.TrimSpace(part)
-		if part == "" {
-			continue
-		}
-		n, err := strconv.Atoi(part)
-		if err != nil || n < 1 {
-			return nil, fmt.Errorf("invalid -shards entry %q (want positive integers)", part)
-		}
-		out = append(out, n)
-	}
-	if len(out) == 0 {
-		return nil, fmt.Errorf("-shards is empty")
-	}
-	return out, nil
 }
 
 func run(cfg cliConfig) error {
@@ -374,34 +346,6 @@ func runExperiment(cfg cliConfig) error {
 			fmt.Fprintf(os.Stderr, "simulation-core bench report written to %s\n", out)
 		}
 		return nil
-	case "shardbench":
-		shards, err := parseShards(cfg.shards)
-		if err != nil {
-			return err
-		}
-		out := cfg.out
-		if out == "" {
-			out = "BENCH_PR6.json"
-		}
-		var w io.Writer = os.Stdout
-		if out != "-" {
-			f, err := os.Create(out)
-			if err != nil {
-				return err
-			}
-			defer f.Close()
-			w = f
-		}
-		if err := exp.RunShardBenchSuite(w, os.Stderr, exp.ShardBenchConfig{
-			Shards: shards,
-			Tokens: cfg.tokens,
-		}); err != nil {
-			return err
-		}
-		if out != "-" {
-			fmt.Fprintf(os.Stderr, "sharded-simulation bench report written to %s\n", out)
-		}
-		return nil
 	case "detectbench":
 		rep, err := exp.DetectBench(cfg.runs, cfg.seed, opts...)
 		if err != nil {
@@ -524,6 +468,6 @@ func runExperiment(cfg cliConfig) error {
 		}
 		return nil
 	default:
-		return fmt.Errorf("unknown experiment %q (want table1, table2, table3, report, fills, bench, campaign, obsbench, corebench, shardbench, detectbench, topobench or latbench)", cfg.expName)
+		return fmt.Errorf("unknown experiment %q (want table1, table2, table3, report, fills, bench, campaign, obsbench, corebench, detectbench, topobench or latbench)", cfg.expName)
 	}
 }

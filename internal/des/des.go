@@ -48,9 +48,8 @@ type Kernel struct {
 	panicV     any    // panic to re-throw from Run
 	dispatched uint64 // events consumed across all Run calls
 
-	// The limit rule of the run in progress: the queue is probed with
-	// probe, and only events at or before cut are dispatched.
-	probe, cut Time
+	// until is the time limit of the run in progress (<= 0: none).
+	until Time
 	// home receives control back from process goroutines when a run
 	// ends, and from each process Shutdown terminates.
 	home chan struct{}
@@ -165,29 +164,17 @@ func (k *Kernel) recycle(e *event) {
 	k.free = e
 }
 
-// noLimit is the cut of a Run without a time limit.
-const noLimit = Time(1<<63 - 1)
-
 // Run executes the simulation until no events remain, the virtual clock
 // would pass `until` (use a non-positive value for "no limit"), or Stop
 // is called. It returns the virtual time at which the simulation settled.
 // A panic inside any process is re-thrown from Run.
+//
+// The dispatch loop runs on whichever goroutine holds control: here
+// until the first process resumes, then on process goroutines, which
+// pass control directly to one another and send it back through k.home
+// when the run ends.
 func (k *Kernel) Run(until Time) Time {
-	if until > 0 {
-		k.run(until, until)
-	} else {
-		k.run(0, noLimit)
-	}
-	return k.now
-}
-
-// run dispatches events under the limit rule (probe, cut) until the
-// rule, an empty queue or Stop ends the run. The dispatch loop runs on
-// whichever goroutine holds control: here until the first process
-// resumes, then on process goroutines, which pass control directly to
-// one another and send it back through k.home when the run ends.
-func (k *Kernel) run(probe, cut Time) {
-	k.probe, k.cut = probe, cut
+	k.until = until
 	if p := k.nextProc(); p != nil {
 		p.wake <- struct{}{}
 		<-k.home
@@ -196,19 +183,21 @@ func (k *Kernel) run(probe, cut Time) {
 		k.panicV = nil
 		panic(v)
 	}
+	return k.now
 }
 
 // nextProc is the dispatch loop. It pops events in (time, FIFO) order,
 // running callbacks inline, and returns the first process to resume,
-// marked running, or nil when the run is over. A run that ends at the
-// cut leaves the clock at the cut; one that empties the queue leaves it
-// at the last dispatched instant.
+// marked running, or nil when the run is over. A run that ends at its
+// time limit leaves the clock at the limit; one that empties the queue
+// leaves it at the last dispatched instant.
 func (k *Kernel) nextProc() *Proc {
 	for !k.stopped && k.events.len() > 0 {
 		// Probe first: an event past the limit stays queued untouched, so
 		// a later Run call resumes with the original FIFO order intact.
-		if t, ok := k.events.next(k.probe); !ok || t > k.cut {
-			k.now = k.cut
+		// Without a limit the probe is exact and always succeeds here.
+		if _, ok := k.events.next(k.until); !ok {
+			k.now = k.until
 			return nil
 		}
 		e := k.events.pop()
@@ -230,7 +219,7 @@ func (k *Kernel) nextProc() *Proc {
 
 // step runs the dispatch loop on a process goroutine. A callback that
 // panics there must neither unwind the process's stack nor pass for a
-// panic of the process: step catches it, and run re-panics the raw
+// panic of the process: step catches it, and Run re-panics the raw
 // value once control is back home.
 func (k *Kernel) step() (next *Proc) {
 	defer func() {
@@ -269,11 +258,6 @@ func (k *Kernel) Blocked() []string {
 
 // NumProcs returns the number of processes ever spawned on the kernel.
 func (k *Kernel) NumProcs() int { return len(k.procs) }
-
-// Pending returns the number of scheduled events not yet dispatched.
-// The shard runner (shard.go) uses it to distinguish an idle kernel
-// from one whose events lie beyond the current horizon.
-func (k *Kernel) Pending() int { return k.events.len() }
 
 // Dispatched returns the total number of events the kernel has
 // consumed across all Run calls — a progress counter for chunked

@@ -16,12 +16,6 @@ type eventQueue interface {
 	next(limit Time) (Time, bool)
 	pop() *event
 	len() int
-	// bound returns a non-mutating lower bound on the earliest queued
-	// event's time (exact for the heap, a slot block start for the
-	// bucket queue). ok is false when the queue is empty. The sharded
-	// kernel's horizon fixed point uses it to see past the current
-	// safe window without disturbing queue state.
-	bound() (Time, bool)
 }
 
 // QueueKind selects the kernel's event-queue implementation.
@@ -288,25 +282,6 @@ func (q *bucketQueue) next(limit Time) (Time, bool) {
 	}
 }
 
-// bound returns the minimum candidate across all levels and the
-// overflow list — a lower bound on the earliest event, computed
-// without reorganizing anything.
-func (q *bucketQueue) bound() (Time, bool) {
-	if q.n == 0 {
-		return 0, false
-	}
-	minT := Time(1<<63 - 1)
-	for l := 0; l < wheelLevels; l++ {
-		if bs, ok := q.candidate(l); ok && bs < minT {
-			minT = bs
-		}
-	}
-	if len(q.far) > 0 && q.farMin < minT {
-		minT = q.farMin
-	}
-	return minT, true
-}
-
 func (q *bucketQueue) pop() *event {
 	t, ok := q.next(0)
 	if !ok {
@@ -359,14 +334,6 @@ func (q *heapQueue) push(e *event) {
 
 func (q *heapQueue) next(limit Time) (Time, bool) {
 	if len(q.h) == 0 || (limit > 0 && q.h[0].at > limit) {
-		return 0, false
-	}
-	return q.h[0].at, true
-}
-
-// bound returns the exact earliest event time without mutation.
-func (q *heapQueue) bound() (Time, bool) {
-	if len(q.h) == 0 {
 		return 0, false
 	}
 	return q.h[0].at, true

@@ -9,7 +9,6 @@ import (
 	"ftpn/internal/des"
 	"ftpn/internal/fault"
 	"ftpn/internal/ft"
-	"ftpn/internal/kpn"
 	"ftpn/internal/obs"
 )
 
@@ -45,77 +44,6 @@ func TestLatBenchDeterministicAcrossParallel(t *testing.T) {
 		if !bytes.Equal(ref.Bytes(), buf.Bytes()) {
 			t.Fatalf("report differs across parallelism levels:\n-- parallel=1:\n%s\n-- parallel=%d:\n%s",
 				ref.String(), par, buf.String())
-		}
-	}
-}
-
-// flightNetSequential runs net on one plain kernel with the flight
-// recorder's kernel tracer attached and returns the canonical log.
-func flightNetSequential(net *kpn.Network) ([]byte, error) {
-	fr := obs.NewFlightRecorder(0)
-	k := des.NewKernel()
-	fr.AttachKernel(k, 0)
-	if _, err := net.Instantiate(k, kpn.Options{}); err != nil {
-		return nil, err
-	}
-	k.Run(0)
-	k.Shutdown()
-	return fr.Bytes(), nil
-}
-
-// flightNetSharded partitions net across the given shard count, attaches
-// one recorder stream per shard kernel, and returns the canonical log.
-func flightNetSharded(net *kpn.Network, shards int) ([]byte, error) {
-	plan, err := kpn.PartitionNetwork(net, shards)
-	if err != nil {
-		return nil, err
-	}
-	fr := obs.NewFlightRecorder(0)
-	sk := des.NewShardedKernel(plan.Shards)
-	for i := 0; i < sk.NumShards(); i++ {
-		fr.AttachKernel(sk.Shard(i), i)
-	}
-	if _, err := net.InstantiateSharded(sk, plan, kpn.Options{}); err != nil {
-		return nil, err
-	}
-	sk.Run(0)
-	sk.Shutdown()
-	return fr.Bytes(), nil
-}
-
-// TestFlightRecorderIdentitySharded is the acceptance check on the
-// recorder's determinism contract: the canonical event log of a real
-// application is byte-identical whether the network ran on one kernel
-// or partitioned across 1..8 conservative shards.
-func TestFlightRecorderIdentitySharded(t *testing.T) {
-	for _, name := range []string{"adpcm", "mjpeg"} {
-		app, err := AppByName(name, false, 24)
-		if err != nil {
-			t.Fatalf("AppByName(%s): %v", name, err)
-		}
-		seq, err := app.Build(nil)
-		if err != nil {
-			t.Fatalf("%s: build: %v", name, err)
-		}
-		oracle, err := flightNetSequential(seq.WithDelays(50))
-		if err != nil {
-			t.Fatalf("%s: sequential run: %v", name, err)
-		}
-		if len(oracle) == 0 {
-			t.Fatalf("%s: sequential flight log is empty", name)
-		}
-		for shards := 1; shards <= 8; shards++ {
-			net, err := app.Build(nil)
-			if err != nil {
-				t.Fatalf("%s: build: %v", name, err)
-			}
-			got, err := flightNetSharded(net.WithDelays(50), shards)
-			if err != nil {
-				t.Fatalf("%s: sharded run (%d): %v", name, shards, err)
-			}
-			if !bytes.Equal(got, oracle) {
-				t.Errorf("%s: flight log at %d shards diverges from the sequential oracle", name, shards)
-			}
 		}
 	}
 }

@@ -18,10 +18,7 @@ package exp
 //     healthy replica is never convicted and never back-pressured,
 //     permanent faults are detected (stop modes within the analytic
 //     (m,k) bound, corruption by the value cross-check), within-budget
-//     transients convict nobody;
-//  5. sequential-vs-sharded bit-identity — the reference network's
-//     canonical event trace is byte-identical between one kernel and
-//     an InstantiateSharded run.
+//     transients convict nobody.
 //
 // On top of the generated sweep, the four paper apps round-trip
 // through the DSL (topo.Describe -> Emit -> Parse -> Compile with the
@@ -30,7 +27,6 @@ package exp
 // (runIndexed), so the report is bit-identical at any -parallel level.
 
 import (
-	"bytes"
 	"encoding/json"
 	"fmt"
 	"io"
@@ -122,10 +118,8 @@ type TopoReport struct {
 	BoundChecked int     `json:"bound_checked"`
 	MinMarginPct float64 `json:"min_margin_pct"`
 
-	// IdentityChecked counts sequential-vs-sharded trace comparisons;
-	// MKChecked the m=0 identity + monotonicity checks.
-	IdentityChecked int `json:"identity_checked"`
-	MKChecked       int `json:"mk_checked"`
+	// MKChecked counts the m=0 identity + monotonicity checks.
+	MKChecked int `json:"mk_checked"`
 
 	Violations    int       `json:"violations"`
 	ViolatingRuns []TopoRun `json:"violating_runs,omitempty"` // first 20
@@ -145,9 +139,8 @@ type TopoAppRoundTrip struct {
 // topoRunResult carries per-run counters that don't belong in the
 // serialized TopoRun.
 type topoRunResult struct {
-	run             TopoRun
-	identityChecked bool
-	mkChecked       bool
+	run       TopoRun
+	mkChecked bool
 }
 
 // topoOne property-checks one generated network.
@@ -359,36 +352,6 @@ func topoOne(seed int64, idx int) (topoRunResult, error) {
 		}
 	}
 
-	// --- Check 5: sequential-vs-sharded bit-identity. ---
-	shards := 2 + idx%3
-	if n := len(spec.Procs); shards > n {
-		shards = n
-	}
-	refSeq, err := model.Build(nil)
-	if err != nil {
-		violate("identity build: %v", err)
-		return res, nil
-	}
-	seqTrace, _, err := runNetSequential(refSeq)
-	if err != nil {
-		violate("sequential run: %v", err)
-		return res, nil
-	}
-	refSh, err := model.Build(nil)
-	if err != nil {
-		violate("identity build: %v", err)
-		return res, nil
-	}
-	shTrace, _, _, err := runNetSharded(refSh, shards)
-	if err != nil {
-		violate("sharded run (%d shards): %v", shards, err)
-		return res, nil
-	}
-	if !bytes.Equal(seqTrace, shTrace) {
-		violate("sharded trace (%d shards, %d bytes) diverges from sequential (%d bytes)",
-			shards, len(shTrace), len(seqTrace))
-	}
-	res.identityChecked = true
 	return res, nil
 }
 
@@ -539,9 +502,6 @@ func TopoBench(n int, seed int64, opts ...Option) (*TopoReport, error) {
 				rep.MinMarginPct = run.MarginPct
 			}
 		}
-		if r.identityChecked {
-			rep.IdentityChecked++
-		}
 		if r.mkChecked {
 			rep.MKChecked++
 		}
@@ -581,8 +541,7 @@ func (r *TopoReport) String() string {
 	fmt.Fprintf(&b, "  policies:  %s\n", countLine(r.Policies))
 	fmt.Fprintf(&b, "  detected %d faults (%d within analytic bounds, min margin %.1f%%)\n",
 		r.Detected, r.BoundChecked, r.MinMarginPct)
-	fmt.Fprintf(&b, "  %d sequential-vs-sharded identities, %d mk-bound checks\n",
-		r.IdentityChecked, r.MKChecked)
+	fmt.Fprintf(&b, "  %d mk-bound checks\n", r.MKChecked)
 	for _, a := range r.Apps {
 		fmt.Fprintf(&b, "  app %-6s round-trip: spec %4dB sizing_equal=%v golden_identical=%v\n",
 			a.App, a.SpecBytes, a.SizingEqual, a.GoldenIdentical)

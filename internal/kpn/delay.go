@@ -7,23 +7,19 @@ import (
 )
 
 // DelayedFIFO is a channel whose tokens become visible to the reader a
-// fixed delay after they are written — the RTC delay bound of the
-// connection (the paper's communication delay d of the <p, j, d>
-// interface triple). It is the cross-shard channel primitive: the
-// delay is the static lookahead that makes conservative parallel
-// simulation possible, and the same channel type is used sequentially
-// so that a single-kernel run is a bit-identical oracle for any
-// sharded partitioning.
+// fixed delay d after they are written: the RTC delay bound of the
+// connection, the communication delay d of the paper's <p, j, d>
+// interface triple. A token written at t is readable from t+d on, so
+// the arrival curve the reader sees is the writer's shifted by d.
 //
 // Visibility is decided BY VALUE, not by event order: a record carries
 // its maturity instant, and Read compares it against the current
 // virtual time. A wakeup callback is scheduled at each maturity
 // instant, but a reader that arrives at the same instant through some
 // other path (a timer, another channel) observes the token whether or
-// not that callback has run yet. This makes the reader's block/resume
-// pattern — and with it the canonical scheduler trace — independent of
-// how deliveries interleave with other same-instant events, which is
-// exactly what differs between a sequential run and a sharded one.
+// not that callback has run yet. The reader's block/resume pattern
+// therefore depends only on the maturity instants, not on how the
+// wakeup interleaves with other same-instant events.
 //
 // Writes never block: the framework sizes FIFOs analytically from the
 // arrival and service curves (paper eqs. 3–8), so a correctly sized
@@ -46,16 +42,15 @@ type DelayedFIFO struct {
 
 // delayedRec is one written token with its maturity instant. Maturity
 // instants are nondecreasing in list order: each channel has a single
-// writer and a fixed delay.
+// writer and a fixed delay, so records can never mature out of order.
 type delayedRec struct {
 	at  des.Time
 	tok Token
 }
 
 // NewDelayedFIFO creates a delayed channel on kernel k. The delay must
-// be strictly positive — a zero delay would provide no lookahead and
-// belongs to the plain FIFO. Capacity is the nominal analytic bound
-// (positive, diagnostics only).
+// be strictly positive: a zero-delay channel is the plain FIFO.
+// Capacity is the nominal analytic bound (positive, diagnostics only).
 func NewDelayedFIFO(k *des.Kernel, name string, capacity int, delay des.Time) *DelayedFIFO {
 	if capacity <= 0 {
 		panic(fmt.Sprintf("kpn: DelayedFIFO %q capacity must be positive, got %d", name, capacity))
@@ -115,19 +110,7 @@ func (f *DelayedFIFO) Preload(toks []Token) {
 // Write implements WritePort: the token matures delay ticks from now.
 // It never blocks (see the type comment).
 func (f *DelayedFIFO) Write(p *des.Proc, tok Token) {
-	f.Deliver(p.Now()+f.delay, tok)
-}
-
-// Deliver enqueues a token maturing at the given instant. It is the
-// entry point for cross-shard drains, which receive (token, timestamp)
-// pairs whose maturity was fixed on the writing shard. The instant
-// must not precede the latest queued record — per-channel FIFO order
-// is the sharded/sequential identity contract.
-func (f *DelayedFIFO) Deliver(at des.Time, tok Token) {
-	if n := len(f.recs); n > f.head && at < f.recs[n-1].at {
-		panic(fmt.Sprintf("kpn: DelayedFIFO %q delivery at %d before queued record at %d",
-			f.name, at, f.recs[n-1].at))
-	}
+	at := p.Now() + f.delay
 	f.recs = append(f.recs, delayedRec{at: at, tok: tok})
 	f.writes++
 	f.k.At(at, func() { f.mature(tok) })

@@ -41,24 +41,36 @@ func TestDelayedFIFOVisibility(t *testing.T) {
 
 // A reader arriving at the maturity instant through its own timer — not
 // through the wakeup callback — must see the token: visibility is by
-// value, not by event order.
+// value, not by event order. The poller's timer is scheduled before the
+// write, so at t=7 it resumes ahead of the maturity callback.
 func TestDelayedFIFOVisibilityByValue(t *testing.T) {
 	k := des.NewKernel()
 	f := NewDelayedFIFO(k, "D", 4, 7)
-	f.Deliver(7, Token{Seq: 1}) // matures at 7
+	blocks := 0
+	k.Trace(func(e des.TraceEvent) {
+		if e.Kind == "block" && e.Proc == "poller" {
+			blocks++
+		}
+	})
 
 	sawAt := des.Time(-1)
 	k.Spawn("poller", 0, func(p *des.Proc) {
-		p.Delay(7) // arrives at t=7 independently of the maturity callback
+		p.Delay(7) // arrives at t=7 before the maturity callback runs
 		if f.Fill() != 1 {
 			t.Errorf("fill at t=7 is %d, want 1 (value visibility)", f.Fill())
 		}
 		f.Read(p)
 		sawAt = p.Now()
 	})
+	k.Spawn("writer", 0, func(p *des.Proc) {
+		f.Write(p, Token{Seq: 1}) // matures at 7
+	})
 	k.Run(0)
 	if sawAt != 7 {
 		t.Fatalf("read completed at %d, want 7", sawAt)
+	}
+	if blocks != 0 {
+		t.Fatalf("poller blocked %d time(s) on a token visible by value", blocks)
 	}
 	k.Shutdown()
 }
@@ -79,18 +91,6 @@ func TestDelayedFIFOPreload(t *testing.T) {
 		t.Fatalf("read %v, want [-1 0]", seqs)
 	}
 	k.Shutdown()
-}
-
-func TestDelayedFIFODeliverRejectsReorder(t *testing.T) {
-	k := des.NewKernel()
-	f := NewDelayedFIFO(k, "D", 4, 3)
-	f.Deliver(10, Token{Seq: 1})
-	defer func() {
-		if recover() == nil {
-			t.Fatalf("out-of-order Deliver did not panic")
-		}
-	}()
-	f.Deliver(9, Token{Seq: 2})
 }
 
 func TestDelayedFIFOConstructorValidation(t *testing.T) {

@@ -61,10 +61,8 @@ type ChannelSpec struct {
 	TokenBytes int
 	// DelayUs, when positive, gives the channel RTC delay-bound
 	// semantics: tokens become visible to the reader DelayUs ticks
-	// after the write (DelayedFIFO). A positive delay is also the
-	// static lookahead that lets a partitioner cut the channel across
-	// shards for parallel simulation; zero-delay channels can only
-	// live inside one shard.
+	// after the write (DelayedFIFO), the d of the channel's
+	// <p, j, d> interface triple.
 	DelayUs des.Time
 }
 
@@ -123,18 +121,6 @@ func (n *Network) Validate() error {
 		}
 	}
 	return nil
-}
-
-// WithDelays returns a copy of the network with every channel's
-// DelayUs set to us — a uniform RTC delay bound. It is how a
-// zero-delay reference network is prepared for sharded simulation.
-func (n *Network) WithDelays(us des.Time) *Network {
-	cp := *n
-	cp.Chans = append([]ChannelSpec(nil), n.Chans...)
-	for i := range cp.Chans {
-		cp.Chans[i].DelayUs = us
-	}
-	return &cp
 }
 
 // Proc returns the spec of the named process, or nil.

@@ -33,9 +33,10 @@ const (
 )
 
 // FlightEvent is one structured record in the flight log. At is the
-// virtual timestamp in µs; Shard and Seq identify where and in what
-// arrival order the event was captured (transport metadata — excluded
-// from the canonical serialization, see Bytes). Channel names the
+// virtual timestamp in µs; Shard and Seq identify the emitter (the
+// stream's tag, see FlightRecorder.Stream) and the arrival order in
+// which the event was captured (transport metadata — excluded from the
+// canonical serialization, see Bytes). Channel names the
 // arbitration channel (or the process, for kernel-sourced events), and
 // Aux carries a kind-specific payload: selector lead for probe events,
 // divergence for convictions, recovery latency for recover events.
@@ -52,21 +53,21 @@ type FlightEvent struct {
 }
 
 // FlightStream is one bounded single-writer-ordered event ring inside a
-// FlightRecorder. Each emitter (a shard's probe set, a kernel tracer)
-// records into its own stream; Record is mutex-guarded so wall-clock
+// FlightRecorder. Each emitter (a probe set, a kernel tracer) records
+// into its own stream; Record is mutex-guarded so wall-clock
 // (crt) emitters may also share one stream across goroutines.
 //
 // A nil *FlightStream is a no-op on Record: recording disabled costs
 // one predicted branch per event site and zero allocations, matching
 // the registry's nil-metric idiom.
 type FlightStream struct {
-	mu    sync.Mutex
-	shard int
-	ring  []FlightEvent
-	next  uint64 // events ever recorded; also the next seq
+	mu      sync.Mutex
+	emitter int
+	ring    []FlightEvent
+	next    uint64 // events ever recorded; also the next seq
 }
 
-// Record appends ev to the stream, stamping its shard and sequence
+// Record appends ev to the stream, stamping its emitter and sequence
 // number. The ring is bounded: once full, the oldest event is
 // overwritten (and counted as dropped). No allocation on the hot path —
 // the ring is preallocated and the event is copied by value.
@@ -75,7 +76,7 @@ func (s *FlightStream) Record(ev FlightEvent) {
 		return
 	}
 	s.mu.Lock()
-	ev.Shard = s.shard
+	ev.Shard = s.emitter
 	ev.Seq = s.next
 	s.ring[s.next%uint64(len(s.ring))] = ev
 	s.next++
@@ -104,13 +105,12 @@ const DefaultFlightCap = 1 << 16
 
 // FlightRecorder is the bounded structured event log: a set of
 // per-emitter streams whose merged view is deterministic in virtual
-// time. The merge uses the same canonical key family as
-// des.TraceCollector — (time, channel, per-channel arrival index) —
-// so a run's log is byte-identical whether the network ran on one
-// kernel or was partitioned across shards: every channel lives on
-// exactly one shard, making its per-stream arrival order the channel's
-// own deterministic event order, and cross-channel ties are broken by
-// name rather than by scheduling accidents.
+// time. The merge key is (time, channel, per-channel arrival index), so
+// the log does not depend on how the emitters' events interleave:
+// every channel is recorded by exactly one stream, making its
+// per-stream arrival order the channel's own deterministic event
+// order, and cross-channel ties are broken by name rather than by
+// scheduling accidents.
 //
 // A nil *FlightRecorder hands out nil streams and empty views.
 type FlightRecorder struct {
@@ -128,15 +128,15 @@ func NewFlightRecorder(capPerStream int) *FlightRecorder {
 	return &FlightRecorder{cap: capPerStream}
 }
 
-// Stream allocates a new event stream tagged with the emitting shard.
-// Call once per emitter (per shard's probe set, per kernel tracer);
-// returns nil on a nil recorder, so the disabled path stays a single
-// branch at every Record site.
-func (fr *FlightRecorder) Stream(shard int) *FlightStream {
+// Stream allocates a new event stream whose events carry the emitter
+// tag in FlightEvent.Shard. Call once per emitter (per probe set, per
+// kernel tracer); returns nil on a nil recorder, so the disabled path
+// stays a single branch at every Record site.
+func (fr *FlightRecorder) Stream(emitter int) *FlightStream {
 	if fr == nil {
 		return nil
 	}
-	s := &FlightStream{shard: shard, ring: make([]FlightEvent, fr.cap)}
+	s := &FlightStream{emitter: emitter, ring: make([]FlightEvent, fr.cap)}
 	fr.mu.Lock()
 	fr.streams = append(fr.streams, s)
 	fr.mu.Unlock()
@@ -145,15 +145,16 @@ func (fr *FlightRecorder) Stream(shard int) *FlightStream {
 
 // AttachKernel installs a tracer on k recording scheduler events
 // (spawn/resume/block/end/stop) into a new stream, with the process
-// name as the event channel. Kernel callbacks (Proc == "") are
-// excluded — they are shard-protocol artifacts, exactly as in
-// des.TraceCollector. Note des kernels hold a single tracer slot, so
-// this replaces any TraceCollector already attached.
-func (fr *FlightRecorder) AttachKernel(k *des.Kernel, shard int) {
+// name as the event channel and emitter as the stream tag. Kernel
+// callbacks (Proc == "") are excluded: they name no process, and the
+// channel events they cause reach the log through the probes. Note des
+// kernels hold a single tracer slot, so this replaces any tracer
+// already installed.
+func (fr *FlightRecorder) AttachKernel(k *des.Kernel, emitter int) {
 	if fr == nil || k == nil {
 		return
 	}
-	st := fr.Stream(shard)
+	st := fr.Stream(emitter)
 	k.Trace(func(e des.TraceEvent) {
 		if e.Proc == "" {
 			return
@@ -200,7 +201,7 @@ func (fr *FlightRecorder) merged() []flightRec {
 			return a.idx - b.idx
 		}
 		// Same channel recorded by two streams — outside the
-		// one-channel-one-shard contract; fall back to transport order
+		// one-channel-one-stream contract; fall back to transport order
 		// so the sort at least stays total.
 		if a.ev.Shard != b.ev.Shard {
 			return a.ev.Shard - b.ev.Shard
@@ -264,10 +265,9 @@ func (fr *FlightRecorder) Dropped() uint64 {
 }
 
 // Bytes renders the canonical serialization: one line per event in
-// merged order, excluding the transport metadata (shard, seq) that
-// legitimately differs between partitionings. This is the artifact the
-// identity tests compare — byte-identical across -parallel levels and
-// shard counts 1..8.
+// merged order, excluding the transport metadata (emitter, seq) that
+// depends on how emitters were set up. This is the artifact the
+// identity tests compare — byte-identical across -parallel levels.
 func (fr *FlightRecorder) Bytes() []byte {
 	var buf bytes.Buffer
 	for _, r := range fr.merged() {
@@ -287,7 +287,7 @@ func orDash(s string) string {
 }
 
 // WriteJSON writes every retained event (canonical order, full fields
-// including shard and seq) as an indented JSON array.
+// including emitter and seq) as an indented JSON array.
 func (fr *FlightRecorder) WriteJSON(w io.Writer) error {
 	evs := fr.Events()
 	if evs == nil {

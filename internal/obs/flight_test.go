@@ -85,7 +85,7 @@ func TestFlightDefaultCap(t *testing.T) {
 // TestFlightCanonicalMerge is the determinism core: the same logical
 // event set, recorded into differently-partitioned streams, must merge
 // to byte-identical canonical output. Each channel's events go to
-// exactly one stream (the one-channel-one-shard contract), and the
+// exactly one stream (the one-channel-one-stream contract), and the
 // partitions interleave their Record calls differently.
 func TestFlightCanonicalMerge(t *testing.T) {
 	channels := []string{"A_in", "B_out", "C_in", "D_out"}
@@ -105,16 +105,16 @@ func TestFlightCanonicalMerge(t *testing.T) {
 		})
 	}
 
-	render := func(shardOf func(ch string) int, nShards int) []byte {
+	render := func(streamOf func(ch string) int, nStreams int) []byte {
 		fr := NewFlightRecorder(0)
-		sts := make([]*FlightStream, nShards)
+		sts := make([]*FlightStream, nStreams)
 		for s := range sts {
 			sts[s] = fr.Stream(s)
 		}
 		// Per-channel order is preserved (it is the canonical order);
-		// different shard counts interleave the streams differently.
+		// different stream counts interleave the streams differently.
 		for _, ev := range logical {
-			sts[shardOf(ev.Channel)].Record(ev)
+			sts[streamOf(ev.Channel)].Record(ev)
 		}
 		return fr.Bytes()
 	}
@@ -123,8 +123,8 @@ func TestFlightCanonicalMerge(t *testing.T) {
 	if len(want) == 0 {
 		t.Fatal("canonical rendering is empty")
 	}
-	for nShards := 2; nShards <= 8; nShards++ {
-		n := nShards
+	for nStreams := 2; nStreams <= 8; nStreams++ {
+		n := nStreams
 		got := render(func(ch string) int {
 			h := 0
 			for _, c := range ch {
@@ -133,7 +133,7 @@ func TestFlightCanonicalMerge(t *testing.T) {
 			return h % n
 		}, n)
 		if !bytes.Equal(got, want) {
-			t.Fatalf("canonical bytes differ between 1 and %d shards:\n1 shard:\n%s\n%d shards:\n%s",
+			t.Fatalf("canonical bytes differ between 1 and %d streams:\n1 stream:\n%s\n%d streams:\n%s",
 				n, want, n, got)
 		}
 	}

@@ -195,7 +195,7 @@ func (m *Model) envelopeJitter(r int) des.Time {
 // behaviors are deterministic: producer payloads are a pure function of
 // (seed, index), stage payloads a pure function of (seed, index, input
 // payloads), so any two builds — replicas within a duplicated system,
-// golden vs fault runs, sequential vs sharded — yield bit-identical
+// golden vs fault runs — yield bit-identical
 // fault-free streams. sink (may be nil) receives the consumer tokens of
 // synthetic specs; extern specs carry their own sinks inside the bound
 // behaviors and ignore it.

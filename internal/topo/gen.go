@@ -5,7 +5,7 @@ package topo
 // diamonds, fan-in selectors and feedback loops — with work models
 // budgeted so the network is schedulable (total worst-case stage
 // latency well under the stream period), every channel carrying a
-// positive RTC delay bound (so any shard width can partition it), and
+// positive RTC delay bound (the d of its <p, j, d> triple), and
 // every feedback loop preloaded (so kpn.DeadlockRisks stays empty).
 // Each spec also draws a detection policy and a fault scenario, so a
 // sweep over seeds exercises the whole detection/masking matrix on
@@ -133,8 +133,8 @@ func (g *builder) connect(from, to string, init int) {
 	g.spec.Chans = append(g.spec.Chans, g.chanSpec(from, to, init))
 }
 
-// chanSpec draws one channel. Every channel gets a positive DelayUs so
-// the sharded partitioner can cut anywhere.
+// chanSpec draws one channel. Every channel gets a positive DelayUs, so
+// every generated network exercises the delayed-visibility channel.
 func (g *builder) chanSpec(from, to string, init int) ChanSpec {
 	c := ChanSpec{
 		Name:    fmt.Sprintf("ch%d", g.nextChan),

@@ -18,8 +18,8 @@
 // input payloads, so golden-stream identity checks — the backbone
 // invariant of every experiment harness — keep working on generated
 // networks. The topobench harness in internal/exp property-checks
-// sizing, Lemma 1 and sequential-vs-sharded bit-identity over thousands
-// of generated Specs.
+// sizing, Lemma 1 and the (m,k) detection bounds over thousands of
+// generated Specs.
 package topo
 
 import (
@@ -140,8 +140,8 @@ type ChanSpec struct {
 	// and envelope math; 0 defers to the writing process's
 	// payload_bytes.
 	TokenBytes int `json:"token_bytes,omitempty"`
-	// DelayUs gives the channel RTC delay-bound semantics and is the
-	// lookahead that lets the sharded simulator cut it (PR 6).
+	// DelayUs gives the channel RTC delay-bound semantics: a token
+	// becomes readable DelayUs after its write (kpn.DelayedFIFO).
 	DelayUs int64 `json:"delay_us,omitempty"`
 }
 

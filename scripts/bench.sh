@@ -14,10 +14,6 @@
 #    (timed here, fed in via -seed-campaign-ns). The same worktree's DES
 #    benchmarks are diffed against the new tree with benchstat when it is
 #    installed; otherwise both raw outputs are printed.
-#  - BENCH_PR6.json: sharded-simulation scaling — one simulation split
-#    across conservative (Chandy–Misra) kernel shards, swept over shard
-#    counts with per-point trace-identity checks and the per-app identity
-#    matrix (DESIGN.md §11). The baseline is the in-suite single kernel.
 #  - BENCH_PR9.json: detection-latency distribution over generated
 #    topologies with the flight recorder armed, each latency checked
 #    against its analytic (m,k) bound and its forensic reconstruction
@@ -85,22 +81,6 @@ if [ -n "$old_bench" ]; then
         cat "$old_bench"
         echo "--- this tree"
         cat "$new_bench"
-    fi
-fi
-
-echo
-echo "== BENCH_PR6: sharded-simulation scaling =="
-# The suite carries its own single-kernel baseline and per-point trace
-# identity checks, so no seed worktree is needed; the seed revision
-# (PR6_SEED_REV) had no sharded kernel to compare against. benchstat
-# compares the sequential-vs-sharded dispatch benchmark when installed.
-go run ./cmd/ftpnsim -exp shardbench -shards 1,2,4,8 -out BENCH_PR6.json
-shard_bench=$(mktemp)
-if go test -run xxx -bench 'ShardDispatch' -benchmem -count 5 ./internal/des/ >"$shard_bench"; then
-    if command -v benchstat >/dev/null 2>&1; then
-        benchstat "$shard_bench"
-    else
-        cat "$shard_bench"
     fi
 fi
 
