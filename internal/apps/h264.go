@@ -31,8 +31,10 @@ type H264Config struct {
 	OutInit               int
 
 	// Memo, when non-nil, caches the deterministic payload pipeline
-	// (raw-frame synthesis, per-slice encode) across runs sharing the
-	// config.
+	// across runs sharing the config: raw-frame synthesis, per-slice
+	// encode and muxstream, whose output tokens carry their cached
+	// digest to the consumer. sliceframe only subslices its input.
+	// See kpn.PayloadMemo.
 	Memo *kpn.PayloadMemo
 }
 
@@ -169,9 +171,12 @@ func H264Network(cfg H264Config, sink Sink) (*kpn.Network, error) {
 						}
 						parts[s] = tok.Payload
 					}
-					muxed := chain32(parts)
-					p.Delay(stageDuration(work, rng, len(muxed)))
-					out[0].Write(p, kpn.Token{Seq: seq, Stamp: p.Now(), Payload: muxed})
+					// The stamp is set after the delay, which depends on
+					// the muxed size, so build the token first.
+					tok := cfg.Memo.Token("h264/muxstream", seq, 0, func() []byte { return chain32(parts) })
+					p.Delay(stageDuration(work, rng, tok.Size()))
+					tok.Stamp = p.Now()
+					out[0].Write(p, tok)
 				}
 			}
 		}},

@@ -36,6 +36,9 @@ type MJPEGConfig struct {
 	// Memo, when non-nil, caches the deterministic payload pipeline
 	// (frame encode, per-strip decode) across runs sharing the config;
 	// see kpn.PayloadMemo. Timing and output streams are unaffected.
+	// mergeframe is not memoized: caching the merged frames too would
+	// keep a second copy of every decoded frame next to its strips, so
+	// its output tokens are hashed from their bytes on every run.
 	Memo *kpn.PayloadMemo
 }
 

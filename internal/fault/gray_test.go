@@ -2,6 +2,7 @@ package fault
 
 import (
 	"bytes"
+	"hash/fnv"
 	"testing"
 
 	"ftpn/internal/des"
@@ -210,6 +211,39 @@ func TestCorruptFlipsByteDeterministically(t *testing.T) {
 		if !bytes.Equal(a[i], b[i]) {
 			t.Fatalf("corruption not deterministic: %v vs %v", a, b)
 		}
+	}
+}
+
+// TestCorruptMemoTokenHashesItsBytes: corrupting a token built from a
+// kpn.PayloadMemo entry whose digest is already cached yields a token
+// that hashes its own corrupted bytes, not the golden digest, while the
+// memo's golden payload stays untouched.
+func TestCorruptMemoTokenHashesItsBytes(t *testing.T) {
+	memo := kpn.NewPayloadMemo()
+	golden := memo.Token("s", 1, 0, func() []byte { return []byte{1, 2, 3, 4, 5, 6, 7, 8} })
+	goldenHash := golden.Hash()
+	k := des.NewKernel()
+	f := kpn.NewFIFO(k, "c", 4)
+	s := NewSwitch(k)
+	gated := GateWrite(f, s)
+	s.InjectGray(Corrupt, Gray{EveryN: 1, Seed: 3})
+	var got kpn.Token
+	k.Spawn("w", 0, func(p *des.Proc) { gated.Write(p, golden) })
+	k.Spawn("r", 0, func(p *des.Proc) { got = f.Read(p) })
+	k.Run(0)
+	if bytes.Equal(got.Payload, golden.Payload) {
+		t.Fatal("write was not corrupted")
+	}
+	h := fnv.New64a()
+	h.Write(got.Payload)
+	if got.Hash() != h.Sum64() {
+		t.Fatalf("corrupted token Hash = %x, want the hash of its bytes %x", got.Hash(), h.Sum64())
+	}
+	if got.Hash() == goldenHash {
+		t.Fatal("corrupted token hashed to the golden digest")
+	}
+	if p, _ := memo.Lookup("s", 1); !bytes.Equal(p, []byte{1, 2, 3, 4, 5, 6, 7, 8}) || golden.Hash() != goldenHash {
+		t.Fatalf("corruption touched the memo's golden payload: %v", p)
 	}
 }
 

@@ -20,6 +20,11 @@ import (
 // hands every later run (and the second replica within a run) the same
 // read-only byte slice.
 //
+// Each entry also holds the payload's FNV-1a digest, computed lazily at
+// most once. Tokens built by Token carry a reference to their entry, so
+// the golden-stream comparison (Token.Hash at the consumer) hashes each
+// cached payload once per memo instead of once per run.
+//
 // Correctness: cached slices are exactly the bytes the stage would have
 // produced, so consumer streams — including the Seq+payload-hash golden
 // comparison of the campaign — stay bit-identical. Virtual timing is
@@ -30,7 +35,7 @@ import (
 //
 // A nil *PayloadMemo is valid and disables caching.
 type PayloadMemo struct {
-	m      sync.Map // memoKey -> []byte
+	m      sync.Map // memoKey -> *memoEntry
 	hits   atomic.Int64
 	misses atomic.Int64
 }
@@ -41,29 +46,54 @@ type memoKey struct {
 	seq   int64
 }
 
+// memoEntry is one cached stage output and its lazily computed digest.
+type memoEntry struct {
+	payload []byte
+	once    sync.Once
+	sum     uint64
+}
+
+// digest returns the FNV-1a digest of the entry's payload, hashing it on
+// the first call only.
+func (e *memoEntry) digest() uint64 {
+	e.once.Do(func() { e.sum = hashBytes(e.payload) })
+	return e.sum
+}
+
 // NewPayloadMemo returns an empty memo.
 func NewPayloadMemo() *PayloadMemo { return &PayloadMemo{} }
 
-// do returns the cached payload for (stage, seq), computing and caching
-// it via f on a miss. Concurrent first computations of the same key are
-// benign: both produce identical bytes and either slice may win.
-func (m *PayloadMemo) do(stage string, seq int64, compute func() []byte) []byte {
+// entry returns the cached entry for (stage, seq), computing its payload
+// via compute on a miss. Concurrent first computations of the same key
+// converge: LoadOrStore keeps the first stored entry and every caller
+// gets it, so one key has one slice and one digest.
+func (m *PayloadMemo) entry(stage string, seq int64, compute func() []byte) *memoEntry {
 	key := memoKey{stage, seq}
 	if v, ok := m.m.Load(key); ok {
 		m.hits.Add(1)
-		return v.([]byte)
+		return v.(*memoEntry)
 	}
 	m.misses.Add(1)
-	out := compute()
-	m.m.Store(key, out)
-	return out
+	v, _ := m.m.LoadOrStore(key, &memoEntry{payload: compute()})
+	return v.(*memoEntry)
+}
+
+// Token returns a token for stream index seq stamped at stamp, whose
+// payload is the cached output of stage for seq (computed via compute on
+// a miss). The token carries its memo entry, so its Hash is the cached
+// digest. With a nil memo the payload is computed afresh and the token
+// carries no entry.
+func (m *PayloadMemo) Token(stage string, seq int64, stamp des.Time, compute func() []byte) Token {
+	if m == nil {
+		return Token{Seq: seq, Stamp: stamp, Payload: compute()}
+	}
+	e := m.entry(stage, seq, compute)
+	return Token{Seq: seq, Stamp: stamp, Payload: e.payload, memo: e}
 }
 
 // Lookup returns the cached payload for (stage, seq) without computing
-// on a miss. Value-fault detection (ft.Selector.SetValueCheck) uses it
-// as the golden replay reference, RepTFD-style: the memo holds exactly
-// the bytes a fault-free execution produces, so any replica payload
-// that differs from a cache hit is a value fault. Nil-memo safe.
+// on a miss: the golden payload a fault-free execution produces, for
+// tests and tools that check a stage output against it. Nil-memo safe.
 func (m *PayloadMemo) Lookup(stage string, seq int64) ([]byte, bool) {
 	if m == nil {
 		return nil, false
@@ -72,7 +102,7 @@ func (m *PayloadMemo) Lookup(stage string, seq int64) ([]byte, bool) {
 	if !ok {
 		return nil, false
 	}
-	return v.([]byte), true
+	return v.(*memoEntry).payload, true
 }
 
 // Stats reports cache hits and misses (for tests and benchmarks).
@@ -90,7 +120,7 @@ func (m *PayloadMemo) Gen(stage string, gen func(i int64) []byte) func(i int64) 
 		return gen
 	}
 	return func(i int64) []byte {
-		return m.do(stage, i, func() []byte { return gen(i) })
+		return m.entry(stage, i, func() []byte { return gen(i) }).payload
 	}
 }
 
@@ -103,9 +133,9 @@ func (m *PayloadMemo) Gen(stage string, gen func(i int64) []byte) func(i int64) 
 // stages — declare forward channels before feedback channels so the
 // first input is the forward one. Like MemoTransform the payload must
 // be a pure function of (stream index, input payloads) for the memo to
-// be sound; a nil f forwards the first input's payload, a nil memo
-// disables caching. Package topo builds every synthetic DSL stage on
-// this behavior.
+// be sound; a nil f forwards the first input's payload (and its memo
+// entry), a nil memo disables caching. Package topo builds every
+// synthetic DSL stage on this behavior.
 func MemoStage(work WorkModel, seed int64, memo *PayloadMemo, stage string, f func(i int64, ins [][]byte) []byte) Behavior {
 	return func(p *des.Proc, in []ReadPort, out []WritePort) {
 		if len(in) == 0 || len(out) == 0 {
@@ -121,24 +151,19 @@ func MemoStage(work WorkModel, seed int64, memo *PayloadMemo, stage string, f fu
 			}
 			p.Delay(work.Duration(rng, total))
 			seq := toks[0].Seq
-			var payload []byte
+			var tok Token
 			if f == nil {
-				payload = toks[0].Payload
+				tok = toks[0] // pass-through keeps the payload's memo entry
+				tok.Stamp = p.Now()
 			} else {
-				compute := func() []byte {
+				tok = memo.Token(stage, seq, p.Now(), func() []byte {
 					ins := make([][]byte, len(toks))
 					for i := range toks {
 						ins[i] = toks[i].Payload
 					}
 					return f(seq, ins)
-				}
-				if memo != nil {
-					payload = memo.do(stage, seq, compute)
-				} else {
-					payload = compute()
-				}
+				})
 			}
-			tok := Token{Seq: seq, Stamp: p.Now(), Payload: payload}
 			for _, o := range out {
 				o.Write(p, tok)
 			}
@@ -165,8 +190,7 @@ func MemoTransform(work WorkModel, seed int64, memo *PayloadMemo, stage string, 
 		for {
 			tok := in[0].Read(p)
 			p.Delay(work.Duration(rng, tok.Size()))
-			payload := memo.do(stage, tok.Seq, func() []byte { return f(tok.Seq, tok.Payload) })
-			out[0].Write(p, Token{Seq: tok.Seq, Stamp: p.Now(), Payload: payload})
+			out[0].Write(p, memo.Token(stage, tok.Seq, p.Now(), func() []byte { return f(tok.Seq, tok.Payload) }))
 		}
 	}
 }

@@ -111,7 +111,8 @@ func (w WorkModel) Duration(rng *rand.Rand, bytes int) des.Time {
 // replica re-integration (package ft) relies on this to re-align a
 // recovered replica's output stream even when the replica skipped
 // tokens during its outage. Stamp is the completion instant. If f is
-// nil the payload passes through unchanged.
+// nil the payload (and its PayloadMemo entry, if any) passes through
+// unchanged.
 func Transform(work WorkModel, seed int64, f func(i int64, payload []byte) []byte) Behavior {
 	return func(p *des.Proc, in []ReadPort, out []WritePort) {
 		if len(in) != 1 || len(out) != 1 {
@@ -121,11 +122,11 @@ func Transform(work WorkModel, seed int64, f func(i int64, payload []byte) []byt
 		for i := int64(1); ; i++ {
 			tok := in[0].Read(p)
 			p.Delay(work.Duration(rng, tok.Size()))
-			payload := tok.Payload
 			if f != nil {
-				payload = f(i, tok.Payload)
+				tok = Token{Seq: tok.Seq, Payload: f(i, tok.Payload)}
 			}
-			out[0].Write(p, Token{Seq: tok.Seq, Stamp: p.Now(), Payload: payload})
+			tok.Stamp = p.Now() // a nil f keeps the payload's memo entry
+			out[0].Write(p, tok)
 		}
 	}
 }

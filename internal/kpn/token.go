@@ -24,13 +24,30 @@ type Token struct {
 	Seq     int64
 	Stamp   des.Time
 	Payload []byte
+
+	// memo is the PayloadMemo entry Payload was taken from, if any; it
+	// lets Hash return the entry's cached digest.
+	memo *memoEntry
 }
 
 // Hash returns an FNV-1a digest of the payload, used by equivalence
-// checks to compare token values cheaply.
+// checks to compare token values cheaply. A token built from a
+// PayloadMemo entry returns the entry's cached digest, but only while
+// Payload is still the entry's own slice (same length, same first
+// element): a reassigned payload — fault.Corrupt's corrupted copy, a
+// subslice, an empty slice — is hashed from its bytes, so a stale digest
+// can never hide a value fault.
 func (t Token) Hash() uint64 {
+	if e := t.memo; e != nil && len(t.Payload) > 0 && len(t.Payload) == len(e.payload) && &t.Payload[0] == &e.payload[0] {
+		return e.digest()
+	}
+	return hashBytes(t.Payload)
+}
+
+// hashBytes returns the FNV-1a digest of b.
+func hashBytes(b []byte) uint64 {
 	h := fnv.New64a()
-	h.Write(t.Payload) //nolint:errcheck // hash.Hash never errors
+	h.Write(b) //nolint:errcheck // hash.Hash never errors
 	return h.Sum64()
 }
 
