@@ -5,12 +5,10 @@
 //	ftpnsim -exp table2 -app mjpeg -runs 20
 //	ftpnsim -exp table2 -app all   -runs 20
 //	ftpnsim -exp table3 -runs 20 -poll 1000
-//	ftpnsim -exp bench  -out BENCH_PR1.json
 //	ftpnsim -exp campaign -n 1000 -seed 1 -out BENCH_PR2.json
-//	ftpnsim -exp obsbench -out BENCH_PR4.json
-//	ftpnsim -exp corebench -out BENCH_PR5.json
 //	ftpnsim -exp detectbench -runs 25 -seed 1 -out BENCH_PR7.json
 //	ftpnsim -exp topobench -n 1000 -seed 1 -out BENCH_PR8.json
+//	ftpnsim -exp latbench -n 500 -seed 1 -out BENCH_PR9.json
 //	ftpnsim -exp campaign -policy mk+value -mk 2,16
 //	ftpnsim -exp table2 -app adpcm -tracefile out.json
 //	ftpnsim -exp campaign -cpuprofile cpu.pprof -memprofile mem.pprof
@@ -18,25 +16,25 @@
 // -tracefile additionally records one fault + recovery run of the
 // selected application as a Chrome trace-event timeline (queue-fill
 // counter tracks, fault/conviction/re-integration markers) loadable in
-// Perfetto or chrome://tracing. The obsbench experiment prices the
-// observability hooks (disabled vs metrics-enabled channel ops);
-// -seed-sel-ns/-seed-rep-ns feed it the seed tree's ns/op for the
-// regression comparison (see scripts/bench.sh). The corebench
-// experiment measures the simulation core — bucket-queue scheduler vs
-// the heap oracle, SPSC channel fast path vs the locked oracle, and the
-// memoized campaign with its parallel-level bit-identity check;
-// -seed-campaign-ns feeds it the seed tree's campaign wall-clock. The
-// detectbench experiment measures detection latency and false-positive
-// rate per fault class (transient glitch/burst, permanent
-// stop/drift/drop, value corruption) under the binary, per-app (m,k)
-// weakly-hard, and (m,k)+value-check policies, and compares measured
-// latency against the analytic detection bound. The topobench
-// experiment generates -n seeded random topologies from the
+// Perfetto or chrome://tracing.
+//
+// The detectbench experiment measures detection latency and
+// false-positive rate per fault class (transient glitch/burst,
+// permanent stop/drift/drop, value corruption) under the binary,
+// per-app (m,k) weakly-hard, and (m,k)+value-check policies, and
+// compares measured latency against the analytic detection bound. The
+// topobench experiment generates -n seeded random topologies from the
 // internal/topo DSL and property-checks each one — analytic sizing
 // admits zero false convictions, Lemma 1 isolation and masking under a
 // scripted fault, and (m,k) detection bounds — then round-trips the
 // paper apps through the DSL against their golden streams; it exits
-// non-zero on any violation.
+// non-zero on any violation. The latbench experiment measures
+// injected-stop-to-conviction latency over -n generated topologies and
+// the paper apps against each run's analytic (m,k) bound, and
+// cross-checks every measurement against the flight-recorder forensics.
+// The -out reports are deterministic: identical at any -parallel level
+// and from run to run. Wall-clock performance is measured by the
+// repository benchmark (bash bench/run.sh), not by ftpnsim.
 //
 // -cpuprofile/-memprofile write pprof profiles covering the selected
 // experiment (the memory profile is written at exit, after a final GC).
@@ -80,14 +78,9 @@ type cliConfig struct {
 	n        int    // campaign runs
 	seed     int64  // campaign PRNG seed
 
-	tracefile string // Chrome-trace output path ("" = off)
-	seedSelNs int64  // seed selector ns/op for obsbench ("0" = unknown)
-	seedRepNs int64  // seed replicator ns/op for obsbench
-
-	seedCampaignNs int64  // seed campaign wall-clock ns for corebench
-	golden         string // pre-PR campaign report for corebench's diff
-	cpuprofile     string // pprof CPU profile path ("" = off)
-	memprofile     string // pprof heap profile path ("" = off)
+	tracefile  string // Chrome-trace output path ("" = off)
+	cpuprofile string // pprof CPU profile path ("" = off)
+	memprofile string // pprof heap profile path ("" = off)
 
 	policy string // detection policy: "", binary, mk, binary+value, mk+value
 	mk     string // (m,k) parameters for -policy mk, as "m,k"
@@ -125,20 +118,16 @@ func parsePolicy(policy, mk string) (ft.PolicySpec, error) {
 
 func main() {
 	var cfg cliConfig
-	flag.StringVar(&cfg.expName, "exp", "table2", "experiment: table1, table2, table3, report, fills, bench, campaign, obsbench, corebench, detectbench, topobench or latbench")
+	flag.StringVar(&cfg.expName, "exp", "table2", "experiment: table1, table2, table3, report, fills, campaign, detectbench, topobench or latbench")
 	flag.StringVar(&cfg.appName, "app", "all", "application: mjpeg, adpcm, h264, radar or all")
 	flag.IntVar(&cfg.runs, "runs", 20, "fault-injection runs per configuration")
 	flag.Int64Var(&cfg.pollUs, "poll", 1000, "distance-function poll period in µs (table3)")
 	flag.Int64Var(&cfg.tokens, "tokens", 0, "override workload length in tokens (0 = default)")
 	flag.IntVar(&cfg.parallel, "parallel", runtime.GOMAXPROCS(0), "worker goroutines for independent runs")
-	flag.StringVar(&cfg.out, "out", "", "report output path (- for stdout; default BENCH_PR1.json for bench, BENCH_PR2.json for campaign)")
+	flag.StringVar(&cfg.out, "out", "", "report output path (- for stdout; default BENCH_PR2.json for campaign, BENCH_PR7.json for detectbench, BENCH_PR8.json for topobench, BENCH_PR9.json for latbench)")
 	flag.IntVar(&cfg.n, "n", 1000, "randomized scenarios in a campaign")
 	flag.Int64Var(&cfg.seed, "seed", 1, "campaign PRNG seed")
 	flag.StringVar(&cfg.tracefile, "tracefile", "", "also write a Chrome-trace timeline of one fault+recovery run of the selected app")
-	flag.Int64Var(&cfg.seedSelNs, "seed-sel-ns", 0, "seed selector ns/op baseline for obsbench (0 = skip seed comparison)")
-	flag.Int64Var(&cfg.seedRepNs, "seed-rep-ns", 0, "seed replicator ns/op baseline for obsbench (0 = skip seed comparison)")
-	flag.Int64Var(&cfg.seedCampaignNs, "seed-campaign-ns", 0, "seed campaign wall-clock ns baseline for corebench (0 = skip seed comparison)")
-	flag.StringVar(&cfg.golden, "golden", "", "pre-PR campaign report corebench diffs against (default BENCH_PR2.json)")
 	flag.StringVar(&cfg.cpuprofile, "cpuprofile", "", "write a pprof CPU profile of the experiment to this path")
 	flag.StringVar(&cfg.memprofile, "memprofile", "", "write a pprof heap profile at exit to this path")
 	flag.StringVar(&cfg.policy, "policy", "", "campaign detection policy: binary, mk, binary+value or mk+value (default: inline first-violation path)")
@@ -279,124 +268,20 @@ func runExperiment(cfg cliConfig) error {
 		}
 		fmt.Print(exp.FormatFillProfile(samples, sizing, app, 1))
 		return nil
-	case "bench":
-		out := cfg.out
-		if out == "" {
-			out = "BENCH_PR1.json"
-		}
-		var w io.Writer = os.Stdout
-		if out != "-" {
-			f, err := os.Create(out)
-			if err != nil {
-				return err
-			}
-			defer f.Close()
-			w = f
-		}
-		if err := exp.RunBenchSuite(w, os.Stderr); err != nil {
-			return err
-		}
-		if out != "-" {
-			fmt.Fprintf(os.Stderr, "bench report written to %s\n", out)
-		}
-		return nil
-	case "obsbench":
-		out := cfg.out
-		if out == "" {
-			out = "BENCH_PR4.json"
-		}
-		var w io.Writer = os.Stdout
-		if out != "-" {
-			f, err := os.Create(out)
-			if err != nil {
-				return err
-			}
-			defer f.Close()
-			w = f
-		}
-		if err := exp.RunObsBenchSuite(w, os.Stderr, cfg.seedSelNs, cfg.seedRepNs); err != nil {
-			return err
-		}
-		if out != "-" {
-			fmt.Fprintf(os.Stderr, "observability bench report written to %s\n", out)
-		}
-		return nil
-	case "corebench":
-		out := cfg.out
-		if out == "" {
-			out = "BENCH_PR5.json"
-		}
-		var w io.Writer = os.Stdout
-		if out != "-" {
-			f, err := os.Create(out)
-			if err != nil {
-				return err
-			}
-			defer f.Close()
-			w = f
-		}
-		if err := exp.RunCoreBenchSuite(w, os.Stderr, exp.CoreBenchConfig{
-			CampaignRuns:   cfg.n,
-			SeedCampaignNs: cfg.seedCampaignNs,
-			GoldenPath:     cfg.golden,
-		}); err != nil {
-			return err
-		}
-		if out != "-" {
-			fmt.Fprintf(os.Stderr, "simulation-core bench report written to %s\n", out)
-		}
-		return nil
 	case "detectbench":
 		rep, err := exp.DetectBench(cfg.runs, cfg.seed, opts...)
 		if err != nil {
 			return err
 		}
 		fmt.Print(rep.String())
-		out := cfg.out
-		if out == "" {
-			out = "BENCH_PR7.json"
-		}
-		if out != "-" {
-			f, err := os.Create(out)
-			if err != nil {
-				return err
-			}
-			if err := rep.WriteJSON(f); err != nil {
-				f.Close()
-				return err
-			}
-			if err := f.Close(); err != nil {
-				return err
-			}
-			fmt.Fprintf(os.Stderr, "detection bench report written to %s\n", out)
-		} else if err := rep.WriteJSON(os.Stdout); err != nil {
-			return err
-		}
-		return nil
+		return writeReport(cfg.out, "BENCH_PR7.json", "detection bench report", rep)
 	case "topobench":
 		rep, err := exp.TopoBench(cfg.n, cfg.seed, opts...)
 		if err != nil {
 			return err
 		}
 		fmt.Print(rep.String())
-		out := cfg.out
-		if out == "" {
-			out = "BENCH_PR8.json"
-		}
-		if out != "-" {
-			f, err := os.Create(out)
-			if err != nil {
-				return err
-			}
-			if err := rep.WriteJSON(f); err != nil {
-				f.Close()
-				return err
-			}
-			if err := f.Close(); err != nil {
-				return err
-			}
-			fmt.Fprintf(os.Stderr, "topology bench report written to %s\n", out)
-		} else if err := rep.WriteJSON(os.Stdout); err != nil {
+		if err := writeReport(cfg.out, "BENCH_PR8.json", "topology bench report", rep); err != nil {
 			return err
 		}
 		if rep.Violations > 0 {
@@ -404,29 +289,12 @@ func runExperiment(cfg cliConfig) error {
 		}
 		return nil
 	case "latbench":
-		rep, err := exp.LatBench(cfg.n, cfg.seed, cfg.seedSelNs, cfg.seedRepNs, opts...)
+		rep, err := exp.LatBench(cfg.n, cfg.seed, opts...)
 		if err != nil {
 			return err
 		}
 		fmt.Print(rep.String())
-		out := cfg.out
-		if out == "" {
-			out = "BENCH_PR9.json"
-		}
-		if out != "-" {
-			f, err := os.Create(out)
-			if err != nil {
-				return err
-			}
-			if err := rep.WriteJSON(f); err != nil {
-				f.Close()
-				return err
-			}
-			if err := f.Close(); err != nil {
-				return err
-			}
-			fmt.Fprintf(os.Stderr, "detection-latency bench report written to %s\n", out)
-		} else if err := rep.WriteJSON(os.Stdout); err != nil {
+		if err := writeReport(cfg.out, "BENCH_PR9.json", "detection-latency bench report", rep); err != nil {
 			return err
 		}
 		if rep.Violations > 0 {
@@ -443,24 +311,7 @@ func runExperiment(cfg cliConfig) error {
 			return err
 		}
 		fmt.Print(res.String())
-		out := cfg.out
-		if out == "" {
-			out = "BENCH_PR2.json"
-		}
-		if out != "-" {
-			f, err := os.Create(out)
-			if err != nil {
-				return err
-			}
-			if err := res.WriteJSON(f); err != nil {
-				f.Close()
-				return err
-			}
-			if err := f.Close(); err != nil {
-				return err
-			}
-			fmt.Fprintf(os.Stderr, "campaign report written to %s\n", out)
-		} else if err := res.WriteJSON(os.Stdout); err != nil {
+		if err := writeReport(cfg.out, "BENCH_PR2.json", "campaign report", res); err != nil {
 			return err
 		}
 		if res.Violations > 0 {
@@ -468,6 +319,30 @@ func runExperiment(cfg cliConfig) error {
 		}
 		return nil
 	default:
-		return fmt.Errorf("unknown experiment %q (want table1, table2, table3, report, fills, bench, campaign, obsbench, corebench, detectbench, topobench or latbench)", cfg.expName)
+		return fmt.Errorf("unknown experiment %q (want table1, table2, table3, report, fills, campaign, detectbench, topobench or latbench)", cfg.expName)
 	}
+}
+
+// writeReport writes rep's JSON to path: "-" is stdout and "" the
+// experiment's default file, whose name is reported on stderr.
+func writeReport(path, def, what string, rep interface{ WriteJSON(io.Writer) error }) error {
+	if path == "" {
+		path = def
+	}
+	if path == "-" {
+		return rep.WriteJSON(os.Stdout)
+	}
+	f, err := os.Create(path)
+	if err != nil {
+		return err
+	}
+	if err := rep.WriteJSON(f); err != nil {
+		f.Close()
+		return err
+	}
+	if err := f.Close(); err != nil {
+		return err
+	}
+	fmt.Fprintf(os.Stderr, "%s written to %s\n", what, path)
+	return nil
 }

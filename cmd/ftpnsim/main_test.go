@@ -2,6 +2,7 @@ package main
 
 import (
 	"encoding/json"
+	"io"
 	"os"
 	"path/filepath"
 	"testing"
@@ -90,5 +91,34 @@ func TestRunErrors(t *testing.T) {
 	}
 	if err := run(cli("fills", "unknown-app", 1, 1000, 0)); err == nil {
 		t.Error("unknown app should fail for fills")
+	}
+}
+
+// jsonReport is a stand-in report for writeReport.
+type jsonReport struct{ body string }
+
+func (r jsonReport) WriteJSON(w io.Writer) error {
+	_, err := io.WriteString(w, r.body)
+	return err
+}
+
+func TestWriteReport(t *testing.T) {
+	dir := t.TempDir()
+	def := filepath.Join(dir, "default.json")
+	if err := writeReport("", def, "test report", jsonReport{"{}\n"}); err != nil {
+		t.Fatal(err)
+	}
+	if got, err := os.ReadFile(def); err != nil || string(got) != "{}\n" {
+		t.Fatalf("default path holds %q, %v", got, err)
+	}
+	out := filepath.Join(dir, "out.json")
+	if err := writeReport(out, def, "test report", jsonReport{"[]\n"}); err != nil {
+		t.Fatal(err)
+	}
+	if got, err := os.ReadFile(out); err != nil || string(got) != "[]\n" {
+		t.Fatalf("-out path holds %q, %v", got, err)
+	}
+	if err := writeReport(filepath.Join(dir, "missing", "x.json"), def, "test report", jsonReport{}); err == nil {
+		t.Error("unwritable -out path should fail")
 	}
 }

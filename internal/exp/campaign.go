@@ -13,7 +13,8 @@ package exp
 //     positives), and a recovered replica is not re-convicted between
 //     its recovery and the second injection;
 //  3. for stop-mode faults the first detection latency is within the
-//     analytic rtc bound of the detectors armed for that mode;
+//     analytic rtc bound of the detectors armed for that mode, derived
+//     for the policy's violation budget m (MKDetectionBounds);
 //  4. detection triggers exactly one recovery per injected replica and
 //     re-integration completes on every channel;
 //  5. a second fault injected after recovery is detected again —
@@ -251,8 +252,9 @@ type CampaignRun struct {
 	LatencyMarginPct float64 `json:"latency_margin_pct"`
 }
 
-// campaignOne executes one scenario against its golden reference.
-func campaignOne(sc Scenario, g *golden, pol ft.PolicySpec) (CampaignRun, error) {
+// campaignOne executes one scenario against its golden reference;
+// bounds are the cell's analytic detection bounds under pol.
+func campaignOne(sc Scenario, g *golden, pol ft.PolicySpec, bounds MKBounds) (CampaignRun, error) {
 	res := CampaignRun{Scenario: sc, DetectedUs: -1, RecoveredUs: -1,
 		SecondInjectUs: -1, SecondDetectedUs: -1, LatencyMarginPct: -1}
 	violate := func(format string, args ...any) {
@@ -351,15 +353,7 @@ func campaignOne(sc Scenario, g *golden, pol ft.PolicySpec) (CampaignRun, error)
 	} else {
 		res.DetectedUs = int64(first.At)
 		latency := first.At - sc.InjectUs
-		var bound des.Time
-		switch sc.Mode {
-		case "stop-all":
-			bound = min(g.sizing.SelBoundUs, g.sizing.RepBoundUs)
-		case "stop-producing":
-			bound = g.sizing.SelBoundUs
-		case "stop-consuming":
-			bound = g.sizing.RepBoundUs
-		}
+		bound := stopBound(modeByName(sc.Mode), bounds)
 		if bound > 0 {
 			if latency > bound {
 				violate("detection latency %dus exceeds analytic bound %dus (%s)",
@@ -463,9 +457,16 @@ func Campaign(cfg CampaignConfig, opts ...Option) (*CampaignResult, error) {
 	if err != nil {
 		return nil, err
 	}
+	bounds := make(map[goldenKey]MKBounds, len(goldens))
+	for key, g := range goldens {
+		if bounds[key], err = MKDetectionBounds(g.app, g.sizing, policyM(cfg.Policy)); err != nil {
+			return nil, err
+		}
+	}
 	runs, err := runIndexed(rc.workers, cfg.Runs, func(i int) (CampaignRun, error) {
 		sc := ScenarioFor(cfg.Seed, i)
-		return campaignOne(sc, goldens[goldenKey{sc.App, sc.MinJitter}], cfg.Policy)
+		key := goldenKey{sc.App, sc.MinJitter}
+		return campaignOne(sc, goldens[key], cfg.Policy, bounds[key])
 	})
 	if err != nil {
 		return nil, err

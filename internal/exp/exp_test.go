@@ -51,6 +51,47 @@ func TestComputeSizingShapes(t *testing.T) {
 	}
 }
 
+// TestSizingForCaches pins the memoized sizing path: same result as
+// ComputeSizing, computed once per distinct timing envelope.
+func TestSizingForCaches(t *testing.T) {
+	app := MJPEGApp(false, 120)
+	want, err := ComputeSizing(app)
+	if err != nil {
+		t.Fatal(err)
+	}
+	h0, m0 := SizingCacheStats()
+	got, err := SizingFor(app)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got != want {
+		t.Fatalf("SizingFor = %+v, ComputeSizing = %+v", got, want)
+	}
+	// A fresh App value with identical envelopes must hit the cache.
+	if got2, err := SizingFor(MJPEGApp(false, 120)); err != nil || got2 != want {
+		t.Fatalf("cached SizingFor = %+v, %v", got2, err)
+	}
+	h1, m1 := SizingCacheStats()
+	if h1 == h0 {
+		t.Error("second SizingFor with identical envelopes did not hit the cache")
+	}
+	if m1 > m0+1 {
+		t.Errorf("misses grew by %d, want at most 1", m1-m0)
+	}
+	// A different jitter tier is a different configuration.
+	minJ, err := SizingFor(MJPEGApp(true, 120))
+	if err != nil {
+		t.Fatal(err)
+	}
+	wantMinJ, err := ComputeSizing(MJPEGApp(true, 120))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if minJ != wantMinJ {
+		t.Fatalf("min-jitter SizingFor = %+v, want %+v", minJ, wantMinJ)
+	}
+}
+
 func TestTable1(t *testing.T) {
 	rows := Table1()
 	if len(rows) != 18 {

@@ -19,7 +19,6 @@ import (
 	"hash/fnv"
 	"io"
 	"strings"
-	"testing"
 
 	"ftpn/internal/des"
 	"ftpn/internal/fault"
@@ -81,28 +80,6 @@ type LatSlackBucket struct {
 	Count int     `json:"count"`
 }
 
-// LatOverhead pins the flight recorder's probe-hook cost: the
-// arbitration-channel op costs with the recorder disabled (nil stream —
-// nothing installed) versus enabled, plus the Record call itself on the
-// nil and live paths. Wall-clock figures, so they are reported but
-// never folded into the deterministic aggregates.
-type LatOverhead struct {
-	SelNsOff int64 `json:"sel_ns_recorder_off"`
-	RepNsOff int64 `json:"rep_ns_recorder_off"`
-	SelNsOn  int64 `json:"sel_ns_recorder_on"`
-	RepNsOn  int64 `json:"rep_ns_recorder_on"`
-
-	RecordNsOff     int64 `json:"record_ns_disabled"`
-	RecordAllocsOff int64 `json:"record_allocs_disabled"`
-	RecordNsOn      int64 `json:"record_ns_enabled"`
-	RecordAllocsOn  int64 `json:"record_allocs_enabled"`
-
-	// Seed-tree baselines (scripts/bench.sh feeds them through
-	// -seed-sel-ns/-seed-rep-ns); 0 = not compared.
-	SeedSelNs int64 `json:"seed_sel_ns,omitempty"`
-	SeedRepNs int64 `json:"seed_rep_ns,omitempty"`
-}
-
 // LatBenchReport is the full latbench result.
 type LatBenchReport struct {
 	GeneratedBy  string `json:"generated_by"`
@@ -132,24 +109,6 @@ type LatBenchReport struct {
 	ViolatingRuns []LatRun `json:"violating_runs,omitempty"` // first 20
 
 	Apps []LatAppRun `json:"apps"`
-
-	Overhead *LatOverhead `json:"overhead,omitempty"`
-}
-
-// stopBound selects the analytic bound a stop mode is held to: a
-// producer-side stop starves the selector (SelBound), a consumer-side
-// stop backs up the replicator queue (RepBound), a full stop trips
-// whichever detector fires first.
-func stopBound(mode fault.Mode, b MKBounds) des.Time {
-	switch mode {
-	case fault.StopAll:
-		return min(b.SelBoundUs, b.RepBoundUs)
-	case fault.StopProducing:
-		return b.SelBoundUs
-	case fault.StopConsuming:
-		return b.RepBoundUs
-	}
-	return 0
 }
 
 // eventsHash hashes the recorder's canonical serialization (FNV-1a).
@@ -222,10 +181,7 @@ func latTopoOne(seed int64) (LatRun, error) {
 		violate("sizing: %v", err)
 		return run, nil
 	}
-	polM := 0
-	if pol.Kind == ft.PolicyMK {
-		polM = pol.M
-	}
+	polM := policyM(pol)
 	bounds, err := MKDetectionBounds(app, sizing, polM)
 	if err != nil {
 		violate("mk bounds: %v", err)
@@ -301,11 +257,7 @@ func latAppOne(g *golden, appName string, pol ft.PolicySpec, polName string, mod
 	replica := 1 + idx%2
 	injectAt := des.Time(app.Tokens/2) * app.PeriodUs
 	run.InjectAtUs = int64(injectAt)
-	polM := 0
-	if pol.Kind == ft.PolicyMK {
-		polM = pol.M
-	}
-	bounds, err := MKDetectionBounds(app, g.sizing, polM)
+	bounds, err := MKDetectionBounds(app, g.sizing, policyM(pol))
 	if err != nil {
 		return run, err
 	}
@@ -353,41 +305,10 @@ func latAppOne(g *golden, appName string, pol ft.PolicySpec, polName string, mod
 // analytic budget left unused).
 var slackEdges = []float64{0, 10, 25, 50, 75, 90, 100}
 
-// measureLatOverhead pins the recorder's probe-hook cost (wall clock).
-func measureLatOverhead(sizing Sizing, seedSelNs, seedRepNs int64) *LatOverhead {
-	o := &LatOverhead{SeedSelNs: seedSelNs, SeedRepNs: seedRepNs}
-	// Disabled: InstrumentFlight with a nil stream installs nothing —
-	// the probe hot path is exactly the uninstrumented one.
-	o.SelNsOff, o.RepNsOff = bestOpCosts(sizing, func(sys *ft.System) {
-		ft.InstrumentFlight(sys, nil)
-	})
-	fr := obs.NewFlightRecorder(0)
-	o.SelNsOn, o.RepNsOn = bestOpCosts(sizing, func(sys *ft.System) {
-		ft.InstrumentFlight(sys, fr.Stream(0))
-	})
-	ev := obs.FlightEvent{At: 1, Channel: "bench", Kind: "write", Replica: 1}
-	var nilStream *obs.FlightStream
-	off := measure("flight_record_disabled", func(b *testing.B) {
-		for i := 0; i < b.N; i++ {
-			nilStream.Record(ev)
-		}
-	})
-	o.RecordNsOff, o.RecordAllocsOff = off.NsPerOp, off.AllocsOp
-	live := fr.Stream(0)
-	on := measure("flight_record_enabled", func(b *testing.B) {
-		for i := 0; i < b.N; i++ {
-			live.Record(ev)
-		}
-	})
-	o.RecordNsOn, o.RecordAllocsOn = on.NsPerOp, on.AllocsOp
-	return o
-}
-
 // LatBench measures detection latency against the analytic bounds over
 // n generated stop topologies plus the paper apps; deterministic at any
-// parallelism level (the wall-clock overhead section is gated behind
-// the opCosts option like every other bench).
-func LatBench(n int, seed int64, seedSelNs, seedRepNs int64, opts ...Option) (*LatBenchReport, error) {
+// parallelism level.
+func LatBench(n int, seed int64, opts ...Option) (*LatBenchReport, error) {
 	if n < 1 {
 		return nil, fmt.Errorf("exp: latbench needs at least one network")
 	}
@@ -506,10 +427,6 @@ func LatBench(n int, seed int64, seedSelNs, seedRepNs int64, opts ...Option) (*L
 	for _, a := range appRuns {
 		rep.Violations += len(a.Violations)
 	}
-
-	if rc.opCosts {
-		rep.Overhead = measureLatOverhead(goldens[goldenKey{campaignApps[0].name, false}].sizing, seedSelNs, seedRepNs)
-	}
 	return rep, nil
 }
 
@@ -540,17 +457,6 @@ func (r *LatBenchReport) String() string {
 	for _, a := range r.Apps {
 		fmt.Fprintf(&b, "  %-8s %-16s %-16s %12d %12d %7.1f%%\n",
 			a.App, a.Policy, a.Mode, a.LatencyUs, a.BoundUs, a.SlackPct)
-	}
-	if r.Overhead != nil {
-		o := r.Overhead
-		fmt.Fprintf(&b, "  probe hooks: recorder off sel=%dns rep=%dns, on sel=%dns rep=%dns\n",
-			o.SelNsOff, o.RepNsOff, o.SelNsOn, o.RepNsOn)
-		fmt.Fprintf(&b, "  record: disabled %dns/%d allocs, enabled %dns/%d allocs\n",
-			o.RecordNsOff, o.RecordAllocsOff, o.RecordNsOn, o.RecordAllocsOn)
-		if o.SeedSelNs > 0 && o.SeedRepNs > 0 {
-			fmt.Fprintf(&b, "  vs seed baseline: sel %dns -> %dns, rep %dns -> %dns (recorder off)\n",
-				o.SeedSelNs, o.SelNsOff, o.SeedRepNs, o.RepNsOff)
-		}
 	}
 	fmt.Fprintf(&b, "  violations: %d\n", r.Violations)
 	for _, run := range r.ViolatingRuns {

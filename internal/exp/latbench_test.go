@@ -14,17 +14,13 @@ import (
 
 // TestLatBenchDeterministicAcrossParallel: the latbench report —
 // including every per-run canonical event-log hash — must be
-// bit-identical at any parallelism level once the wall-clock overhead
-// section is disabled.
+// bit-identical at any parallelism level.
 func TestLatBenchDeterministicAcrossParallel(t *testing.T) {
 	var ref bytes.Buffer
 	for i, par := range []int{1, 4} {
-		rep, err := LatBench(6, 1, 0, 0, WithoutOpCosts(), WithParallelism(par))
+		rep, err := LatBench(6, 1, WithParallelism(par))
 		if err != nil {
 			t.Fatalf("LatBench(parallel=%d): %v", par, err)
-		}
-		if rep.Overhead != nil {
-			t.Fatal("WithoutOpCosts must suppress the wall-clock overhead section")
 		}
 		if rep.Convicted != 6 || rep.BoundChecked != 6 || rep.ForensicsChecked != 6 {
 			t.Fatalf("parallel=%d: convicted/bound/forensics = %d/%d/%d, want 6/6/6",

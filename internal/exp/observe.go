@@ -2,15 +2,11 @@ package exp
 
 // Observability exports for the experiment harness: a Chrome-trace
 // timeline of one fault + recovery run (`ftpnsim -tracefile`) and the
-// probe-overhead benchmark suite behind `ftpnsim -exp obsbench`
-// (BENCH_PR4.json).
+// metrics-instrumented run shared by tests and the live example.
 
 import (
-	"encoding/json"
 	"fmt"
 	"io"
-	"runtime"
-	"testing"
 
 	"ftpn/internal/des"
 	"ftpn/internal/fault"
@@ -63,118 +59,6 @@ func WriteChromeTrace(app App, w io.Writer) error {
 		return fmt.Errorf("exp: traced run of %s detected no fault", app.Name)
 	}
 	return rec.WriteJSON(w)
-}
-
-// opCostRuns is how many times each op-cost measurement repeats; the
-// minimum is reported, matching the bench harness convention.
-const opCostRuns = 3
-
-// bestOpCosts reports the best-of-N per-op host time for the selector
-// and replicator harness under the given instrumentation.
-func bestOpCosts(sizing Sizing, instrument func(*ft.System)) (selNs, repNs int64) {
-	for i := 0; i < opCostRuns; i++ {
-		s, r := measureOpCostsInstrumented(sizing, instrument)
-		if i == 0 || s < selNs {
-			selNs = s
-		}
-		if i == 0 || r < repNs {
-			repNs = r
-		}
-	}
-	return selNs, repNs
-}
-
-// RunObsBenchSuite measures the observability layer's overhead and
-// writes BENCH_PR4.json to w: the obs primitives in isolation
-// (enabled/disabled counter and histogram updates), then the Table 2
-// channel-op harness with hooks disabled vs metrics hooks installed.
-// seedSelNs/seedRepNs, when positive, are the seed tree's selector and
-// replicator ns/op from the same harness (extracted by scripts/bench.sh
-// from the seed's Table 2 output) and yield the disabled-vs-seed
-// comparisons backing the "no measurable cost when off" acceptance
-// criterion. Progress lines go to log (may be nil).
-func RunObsBenchSuite(w io.Writer, log io.Writer, seedSelNs, seedRepNs int64) error {
-	logf := func(format string, args ...any) {
-		if log != nil {
-			fmt.Fprintf(log, format, args...)
-		}
-	}
-	rep := BenchReport{GeneratedBy: "ftpnsim -exp obsbench", GoMaxProcs: runtime.GOMAXPROCS(0)}
-
-	logf("obsbench: obs primitives...\n")
-	reg := obs.NewRegistry()
-	c := reg.Counter("bench_total", "", nil)
-	h := reg.Histogram("bench_hist", "", obs.ExpBuckets(1, 2, 8), nil)
-	var disabled *obs.Counter
-	rep.Benchmarks = append(rep.Benchmarks,
-		measure("obs_counter_inc", func(b *testing.B) {
-			b.ReportAllocs()
-			for i := 0; i < b.N; i++ {
-				c.Inc()
-			}
-		}),
-		measure("obs_counter_inc_disabled", func(b *testing.B) {
-			b.ReportAllocs()
-			for i := 0; i < b.N; i++ {
-				disabled.Inc()
-			}
-		}),
-		measure("obs_histogram_observe", func(b *testing.B) {
-			b.ReportAllocs()
-			for i := 0; i < b.N; i++ {
-				h.Observe(int64(i & 255))
-			}
-		}),
-	)
-
-	logf("obsbench: channel ops, hooks disabled vs metrics hooks...\n")
-	app := MJPEGApp(false, 120)
-	sizing, err := SizingFor(app)
-	if err != nil {
-		return err
-	}
-	selOff, repOff := bestOpCosts(sizing, nil)
-	selOn, repOn := bestOpCosts(sizing, func(sys *ft.System) {
-		ft.Instrument(sys, obs.NewRegistry())
-	})
-	rep.Benchmarks = append(rep.Benchmarks,
-		BenchEntry{Name: "sel_op_hooks_disabled", NsPerOp: selOff, N: opCostRuns},
-		BenchEntry{Name: "sel_op_metrics", NsPerOp: selOn, N: opCostRuns},
-		BenchEntry{Name: "rep_op_hooks_disabled", NsPerOp: repOff, N: opCostRuns},
-		BenchEntry{Name: "rep_op_metrics", NsPerOp: repOn, N: opCostRuns},
-	)
-	overhead := func(off, on int64) string {
-		return fmt.Sprintf("metrics hooks add %.1f%% per op", 100*ratio(on-off, off))
-	}
-	rep.Comparisons = append(rep.Comparisons,
-		BenchComparison{
-			Name: "sel_op_metrics_overhead", BaselineNs: selOff, OptimizedNs: selOn,
-			Speedup: ratio(selOff, selOn), IdenticalOutput: true, Note: overhead(selOff, selOn),
-		},
-		BenchComparison{
-			Name: "rep_op_metrics_overhead", BaselineNs: repOff, OptimizedNs: repOn,
-			Speedup: ratio(repOff, repOn), IdenticalOutput: true, Note: overhead(repOff, repOn),
-		},
-	)
-	if seedSelNs > 0 && seedRepNs > 0 {
-		logf("obsbench: disabled hooks vs seed (sel %dns, rep %dns)...\n", seedSelNs, seedRepNs)
-		rep.Comparisons = append(rep.Comparisons,
-			BenchComparison{
-				Name: "sel_op_disabled_vs_seed", BaselineNs: seedSelNs, OptimizedNs: selOff,
-				Speedup: ratio(seedSelNs, selOff), IdenticalOutput: true,
-				Note: "acceptance: disabled hooks within 2% of the seed's hot path",
-			},
-			BenchComparison{
-				Name: "rep_op_disabled_vs_seed", BaselineNs: seedRepNs, OptimizedNs: repOff,
-				Speedup: ratio(seedRepNs, repOff), IdenticalOutput: true,
-				Note: "acceptance: disabled hooks within 2% of the seed's hot path",
-			},
-		)
-	}
-
-	enc := json.NewEncoder(w)
-	enc.SetIndent("", "  ")
-	return enc.Encode(rep)
 }
 
 // observedRun executes one duplicated run of app with a full metrics

@@ -141,37 +141,3 @@ func TestWriteChromeTraceTimeline(t *testing.T) {
 		}
 	}
 }
-
-func TestRunObsBenchSuite(t *testing.T) {
-	if testing.Short() {
-		t.Skip("benchmark suite is slow")
-	}
-	var buf, log bytes.Buffer
-	if err := RunObsBenchSuite(&buf, &log, 100, 100); err != nil {
-		t.Fatal(err)
-	}
-	var rep BenchReport
-	if err := json.Unmarshal(buf.Bytes(), &rep); err != nil {
-		t.Fatalf("report is not valid JSON: %v", err)
-	}
-	names := map[string]bool{}
-	for _, c := range rep.Comparisons {
-		names[c.Name] = true
-	}
-	for _, want := range []string{
-		"sel_op_metrics_overhead", "rep_op_metrics_overhead",
-		"sel_op_disabled_vs_seed", "rep_op_disabled_vs_seed",
-	} {
-		if !names[want] {
-			t.Errorf("report lacks comparison %q", want)
-		}
-	}
-	benches := map[string]int64{}
-	for _, b := range rep.Benchmarks {
-		benches[b.Name] = b.NsPerOp
-	}
-	if benches["obs_counter_inc_disabled"] > benches["obs_counter_inc"] {
-		t.Errorf("disabled counter inc (%dns) slower than enabled (%dns)",
-			benches["obs_counter_inc_disabled"], benches["obs_counter_inc"])
-	}
-}

@@ -6,6 +6,7 @@ import (
 	"sync/atomic"
 
 	"ftpn/internal/des"
+	"ftpn/internal/fault"
 	"ftpn/internal/ft"
 	"ftpn/internal/rtc"
 )
@@ -214,6 +215,32 @@ func MKDetectionBounds(app App, s Sizing, m int) (MKBounds, error) {
 		}
 	}
 	return b, nil
+}
+
+// stopBound selects the analytic bound a stop mode is held to: a
+// producer-side stop starves the selector (SelBound), a consumer-side
+// stop backs up the replicator queue (RepBound), a full stop trips
+// whichever detector fires first.
+func stopBound(mode fault.Mode, b MKBounds) des.Time {
+	switch mode {
+	case fault.StopAll:
+		return min(b.SelBoundUs, b.RepBoundUs)
+	case fault.StopProducing:
+		return b.SelBoundUs
+	case fault.StopConsuming:
+		return b.RepBoundUs
+	}
+	return 0
+}
+
+// policyM is the violation budget m a policy's analytic bounds are
+// derived for: an (m,k) policy forgives m violations, every other
+// policy convicts on the first one.
+func policyM(pol ft.PolicySpec) int {
+	if pol.Kind == ft.PolicyMK {
+		return pol.M
+	}
+	return 0
 }
 
 // boundForCount returns the smallest Δ with curve(Δ) >= need, via the

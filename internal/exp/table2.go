@@ -203,25 +203,10 @@ func runDuplicated(app App, sizing Sizing, arr *trace.Arrivals, inject func(*ft.
 // yielding the per-operation runtime overhead the paper reports as a
 // fraction of the application period.
 func measureOpCosts(sizing Sizing) (selNs, repNs int64) {
-	return measureOpCostsInstrumented(sizing, nil)
-}
-
-// measureOpCostsInstrumented is measureOpCosts with an optional
-// instrumentation step (ft.Instrument / ft.InstrumentTrace) applied to
-// the bench channels before the measurement; the obsbench suite uses it
-// to price the probe hooks.
-func measureOpCostsInstrumented(sizing Sizing, instrument func(*ft.System)) (selNs, repNs int64) {
 	const ops = 20000
 	k := des.NewKernel()
 	sel := ft.NewSelector(k, "bench-sel", sizing.SelCaps, [2]int{0, 0}, sizing.D, nil, nil)
 	rep := ft.NewReplicator(k, "bench-rep", sizing.RepCaps, nil)
-	if instrument != nil {
-		instrument(&ft.System{
-			K:           k,
-			Selectors:   map[string]*ft.Selector{"bench-sel": sel},
-			Replicators: map[string]*ft.Replicator{"bench-rep": rep},
-		})
-	}
 	k.Spawn("driver", 0, func(p *des.Proc) {
 		tok := kpn.Token{Seq: 1}
 		start := time.Now()

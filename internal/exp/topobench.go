@@ -221,10 +221,7 @@ func topoOne(seed int64, idx int) (topoRunResult, error) {
 	}
 
 	// --- Check 3: (m,k) bounds reproduce and dominate the sizing. ---
-	polM := 0
-	if pol.Kind == ft.PolicyMK {
-		polM = pol.M
-	}
+	polM := policyM(pol)
 	b0, err := MKDetectionBounds(app, sizing, 0)
 	bm := MKBounds{SelBoundUs: sizing.SelBoundUs, RepBoundUs: sizing.RepBoundUs}
 	if err != nil {
