@@ -345,42 +345,6 @@ func runThresholdProbe(b *testing.B, app exp.App, sizing exp.Sizing, d int64) (f
 	return falsePos, latency
 }
 
-// BenchmarkAblationReplicatorBuffer compares the paper's two-queue
-// replicator against the §3.1-suggested shared circular buffer with two
-// read cursors (one token stored once instead of twice).
-func BenchmarkAblationReplicatorBuffer(b *testing.B) {
-	b.Run("two-queues", func(b *testing.B) {
-		k := des.NewKernel()
-		rep := ft.NewReplicator(k, "R", [2]int{8, 8}, nil)
-		tok := kpn.Token{Seq: 1, Payload: make([]byte, 512)}
-		k.Spawn("driver", 0, func(p *des.Proc) {
-			b.ResetTimer()
-			for i := 0; i < b.N; i++ {
-				rep.WriterPort().Write(p, tok)
-				rep.ReaderPort(1).Read(p)
-				rep.ReaderPort(2).Read(p)
-			}
-		})
-		k.Run(0)
-		k.Shutdown()
-	})
-	b.Run("shared-ring", func(b *testing.B) {
-		k := des.NewKernel()
-		rep := ft.NewSharedReplicator(k, "R", 8, nil)
-		tok := kpn.Token{Seq: 1, Payload: make([]byte, 512)}
-		k.Spawn("driver", 0, func(p *des.Proc) {
-			b.ResetTimer()
-			for i := 0; i < b.N; i++ {
-				rep.WriterPort().Write(p, tok)
-				rep.ReaderPort(1).Read(p)
-				rep.ReaderPort(2).Read(p)
-			}
-		})
-		k.Run(0)
-		k.Shutdown()
-	})
-}
-
 // BenchmarkAblationChunking sweeps the iRCCE chunk size for a decoded
 // MJPEG frame transfer (§4.1's design choice): chunks above the 3 KB
 // MPB limit fall back to DDR3 and get strictly slower, smaller chunks

@@ -25,6 +25,7 @@ import (
 
 	"ftpn/internal/codec/adpcm"
 	"ftpn/internal/crt"
+	"ftpn/internal/ft"
 	"ftpn/internal/obs"
 )
 
@@ -90,11 +91,14 @@ func pipeline(rep *crt.Replicator, sel *crt.Selector, r int, gen *atomic.Int64, 
 	}
 }
 
-// probeKinds are the crt channel event kinds (crt.ProbeEvent.Kind).
-var probeKinds = []string{
-	"write", "enqueue", "read", "drop-duplicate", "drop-lost",
-	"drop-resync", "reintegrate", "aligned",
-}
+// probeKinds are the crt channel event kinds (crt.ProbeEvent.Kind):
+// the names of every ft.ProbeKind.
+var probeKinds = func() (kinds []string) {
+	for k := ft.ProbeWrite; k <= ft.ProbeDropValue; k++ {
+		kinds = append(kinds, k.String())
+	}
+	return kinds
+}()
 
 // channelProbe builds a metrics probe for one crt channel: a pre-bound
 // event counter per (kind, replica) and a fill gauge per replica. crt

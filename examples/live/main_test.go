@@ -92,6 +92,7 @@ func TestLiveDemoHTTPEndpoint(t *testing.T) {
 	// While the demo still streams: metrics and pprof must serve.
 	if st, body := get("/metrics"); st != http.StatusOK ||
 		!strings.Contains(body, "ftpn_crt_channel_events_total") ||
+		!strings.Contains(body, `kind="drop-slide"`) ||
 		!strings.Contains(body, "# TYPE ftpn_crt_channel_fill gauge") ||
 		!strings.Contains(body, "ftpn_build_info{") ||
 		!strings.Contains(body, "ftpn_process_uptime_seconds") {

@@ -139,7 +139,7 @@ func TestTransientFaultToleratedAndLatched(t *testing.T) {
 
 // TestThreeReplicaSystemToleratesTwoFaults wires the paper's n-replica
 // generalization by hand: three diversified replicas behind an
-// NReplicator/NSelector pair survive two staggered stop faults.
+// three-way replicator/selector pair survive two staggered stop faults.
 func TestThreeReplicaSystemToleratesTwoFaults(t *testing.T) {
 	k := des.NewKernel()
 	period := des.Time(1000)

@@ -14,6 +14,7 @@ type Fault struct {
 	Replica int // 1-based
 	At      time.Duration
 	Reason  string
+	Kind    ft.FaultKind
 }
 
 // String implements fmt.Stringer.
@@ -25,37 +26,76 @@ func (f Fault) String() string {
 // released.
 type FaultHandler func(Fault)
 
-// sampleDetect routes one detection-predicate evaluation through an
-// installed policy; a nil policy reproduces the inline first-violation
-// behavior exactly. Callers hold the owning channel's lock, which is
-// the synchronization the ft.Policy contract requires.
-func sampleDetect(p ft.Policy, r int, reason string, violation bool) bool {
-	if p == nil {
-		return violation
+// lockShell is what both wall-clock channels wrap around their ft core:
+// the mutex that serializes every core operation, the closed flag, and
+// the convictions the core reported under the lock, delivered to the
+// handler only after it is released.
+type lockShell struct {
+	mu      sync.Mutex
+	clock   Clock
+	closed  bool
+	handler FaultHandler
+	pending []Fault
+}
+
+func (l *lockShell) now() int64 { return int64(l.clock.Now()) }
+
+// convict queues a core conviction for delivery after unlock.
+func (l *lockShell) convict(f ft.Fault) {
+	if l.handler != nil {
+		l.pending = append(l.pending, Fault{Channel: f.Channel, Replica: f.Replica,
+			At: time.Duration(f.At), Reason: string(f.Reason), Kind: f.Kind})
 	}
-	return p.Sample(r, ft.Reason(reason), violation)
+}
+
+// unlock releases the channel lock, then delivers the queued faults.
+func (l *lockShell) unlock() {
+	fire := l.pending
+	if fire != nil {
+		l.pending = nil
+	}
+	l.mu.Unlock()
+	for _, f := range fire {
+		l.handler(f)
+	}
+}
+
+// locked reads a core accessor under the channel lock.
+func locked[T any](l *lockShell, get func() T) T {
+	l.mu.Lock()
+	defer l.mu.Unlock()
+	return get()
+}
+
+// probeFor adapts a wall-clock probe to the core's probe events.
+func probeFor(p Probe) ft.Probe {
+	if p == nil {
+		return nil
+	}
+	return func(e ft.ProbeEvent) {
+		p(ProbeEvent{At: time.Duration(e.At), Channel: e.Channel, Kind: e.Kind.String(), Replica: e.Replica, Fill: e.Fill})
+	}
 }
 
 // Replicator is the concurrent two-queue replicator with queue-full
 // fault detection (§3.3), safe for one writer and two reader
-// goroutines.
+// goroutines: an ft.ReplicatorState under one mutex, with readers
+// parked on a sync.Cond per queue.
 type Replicator struct {
-	mu       sync.Mutex
+	lockShell
+	core     ft.ReplicatorState
 	notEmpty [2]*sync.Cond
-	clock    Clock
-	name     string
-	caps     [2]int
-	queues   [2][]Token
-	faulty   [2]bool
-	faultAt  [2]time.Duration
-	closed   bool
-	handler  FaultHandler
-	lost     int64
-	probe    Probe
-	// policy, when non-nil, arbitrates detection samples instead of the
-	// inline first-violation conviction (see ft.Policy). Per-channel
-	// instance; every Sample/Reset call happens under mu.
-	policy ft.Policy
+}
+
+// NewReplicator builds a concurrent replicator.
+func NewReplicator(clock Clock, name string, caps [2]int, handler FaultHandler) *Replicator {
+	r := &Replicator{lockShell: lockShell{clock: clock, handler: handler}}
+	r.notEmpty = [2]*sync.Cond{sync.NewCond(&r.mu), sync.NewCond(&r.mu)}
+	// A non-strict replicator never makes its producer wait, so data in
+	// a queue is the only condition the core can release.
+	r.core = *ft.NewReplicatorState(name, caps[:], r.now, r.convict,
+		func(_ ft.WaitOn, port int) { r.notEmpty[port].Broadcast() })
+	return r
 }
 
 // SetPolicy installs the replicator's detection policy (nil keeps the
@@ -63,150 +103,59 @@ type Replicator struct {
 // another channel: calls are serialized by this channel's lock only.
 func (r *Replicator) SetPolicy(p ft.Policy) {
 	r.mu.Lock()
-	r.policy = p
+	r.core.SetPolicy(p)
 	r.mu.Unlock()
 }
 
-// NewReplicator builds a concurrent replicator.
-func NewReplicator(clock Clock, name string, caps [2]int, handler FaultHandler) *Replicator {
-	if caps[0] <= 0 || caps[1] <= 0 {
-		panic(fmt.Sprintf("crt: replicator %q capacities must be positive, got %v", name, caps))
-	}
-	r := &Replicator{clock: clock, name: name, caps: caps, handler: handler}
-	r.notEmpty[0] = sync.NewCond(&r.mu)
-	r.notEmpty[1] = sync.NewCond(&r.mu)
-	return r
-}
+// SetProbe installs the channel's probe (nil disables). Install probes
+// before the channel is shared between goroutines.
+func (r *Replicator) SetProbe(p Probe) { r.core.SetProbe(probeFor(p)) }
 
 // Write duplicates the token into every healthy queue; a full queue
 // convicts its replica and the producer never blocks. Returns false
 // after Close.
 func (r *Replicator) Write(tok Token) bool {
-	var fire []Fault
 	r.mu.Lock()
 	if r.closed {
 		r.mu.Unlock()
 		return false
 	}
-	delivered := false
-	for i := 0; i < 2; i++ {
-		if r.faulty[i] {
-			continue
-		}
-		if len(r.queues[i]) >= r.caps[i] {
-			if sampleDetect(r.policy, i, "queue-full", true) {
-				r.faulty[i] = true
-				r.faultAt[i] = r.clock.Now()
-				fire = append(fire, Fault{Channel: r.name, Replica: i + 1, At: r.faultAt[i], Reason: "queue-full"})
-				continue
-			}
-			// Forgiven overflow: re-arm like the ft replicator's slide —
-			// drop the oldest token so the newest is admitted and the
-			// replica's window stays contiguous.
-			copy(r.queues[i], r.queues[i][1:])
-			r.queues[i] = r.queues[i][:len(r.queues[i])-1]
-			if fn := r.probe; fn != nil {
-				fn(ProbeEvent{At: r.clock.Now(), Channel: r.name, Kind: "drop-slide", Replica: i + 1, Fill: len(r.queues[i])})
-			}
-		} else if r.policy != nil {
-			// Space available: a clean sample slides the (m,k) window
-			// toward forgiveness.
-			sampleDetect(r.policy, i, "queue-full", false)
-		}
-		r.queues[i] = append(r.queues[i], tok)
-		// Replica i's reader parks only after observing an empty queue
-		// under this lock, so only the empty->non-empty transition can
-		// have a waiter to wake.
-		if len(r.queues[i]) == 1 {
-			r.notEmpty[i].Signal()
-		}
-		delivered = true
-		if fn := r.probe; fn != nil {
-			fn(ProbeEvent{At: r.clock.Now(), Channel: r.name, Kind: "enqueue", Replica: i + 1, Fill: len(r.queues[i])})
-		}
-	}
-	if !delivered {
-		r.lost++
-	}
-	if fn := r.probe; fn != nil {
-		fn(ProbeEvent{At: r.clock.Now(), Channel: r.name, Kind: "write"})
-		if !delivered {
-			fn(ProbeEvent{At: r.clock.Now(), Channel: r.name, Kind: "drop-lost"})
-		}
-	}
-	r.mu.Unlock()
-	for _, f := range fire {
-		if r.handler != nil {
-			r.handler(f)
-		}
-	}
+	r.core.TryWrite(tok)
+	r.unlock()
 	return true
 }
 
 // Read blocks until replica's queue (1-based) has a token; ok is false
 // once the replicator is closed and drained.
 func (r *Replicator) Read(replica int) (Token, bool) {
-	i := replica - 1
 	r.mu.Lock()
-	defer r.mu.Unlock()
-	for len(r.queues[i]) == 0 && !r.closed {
-		r.notEmpty[i].Wait()
+	for {
+		tok, w := r.core.TryRead(replica)
+		if w == ft.Proceed || r.closed {
+			r.unlock()
+			return tok, w == ft.Proceed
+		}
+		r.notEmpty[replica-1].Wait()
 	}
-	if len(r.queues[i]) == 0 {
-		return Token{}, false
-	}
-	tok := r.queues[i][0]
-	copy(r.queues[i], r.queues[i][1:])
-	r.queues[i] = r.queues[i][:len(r.queues[i])-1]
-	if fn := r.probe; fn != nil {
-		fn(ProbeEvent{At: r.clock.Now(), Channel: r.name, Kind: "read", Replica: replica, Fill: len(r.queues[i])})
-	}
-	return tok, true
 }
 
-// Reintegrate re-admits a repaired replica (1-based): its stale queue is
-// drained and re-armed with the newest min(fill, cap-1) tokens mirrored
-// from the healthy replica's backlog, and its conviction is cleared so
-// queue-full detection is re-armed. The other replica must be healthy
-// (it is the reference); Reintegrate reports false and does nothing
-// otherwise. This mirrors ft.Replicator.Reintegrate for the wall-clock
-// runtime.
+// Reintegrate re-admits a repaired replica (1-based) exactly as
+// ft.Replicator.Reintegrate does: its stale queue is re-armed with the
+// newest min(fill, cap-1) tokens mirrored from the healthy replica's
+// backlog, its read position is rebased, and its conviction is cleared;
+// until its first read an overflow slides the queue instead of
+// convicting. The other replica must be healthy (it is the reference);
+// Reintegrate reports false and does nothing otherwise.
 func (r *Replicator) Reintegrate(replica, fill int) bool {
-	i := replica - 1
-	h := 1 - i
 	r.mu.Lock()
-	if r.faulty[h] || r.closed {
-		r.mu.Unlock()
-		return false
-	}
-	if fill > r.caps[i]-1 {
-		fill = r.caps[i] - 1
-	}
-	src := r.queues[h]
-	if fill > len(src) {
-		fill = len(src)
-	}
-	if fill < 0 {
-		fill = 0
-	}
-	r.queues[i] = append(r.queues[i][:0], src[len(src)-fill:]...)
-	r.faulty[i] = false
-	if r.policy != nil {
-		r.policy.Reset(i)
-	}
-	if fn := r.probe; fn != nil {
-		fn(ProbeEvent{At: r.clock.Now(), Channel: r.name, Kind: "reintegrate", Replica: replica, Fill: fill})
-	}
-	r.mu.Unlock()
-	r.notEmpty[i].Broadcast()
-	return true
+	ok := !r.closed && r.core.Reintegrate(replica, fill, 0)
+	r.unlock()
+	return ok
 }
 
 // Fill returns replica's (1-based) current queue fill.
 func (r *Replicator) Fill(replica int) int {
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	return len(r.queues[replica-1])
+	return locked(&r.lockShell, func() int { return r.core.Fill(replica) })
 }
 
 // Close wakes all blocked readers.
@@ -222,61 +171,46 @@ func (r *Replicator) Close() {
 func (r *Replicator) Faulty(replica int) (bool, time.Duration) {
 	r.mu.Lock()
 	defer r.mu.Unlock()
-	return r.faulty[replica-1], r.faultAt[replica-1]
+	ok, at, _ := r.core.Faulty(replica)
+	return ok, time.Duration(at)
 }
 
 // Lost counts tokens written while both replicas were faulty.
-func (r *Replicator) Lost() int64 {
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	return r.lost
+func (r *Replicator) Lost() int64 { return locked(&r.lockShell, r.core.Lost) }
+
+// Selector is the concurrent selector channel, safe for two writer
+// goroutines and one reader: an ft.SelectorState under one mutex, with
+// the reader, each writer interface and resynchronizing writers parked
+// on their own sync.Cond.
+type Selector struct {
+	lockShell
+	core       ft.SelectorState
+	notEmpty   *sync.Cond
+	notFull    [2]*sync.Cond
+	resyncWait *sync.Cond
 }
 
-// Selector is the concurrent selector channel: duplicate-pair
-// arbitration, per-interface space accounting, divergence and
-// consumer-stall detection, safe for two writer goroutines and one
-// reader.
-type Selector struct {
-	mu       sync.Mutex
-	notEmpty *sync.Cond
-	notFull  [2]*sync.Cond
-	clock    Clock
-	name     string
-	caps     [2]int
-	inits    [2]int
-	space    [2]int64
-	wcnt     [2]int64
-	drops    [2]int64
-	reads    int64
-	fifo     []Token
-	faulty   [2]bool
-	faultAt  [2]time.Duration
-	reasons  [2]string
-	closed   bool
-	handler  FaultHandler
-	maxFill  int
-	divThres int64
+// NewSelector builds a concurrent selector with capacities, initial
+// fills and the eq. 5 divergence threshold d (0 disables).
+func NewSelector(clock Clock, name string, caps, inits [2]int, d int64, handler FaultHandler) *Selector {
+	s := &Selector{lockShell: lockShell{clock: clock, handler: handler}}
+	s.notEmpty = sync.NewCond(&s.mu)
+	s.notFull = [2]*sync.Cond{sync.NewCond(&s.mu), sync.NewCond(&s.mu)}
+	s.resyncWait = sync.NewCond(&s.mu)
+	s.core = *ft.NewSelectorState(name, caps[:], inits[:], d, nil, s.now, s.convict,
+		func(w ft.WaitOn, port int) { s.cond(w, port).Broadcast() })
+	return s
+}
 
-	// Re-integration state, mirroring ft.Selector: wBase rebases the
-	// pair index after recovery, lastSeqW is the stream index of the
-	// last counted write, resync marks an interface seeking its Seq
-	// alignment point, adjust keeps the space-counter identity exact
-	// across the alignment clamp, and selGrace excuses the re-aligned
-	// interface's transient lead. All-zero state reproduces the original
-	// counters exactly.
-	wBase       [2]int64
-	lastSeqW    [2]int64
-	resync      [2]bool
-	resyncDrops [2]int64
-	adjust      [2]int64
-	selGrace    [2]int64
-	resyncWait  *sync.Cond
-
-	probe Probe
-	// policy, when non-nil, arbitrates detection samples instead of the
-	// inline first-violation conviction (see ft.Policy). Per-channel
-	// instance; every Sample/Reset call happens under mu.
-	policy ft.Policy
+func (s *Selector) cond(w ft.WaitOn, port int) *sync.Cond {
+	switch w {
+	case ft.WaitData:
+		return s.notEmpty
+	case ft.WaitSpace:
+		return s.notFull[port]
+	default:
+		return s.resyncWait
+	}
 }
 
 // SetPolicy installs the selector's detection policy (nil keeps the
@@ -284,242 +218,56 @@ type Selector struct {
 // another channel: calls are serialized by this channel's lock only.
 func (s *Selector) SetPolicy(p ft.Policy) {
 	s.mu.Lock()
-	s.policy = p
+	s.core.SetPolicy(p)
 	s.mu.Unlock()
 }
 
-// NewSelector builds a concurrent selector with capacities, initial
-// fills and the eq. 5 divergence threshold d (0 disables).
-func NewSelector(clock Clock, name string, caps, inits [2]int, d int64, handler FaultHandler) *Selector {
-	if caps[0] <= 0 || caps[1] <= 0 {
-		panic(fmt.Sprintf("crt: selector %q capacities must be positive, got %v", name, caps))
-	}
-	for i := 0; i < 2; i++ {
-		if inits[i] < 0 || inits[i] > caps[i] {
-			panic(fmt.Sprintf("crt: selector %q init %d outside [0,%d]", name, inits[i], caps[i]))
-		}
-	}
-	s := &Selector{clock: clock, name: name, caps: caps, inits: inits, handler: handler, divThres: d}
-	s.notEmpty = sync.NewCond(&s.mu)
-	s.notFull[0] = sync.NewCond(&s.mu)
-	s.notFull[1] = sync.NewCond(&s.mu)
-	s.resyncWait = sync.NewCond(&s.mu)
-	nPre := inits[0]
-	if inits[1] > nPre {
-		nPre = inits[1]
-	}
-	for i := 0; i < nPre; i++ {
-		s.fifo = append(s.fifo, Token{Seq: int64(i) - int64(nPre) + 1})
-	}
-	s.maxFill = nPre
-	for i := 0; i < 2; i++ {
-		// Initial credits affect only space; pairing and divergence use
-		// actual write counts (see ft.Selector for why).
-		s.space[i] = int64(caps[i] - inits[i])
-	}
-	return s
-}
-
-// effW is interface i's pair index since its last (re-)integration base.
-func (s *Selector) effW(i int) int64 { return s.wcnt[i] - s.wBase[i] }
+// SetProbe installs the channel's probe (nil disables). Install probes
+// before the channel is shared between goroutines.
+func (s *Selector) SetProbe(p Probe) { s.core.SetProbe(probeFor(p)) }
 
 // Reintegrate puts interface replica (1-based) into resynchronization
-// after its replica has been repaired: stale tokens still in its
+// exactly as ft.Selector.Reintegrate does: stale tokens still in its
 // pipeline are discarded uncounted, and the first token at or just past
 // the healthy interface's write front re-aligns its pair index, space
 // counter and divergence base, clearing the conviction. The other
 // interface must be healthy (it is the reference stream); Reintegrate
-// reports false and does nothing otherwise. Mirrors
-// ft.Selector.Reintegrate for the wall-clock runtime.
+// reports false and does nothing otherwise.
 func (s *Selector) Reintegrate(replica int) bool {
-	i := replica - 1
-	h := 1 - i
 	s.mu.Lock()
-	defer s.mu.Unlock()
-	if s.faulty[h] || s.resync[h] || s.closed {
-		return false
-	}
-	if s.resync[i] {
-		return true
-	}
-	// A convicted replica is always at or behind the reference stream;
-	// re-integrating an interface that is ahead would re-align its pair
-	// index backwards and duplicate queued pairs — refuse instead.
-	if s.effW(i) > s.effW(h) {
-		return false
-	}
-	s.resync[i] = true
-	if fn := s.probe; fn != nil {
-		fn(ProbeEvent{At: s.clock.Now(), Channel: s.name, Kind: "reintegrate", Replica: replica, Fill: len(s.fifo)})
-	}
-	// A writer parked on the space counter must re-route through the
-	// resync path; one parked mid-resync re-evaluates the new state.
-	s.notFull[i].Broadcast()
-	s.resyncWait.Broadcast()
-	return true
-}
-
-// align ends interface i's resynchronization against healthy reference
-// h. back=0 aligns the pending token as the first of the next pair,
-// back=1 as the late duplicate of h's current pair. Caller holds s.mu.
-func (s *Selector) align(i, h int, back int64) {
-	s.wBase[i] = s.wcnt[i] - (s.effW(h) - back)
-	raw := int64(s.caps[i]-s.inits[i]) - s.effW(i) + s.reads
-	clamped := raw
-	if clamped < 0 {
-		clamped = 0
-	}
-	if c := int64(s.caps[i]); clamped > c {
-		clamped = c
-	}
-	s.adjust[i] = raw - clamped
-	s.space[i] = clamped
-	s.resync[i] = false
-	// The re-integrated replica's empty pipeline lets it race to the
-	// stream front; do not convict the healthy side for that transient.
-	s.selGrace[i] = int64(s.caps[i]) + s.divThres
-	s.faulty[i] = false
-	s.reasons[i] = ""
-	if s.policy != nil {
-		s.policy.Reset(i)
-	}
-	if fn := s.probe; fn != nil {
-		fn(ProbeEvent{At: s.clock.Now(), Channel: s.name, Kind: "aligned", Replica: i + 1, Fill: len(s.fifo)})
-	}
+	ok := !s.closed && s.core.Reintegrate(replica)
+	s.unlock()
+	return ok
 }
 
 // Write submits replica's (1-based) next token, blocking on the
 // interface's own space only (Lemma 1). Returns false after Close.
 func (s *Selector) Write(replica int, tok Token) bool {
-	i := replica - 1
-	other := 1 - i
-	var fire []Fault
 	s.mu.Lock()
-	for {
-		if s.closed {
-			s.mu.Unlock()
-			return false
+	for !s.closed {
+		w := s.core.TryWrite(replica, tok)
+		if w == ft.Proceed {
+			s.unlock()
+			return true
 		}
-		if s.resync[i] {
-			last := s.lastSeqW[other]
-			switch {
-			case tok.Seq <= 0 || tok.Seq < last:
-				// Stale pipeline remnant from before the outage: discard
-				// without counting.
-				s.resyncDrops[i]++
-				if fn := s.probe; fn != nil {
-					fn(ProbeEvent{At: s.clock.Now(), Channel: s.name, Kind: "drop-resync", Replica: replica, Fill: len(s.fifo)})
-				}
-				s.mu.Unlock()
-				return true
-			case tok.Seq == last:
-				s.align(i, other, 1) // late duplicate of other's current pair
-			case tok.Seq == last+1:
-				s.align(i, other, 0) // first token of the next pair
-			default:
-				// Ahead of the healthy write front: wait for the healthy
-				// interface to advance. Only the recovering side blocks
-				// here, so Lemma 1 isolation is preserved.
-				s.resyncWait.Wait()
-				continue
-			}
-		}
-		if s.space[i] == 0 {
-			s.notFull[i].Wait()
-			continue // a Reintegrate may have re-routed this interface
-		}
-		break
+		s.cond(w, replica-1).Wait()
 	}
-	if s.effW(i) >= s.effW(other) {
-		s.fifo = append(s.fifo, tok)
-		if len(s.fifo) > s.maxFill {
-			s.maxFill = len(s.fifo)
-		}
-		// The consumer parks only after observing an empty FIFO under
-		// this lock; later enqueues have nobody to wake.
-		if len(s.fifo) == 1 {
-			s.notEmpty.Signal()
-		}
-		if fn := s.probe; fn != nil {
-			fn(ProbeEvent{At: s.clock.Now(), Channel: s.name, Kind: "enqueue", Replica: replica, Fill: len(s.fifo)})
-		}
-	} else {
-		s.drops[i]++
-		if fn := s.probe; fn != nil {
-			fn(ProbeEvent{At: s.clock.Now(), Channel: s.name, Kind: "drop-duplicate", Replica: replica, Fill: len(s.fifo)})
-		}
-	}
-	s.wcnt[i]++
-	s.space[i]--
-	s.lastSeqW[i] = tok.Seq
-	if s.selGrace[i] > 0 {
-		s.selGrace[i]--
-	}
-	if s.resync[other] {
-		s.resyncWait.Broadcast()
-	}
-	if s.divThres > 0 && !s.faulty[other] && !s.resync[other] && s.selGrace[i] == 0 {
-		lead := s.effW(i) - s.effW(other)
-		if sampleDetect(s.policy, other, "divergence", lead >= s.divThres) {
-			s.faulty[other] = true
-			s.faultAt[other] = s.clock.Now()
-			s.reasons[other] = "divergence"
-			fire = append(fire, Fault{Channel: s.name, Replica: other + 1, At: s.faultAt[other], Reason: "divergence"})
-		}
-	}
-	s.mu.Unlock()
-	for _, f := range fire {
-		if s.handler != nil {
-			s.handler(f)
-		}
-	}
-	return true
+	s.unlock()
+	return false
 }
 
 // Read blocks until a token is queued; ok is false once the selector is
 // closed and drained.
 func (s *Selector) Read() (Token, bool) {
-	var fire []Fault
 	s.mu.Lock()
-	for len(s.fifo) == 0 && !s.closed {
+	for {
+		tok, w := s.core.TryRead()
+		if w == ft.Proceed || s.closed {
+			s.unlock()
+			return tok, w == ft.Proceed
+		}
 		s.notEmpty.Wait()
 	}
-	if len(s.fifo) == 0 {
-		s.mu.Unlock()
-		return Token{}, false
-	}
-	tok := s.fifo[0]
-	copy(s.fifo, s.fifo[1:])
-	s.fifo = s.fifo[:len(s.fifo)-1]
-	s.reads++
-	if fn := s.probe; fn != nil {
-		fn(ProbeEvent{At: s.clock.Now(), Channel: s.name, Kind: "read", Fill: len(s.fifo)})
-	}
-	for i := 0; i < 2; i++ {
-		s.space[i]++
-		// An interface mid-resync is exempt until it re-aligns.
-		if !s.faulty[i] && !s.resync[i] {
-			if sampleDetect(s.policy, i, "consumer-stall", s.space[i] > int64(s.caps[i])) {
-				s.faulty[i] = true
-				s.faultAt[i] = s.clock.Now()
-				s.reasons[i] = "consumer-stall"
-				fire = append(fire, Fault{Channel: s.name, Replica: i + 1, At: s.faultAt[i], Reason: "consumer-stall"})
-			}
-		}
-		// Writer i parks only after observing zero space under this lock
-		// (Reintegrate re-routes it with its own broadcast), so only the
-		// 0 -> 1 space transition can have a waiter to wake.
-		if s.space[i] == 1 {
-			s.notFull[i].Signal()
-		}
-	}
-	s.mu.Unlock()
-	for _, f := range fire {
-		if s.handler != nil {
-			s.handler(f)
-		}
-	}
-	return tok, true
 }
 
 // Close wakes everyone.
@@ -537,44 +285,31 @@ func (s *Selector) Close() {
 func (s *Selector) Faulty(replica int) (bool, time.Duration, string) {
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	return s.faulty[replica-1], s.faultAt[replica-1], s.reasons[replica-1]
+	ok, at, reason := s.core.Faulty(replica)
+	return ok, time.Duration(at), string(reason)
 }
 
-// Drops returns replica's (1-based) discarded late duplicates; MaxFill
-// the largest queue fill observed.
+// Drops returns replica's (1-based) discarded late duplicates.
 func (s *Selector) Drops(replica int) int64 {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	return s.drops[replica-1]
+	return locked(&s.lockShell, func() int64 { return s.core.Drops(replica) })
 }
 
 // Writes returns how many tokens interface replica (1-based) has
 // written (counted writes only).
 func (s *Selector) Writes(replica int) int64 {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	return s.wcnt[replica-1]
+	return locked(&s.lockShell, func() int64 { return s.core.Writes(replica) })
 }
 
 // ResyncDrops counts stale tokens interface replica (1-based) discarded
-// uncounted during re-integration; Resyncing reports whether it is
-// still seeking its alignment point.
+// uncounted during re-integration.
 func (s *Selector) ResyncDrops(replica int) int64 {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	return s.resyncDrops[replica-1]
+	return locked(&s.lockShell, func() int64 { return s.core.ResyncDrops(replica) })
 }
 
 // Resyncing reports whether interface replica (1-based) is mid-resync.
 func (s *Selector) Resyncing(replica int) bool {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	return s.resync[replica-1]
+	return locked(&s.lockShell, func() bool { return s.core.Resyncing(replica) })
 }
 
 // MaxFill returns the largest observed fill.
-func (s *Selector) MaxFill() int {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	return s.maxFill
-}
+func (s *Selector) MaxFill() int { return locked(&s.lockShell, s.core.MaxFill) }

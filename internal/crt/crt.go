@@ -1,25 +1,24 @@
 // Package crt is the concurrent runtime: the same replicator/selector
-// arbitration and counter-based fault detection as package ft, but
-// running on real goroutines and wall-clock time instead of the
-// deterministic simulation kernel. It exists to demonstrate that the
-// framework's rules are runtime-agnostic — every experiment in the
-// paper reproduction uses the des-based runtime for determinism, while
-// this package backs live demos and the DES-vs-goroutine throughput
-// benchmark.
+// arbitration and counter-based fault detection as package ft, running
+// on real goroutines and wall-clock time instead of the deterministic
+// simulation kernel. Its channels are thin lock shells around ft's
+// clock-free cores (ft.ReplicatorState, ft.SelectorState), so every
+// counter decision is the one the simulation makes. Every experiment in
+// the paper reproduction uses the des-based runtime for determinism;
+// this package backs live demos and the wall-clock benchmark.
 //
-// Concurrency discipline: the replicator and selector guard their
-// counters with one mutex and signal blocked peers through sync.Cond,
-// mirroring the blocking FIFO semantics of Section 2; all detection
-// rules are evaluated under the same lock that mutates the counters, so
-// a conviction is always consistent with the counter state that caused
-// it. Signals are transition-predicated: a waiter is woken only when
-// the predicate it blocks on (its queue's emptiness, its interface's
-// space) actually changed, which on the paper's point-to-point channel
-// topology (one goroutine per channel end) cuts futex traffic without
-// changing who can proceed. The plain FIFO, whose two ends are single
-// goroutines by construction, additionally has a lock-free ring fast
-// path (see FIFO); LockedFIFO keeps the mutex-only implementation as
-// the semantic oracle.
+// Concurrency discipline: each replicator and selector runs every core
+// operation under one mutex and parks blocked peers on a sync.Cond per
+// core wait condition, mirroring the blocking FIFO semantics of Section
+// 2; a conviction is therefore always consistent with the counter state
+// that caused it, and fault handlers run after the lock is released.
+// The core wakes a condition only when its predicate may have changed
+// (a queue's emptiness, an interface's space), which on the paper's
+// point-to-point channel topology (one goroutine per channel end) cuts
+// futex traffic without changing who can proceed. The plain FIFO, whose
+// two ends are single goroutines by construction, additionally has a
+// lock-free ring fast path (see FIFO); LockedFIFO keeps the mutex-only
+// implementation as the semantic oracle.
 package crt
 
 import (

@@ -5,6 +5,8 @@ import (
 	"sync/atomic"
 	"testing"
 	"time"
+
+	"ftpn/internal/ft"
 )
 
 // fakeClock is a manually advanced clock for deterministic tests.
@@ -150,8 +152,8 @@ func TestReplicatorQueueFullConviction(t *testing.T) {
 	}
 	mu.Lock()
 	defer mu.Unlock()
-	if len(faults) != 1 || faults[0].Reason != "queue-full" || faults[0].Replica != 1 {
-		t.Errorf("faults = %v", faults)
+	if len(faults) != 1 || faults[0].Reason != "queue-full" || faults[0].Replica != 1 || faults[0].Kind != ft.KindTiming {
+		t.Errorf("faults = %+v", faults)
 	}
 }
 
@@ -224,7 +226,7 @@ func TestSelectorDivergenceConviction(t *testing.T) {
 		s.Write(1, Token{Seq: i})
 	}
 	f, _ := fault.Load().(Fault)
-	if f.Replica != 2 || f.Reason != "divergence" || f.At != time.Millisecond {
+	if f.Replica != 2 || f.Reason != "divergence" || f.At != time.Millisecond || f.Kind != ft.KindTiming {
 		t.Errorf("fault = %+v", f)
 	}
 	if ok, _, reason := s.Faulty(2); !ok || reason != "divergence" {

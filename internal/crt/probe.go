@@ -2,10 +2,11 @@ package crt
 
 import "time"
 
-// ProbeEvent is one channel-level event from the wall-clock runtime,
-// mirroring ft.ProbeEvent with real timestamps. Kind values match
-// ft.ProbeKind.String(): "write", "enqueue", "read", "drop-duplicate",
-// "drop-lost", "drop-resync", "reintegrate", "aligned".
+// ProbeEvent is one channel-level event from the wall-clock runtime:
+// ft.ProbeEvent with a real timestamp. Kind is the event's
+// ft.ProbeKind.String() ("write", "enqueue", "read", "drop-duplicate",
+// "drop-lost", "drop-slide", "drop-resync", "reintegrate", "aligned",
+// "forgiven", "drop-value").
 type ProbeEvent struct {
 	At      time.Duration
 	Channel string
@@ -20,11 +21,3 @@ type ProbeEvent struct {
 // into the channel. Metric updates (internal/obs) satisfy this. A nil
 // probe costs one predicted branch per event site.
 type Probe func(ProbeEvent)
-
-// SetProbe installs the channel's probe (nil disables). Install probes
-// before the channel is shared between goroutines.
-func (r *Replicator) SetProbe(p Probe) { r.probe = p }
-
-// SetProbe installs the channel's probe (nil disables). Install probes
-// before the channel is shared between goroutines.
-func (s *Selector) SetProbe(p Probe) { s.probe = p }

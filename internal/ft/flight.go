@@ -28,10 +28,10 @@ func InstrumentFlight(sys *System, st *obs.FlightStream) {
 			Aux:     e.Lead,
 		})
 	}
-	for _, r := range sortedReplicators(sys) {
+	for _, r := range sortedValues(sys.Replicators) {
 		r.SetProbe(chainProbe(r.probe, mirror))
 	}
-	for _, s := range sortedSelectors(sys) {
+	for _, s := range sortedValues(sys.Selectors) {
 		s.SetProbe(chainProbe(s.probe, mirror))
 	}
 	sys.AddFaultHook(func(f Fault) {

@@ -59,79 +59,3 @@ func (f Fault) String() string {
 
 // FaultHandler receives detection events as they happen.
 type FaultHandler func(Fault)
-
-// faultState is the shared detection bookkeeping of a channel.
-type faultState struct {
-	channel string
-	k       *des.Kernel
-	faulty  [2]bool
-	at      [2]des.Time
-	reasons [2]Reason
-	handler FaultHandler
-	// policy, when non-nil, arbitrates detection samples instead of the
-	// inline first-violation conviction (see policy.go). Per-channel
-	// instance; must be installed before the kernel runs.
-	policy Policy
-}
-
-// flag marks replica r (0-based) faulty if it is not already, invoking
-// the handler once.
-func (fs *faultState) flag(r int, reason Reason) {
-	if fs.faulty[r] {
-		return
-	}
-	fs.faulty[r] = true
-	fs.at[r] = fs.k.Now()
-	fs.reasons[r] = reason
-	if fs.handler != nil {
-		fs.handler(Fault{Channel: fs.channel, Replica: r + 1, At: fs.k.Now(), Reason: reason, Kind: kindOf(reason)})
-	}
-}
-
-// sample routes one detection-predicate evaluation through the policy.
-// With no policy it reproduces the inline behavior: convict iff
-// violated. forgiven reports a violation the policy chose to ride out
-// (probe sites surface it as ProbeForgiven).
-func (fs *faultState) sample(r int, reason Reason, violation bool) (convict, forgiven bool) {
-	if fs.policy == nil {
-		return violation, false
-	}
-	convict = fs.policy.Sample(r, reason, violation)
-	return convict, violation && !convict
-}
-
-// setPolicy installs the channel's detection policy (nil keeps the
-// inline first-violation path).
-func (fs *faultState) setPolicy(p Policy) { fs.policy = p }
-
-// PolicyInfo reports the installed policy's name and replica r's
-// (1-based) current window state for the reason, rendered
-// "violations/k". Both are empty on the inline path — convictions then
-// carry no policy annotation.
-func (fs *faultState) PolicyInfo(r int, reason Reason) (name, window string) {
-	if fs.policy == nil {
-		return "", ""
-	}
-	v, k := fs.policy.Window(r-1, reason)
-	return fs.policy.Name(), fmt.Sprintf("%d/%d", v, k)
-}
-
-// reinstate clears replica r's (0-based) conviction so detection re-arms
-// for the next fault, and resets its policy window — a recovered
-// replica starts with a clean violation history.
-func (fs *faultState) reinstate(r int) {
-	fs.faulty[r] = false
-	if fs.policy != nil {
-		fs.policy.Reset(r)
-	}
-}
-
-// Faulty reports whether replica r (1-based) has been marked faulty, and
-// if so when and why.
-func (fs *faultState) Faulty(r int) (bool, des.Time, Reason) {
-	i := r - 1
-	if i < 0 || i > 1 {
-		panic(fmt.Sprintf("ft: replica index %d out of range {1,2}", r))
-	}
-	return fs.faulty[i], fs.at[i], fs.reasons[i]
-}

@@ -285,3 +285,50 @@ func TestNEquivalentToTwoReplicaChannels(t *testing.T) {
 		}
 	}
 }
+
+// TestNSelectorMKPolicyThirdReplica: an (m,k) policy on a 3-way selector
+// keeps a window for replica 3 too. mk(2,16) forgives its first two
+// divergence violations and convicts on the third, with Kind set.
+func TestNSelectorMKPolicyThirdReplica(t *testing.T) {
+	k := des.NewKernel()
+	var faults []Fault
+	s := NewNSelector(k, "S", []int{16, 16, 16}, []int{0, 0, 0}, 3, nil, func(f Fault) { faults = append(faults, f) })
+	mk, err := NewMKPolicy(2, 16)
+	if err != nil {
+		t.Fatal(err)
+	}
+	s.SetPolicy(mk)
+	forgiven := 0
+	s.SetProbe(func(e ProbeEvent) {
+		if e.Kind == ProbeForgiven && e.Replica == 3 {
+			forgiven++
+		}
+	})
+	k.Spawn("d", 0, func(p *des.Proc) {
+		// Replica 3 is silent: from pair 3 on, every write by replica 1
+		// or 2 leads it by at least D = 3.
+		for seq := int64(1); seq <= 4; seq++ {
+			s.WriterPort(1).Write(p, kpn.Token{Seq: seq})
+			s.WriterPort(2).Write(p, kpn.Token{Seq: seq})
+		}
+	})
+	k.Run(0)
+	k.Shutdown()
+	if forgiven != 2 {
+		t.Errorf("forgiven violations of replica 3 = %d, want 2", forgiven)
+	}
+	if len(faults) != 1 {
+		t.Fatalf("faults = %v, want one conviction of replica 3", faults)
+	}
+	if f := faults[0]; f.Replica != 3 || f.Reason != ReasonDivergence || f.Kind != KindTiming {
+		t.Errorf("fault = %+v, want replica 3 divergence of kind %q", f, KindTiming)
+	}
+	if name, window := s.PolicyInfo(3, ReasonDivergence); name != "mk(2,16)" || window != "3/16" {
+		t.Errorf("PolicyInfo(3) = %s %s, want mk(2,16) 3/16", name, window)
+	}
+	for r := 1; r <= 2; r++ {
+		if ok, _, _ := s.Faulty(r); ok {
+			t.Errorf("healthy replica %d convicted", r)
+		}
+	}
+}

@@ -2,7 +2,6 @@ package ft
 
 import (
 	"fmt"
-	"sort"
 
 	"ftpn/internal/des"
 	"ftpn/internal/kpn"
@@ -37,35 +36,6 @@ func replicaLabels(channel string, r int) obs.Labels {
 // queue capacities across the experiments stay well under 256.
 var fillBuckets = []int64{1, 2, 4, 8, 16, 32, 64, 128, 256}
 
-// sortedReplicators returns the system's replicators in name order so
-// metric registration is deterministic.
-func sortedReplicators(sys *System) []*Replicator {
-	names := make([]string, 0, len(sys.Replicators))
-	for n := range sys.Replicators {
-		names = append(names, n)
-	}
-	sort.Strings(names)
-	out := make([]*Replicator, len(names))
-	for i, n := range names {
-		out[i] = sys.Replicators[n]
-	}
-	return out
-}
-
-// sortedSelectors mirrors sortedReplicators for selectors.
-func sortedSelectors(sys *System) []*Selector {
-	names := make([]string, 0, len(sys.Selectors))
-	for n := range sys.Selectors {
-		names = append(names, n)
-	}
-	sort.Strings(names)
-	out := make([]*Selector, len(names))
-	for i, n := range names {
-		out[i] = sys.Selectors[n]
-	}
-	return out
-}
-
 // fifoMetrics adapts a plain FIFO's Observer events to fill metrics.
 type fifoMetrics struct {
 	fill *obs.Gauge
@@ -92,7 +62,7 @@ func Instrument(sys *System, reg *obs.Registry) {
 	if reg == nil {
 		return
 	}
-	for _, r := range sortedReplicators(sys) {
+	for _, r := range sortedValues(sys.Replicators) {
 		r := r
 		name := r.Name()
 		chLabel := obs.Labels{"channel": name}
@@ -135,7 +105,7 @@ func Instrument(sys *System, reg *obs.Registry) {
 			}
 		}))
 	}
-	for _, s := range sortedSelectors(sys) {
+	for _, s := range sortedValues(sys.Selectors) {
 		s := s
 		name := s.Name()
 		chLabel := obs.Labels{"channel": name}
@@ -184,12 +154,7 @@ func Instrument(sys *System, reg *obs.Registry) {
 	}
 	// Plain FIFOs (internal replica channels and reliable-to-reliable
 	// links) expose fill through the kpn observer interface.
-	fifoNames := make([]string, 0, len(sys.FIFOs))
-	for n := range sys.FIFOs {
-		fifoNames = append(fifoNames, n)
-	}
-	sort.Strings(fifoNames)
-	for _, n := range fifoNames {
+	for _, n := range sortedKeys(sys.FIFOs) {
 		l := obs.Labels{"channel": n}
 		sys.FIFOs[n].Observe(fifoMetrics{
 			fill: reg.Gauge("ftpn_kpn_fifo_fill", "Current plain FIFO fill.", l),
@@ -210,7 +175,7 @@ func InstrumentTrace(sys *System, rec *obs.TraceRecorder) {
 	if rec == nil {
 		return
 	}
-	for _, r := range sortedReplicators(sys) {
+	for _, r := range sortedValues(sys.Replicators) {
 		r := r
 		track := "fill " + r.Name()
 		r.SetProbe(chainProbe(r.probe, func(e ProbeEvent) {
@@ -224,7 +189,7 @@ func InstrumentTrace(sys *System, rec *obs.TraceRecorder) {
 			}
 		}))
 	}
-	for _, s := range sortedSelectors(sys) {
+	for _, s := range sortedValues(sys.Selectors) {
 		s := s
 		track := "fill " + s.Name()
 		s.SetProbe(chainProbe(s.probe, func(e ProbeEvent) {

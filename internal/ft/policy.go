@@ -27,9 +27,9 @@ import (
 //
 // A nil Policy on a channel keeps the original inline first-violation
 // code path (zero overhead, bit-identical behavior); policies are
-// per-channel instances and are not safe for concurrent use except
-// under the owning channel's lock (the crt wall-clock mirrors call them
-// with the channel mutex held).
+// per-channel instances and are not safe for concurrent use: the channel
+// core calls them only inside its operations, which the crt wall-clock
+// shells serialize under the channel mutex.
 
 // FaultKind classifies what a conviction is evidence of: a timing-bound
 // violation (the paper's model) or a payload value divergence (RepTFD
@@ -170,7 +170,7 @@ func (binaryPolicy) Reset(int)                                   {}
 // divergence excursion does not consume the queue-overflow budget.
 type MKPolicy struct {
 	m, k int
-	win  [2][numReasons]mkWindow
+	win  [][numReasons]mkWindow // per replica, grown on first use
 }
 
 // NewMKPolicy validates and builds an (m,k) policy. k must be at least
@@ -184,12 +184,19 @@ func NewMKPolicy(m, k int) (*MKPolicy, error) {
 		return nil, fmt.Errorf("ft: (m,k) policy needs 0 <= m < k, got (%d,%d)", m, k)
 	}
 	p := &MKPolicy{m: m, k: k}
-	for r := range p.win {
-		for j := range p.win[r] {
-			p.win[r][j].init(k)
-		}
-	}
+	p.grow(1) // the common two-replica case never grows on the hot path
 	return p, nil
+}
+
+// grow adds fresh windows for every replica up to r (0-based).
+func (p *MKPolicy) grow(r int) {
+	for len(p.win) <= r {
+		var w [numReasons]mkWindow
+		for j := range w {
+			w[j].init(p.k)
+		}
+		p.win = append(p.win, w)
+	}
 }
 
 // MK returns the policy's (m, k) parameters.
@@ -206,6 +213,9 @@ func (p *MKPolicy) Sample(r int, reason Reason, violation bool) bool {
 	if !ok {
 		return violation
 	}
+	if r >= len(p.win) {
+		p.grow(r)
+	}
 	w := &p.win[r][j]
 	w.push(violation)
 	return w.count > p.m
@@ -217,11 +227,17 @@ func (p *MKPolicy) Window(r int, reason Reason) (violations, k int) {
 	if !ok {
 		return 0, 1
 	}
+	if r >= len(p.win) {
+		return 0, p.k
+	}
 	return p.win[r][j].count, p.k
 }
 
 // Reset implements Policy.
 func (p *MKPolicy) Reset(r int) {
+	if r >= len(p.win) {
+		return
+	}
 	for j := range p.win[r] {
 		p.win[r][j].init(p.k)
 	}
@@ -331,14 +347,6 @@ func (p ValuePolicy) Reset(r int) {
 		p.Timing.Reset(r)
 	}
 }
-
-// SetPolicy installs the selector's detection policy before the kernel
-// runs; nil keeps the paper's inline first-violation path.
-func (s *Selector) SetPolicy(p Policy) { s.setPolicy(p) }
-
-// SetPolicy installs the replicator's detection policy before the
-// kernel runs; nil keeps the paper's inline first-violation path.
-func (r *Replicator) SetPolicy(p Policy) { r.setPolicy(p) }
 
 // ValueCheck cross-checks one selector write against the golden replay:
 // pair is the 1-based duplicate-pair index the token would occupy, and

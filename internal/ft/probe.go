@@ -48,34 +48,16 @@ const (
 	ProbeDropValue
 )
 
+// probeKindNames are the kinds' log and trace names, indexed by kind.
+var probeKindNames = [...]string{"write", "enqueue", "read", "drop-duplicate", "drop-lost",
+	"drop-slide", "drop-resync", "reintegrate", "aligned", "forgiven", "drop-value"}
+
 // String names the kind for logs and trace markers.
 func (k ProbeKind) String() string {
-	switch k {
-	case ProbeWrite:
-		return "write"
-	case ProbeEnqueue:
-		return "enqueue"
-	case ProbeRead:
-		return "read"
-	case ProbeDropDuplicate:
-		return "drop-duplicate"
-	case ProbeDropLost:
-		return "drop-lost"
-	case ProbeDropSlide:
-		return "drop-slide"
-	case ProbeDropResync:
-		return "drop-resync"
-	case ProbeReintegrate:
-		return "reintegrate"
-	case ProbeAligned:
-		return "aligned"
-	case ProbeForgiven:
-		return "forgiven"
-	case ProbeDropValue:
-		return "drop-value"
-	default:
-		return "unknown"
+	if int(k) < len(probeKindNames) {
+		return probeKindNames[k]
 	}
+	return "unknown"
 }
 
 // ProbeEvent is one channel-level event delivered to a probe. Events
@@ -95,15 +77,3 @@ type ProbeEvent struct {
 // probe costs one predicted branch per event site (see internal/obs for
 // the same contract on metric updates).
 type Probe func(ProbeEvent)
-
-// SetProbe installs the channel's probe (nil disables).
-func (r *Replicator) SetProbe(p Probe) { r.probe = p }
-
-// SetProbe installs the channel's probe (nil disables).
-func (s *Selector) SetProbe(p Probe) { s.probe = p }
-
-// SetProbe installs the channel's probe (nil disables).
-func (r *NReplicator) SetProbe(p Probe) { r.probe = p }
-
-// SetProbe installs the channel's probe (nil disables).
-func (s *NSelector) SetProbe(p Probe) { s.probe = p }

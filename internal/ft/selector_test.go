@@ -251,3 +251,25 @@ func TestSelectorPortNames(t *testing.T) {
 		t.Error("port names wrong")
 	}
 }
+
+// TestSelectorFIFOStaysBounded: a FIFO that never drains (preloaded
+// tokens keep it non-empty) reuses its consumed head slots instead of
+// growing with every token ever queued — the wall-clock runtime streams
+// through the same core for as long as a demo runs.
+func TestSelectorFIFOStaysBounded(t *testing.T) {
+	s := NewSelectorState("S", []int{4, 4}, []int{3, 3}, 0, nil,
+		func() int64 { return 0 }, nil, func(WaitOn, int) {})
+	for seq := int64(1); seq <= 10000; seq++ {
+		s.TryWrite(1, kpn.Token{Seq: seq})
+		s.TryWrite(2, kpn.Token{Seq: seq})
+		if _, w := s.TryRead(); w != Proceed {
+			t.Fatalf("read %d found the FIFO empty", seq)
+		}
+	}
+	if s.Fill() != 3 {
+		t.Fatalf("fill = %d, want the 3 preloaded tokens' worth", s.Fill())
+	}
+	if c := cap(s.fifo); c > 16 {
+		t.Errorf("FIFO capacity grew to %d slots for a fill of 4 at most", c)
+	}
+}
