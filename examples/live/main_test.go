@@ -91,9 +91,9 @@ func TestLiveDemoHTTPEndpoint(t *testing.T) {
 
 	// While the demo still streams: metrics and pprof must serve.
 	if st, body := get("/metrics"); st != http.StatusOK ||
-		!strings.Contains(body, "ftpn_crt_channel_events_total") ||
+		!strings.Contains(body, "ftpn_flight_events_total") ||
 		!strings.Contains(body, `kind="drop-slide"`) ||
-		!strings.Contains(body, "# TYPE ftpn_crt_channel_fill gauge") ||
+		!strings.Contains(body, "# TYPE ftpn_flight_fill gauge") ||
 		!strings.Contains(body, "ftpn_build_info{") ||
 		!strings.Contains(body, "ftpn_process_uptime_seconds") {
 		t.Errorf("/metrics status %d, body:\n%.400s", st, body)

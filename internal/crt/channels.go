@@ -6,6 +6,7 @@ import (
 	"time"
 
 	"ftpn/internal/ft"
+	"ftpn/internal/obs"
 )
 
 // Fault is a detection event from a concurrent channel.
@@ -67,16 +68,6 @@ func locked[T any](l *lockShell, get func() T) T {
 	return get()
 }
 
-// probeFor adapts a wall-clock probe to the core's probe events.
-func probeFor(p Probe) ft.Probe {
-	if p == nil {
-		return nil
-	}
-	return func(e ft.ProbeEvent) {
-		p(ProbeEvent{At: time.Duration(e.At), Channel: e.Channel, Kind: e.Kind.String(), Replica: e.Replica, Fill: e.Fill})
-	}
-}
-
 // Replicator is the concurrent two-queue replicator with queue-full
 // fault detection (§3.3), safe for one writer and two reader
 // goroutines: an ft.ReplicatorState under one mutex, with readers
@@ -107,9 +98,24 @@ func (r *Replicator) SetPolicy(p ft.Policy) {
 	r.mu.Unlock()
 }
 
-// SetProbe installs the channel's probe (nil disables). Install probes
-// before the channel is shared between goroutines.
-func (r *Replicator) SetProbe(p Probe) { r.core.SetProbe(probeFor(p)) }
+// SetProbe installs the channel's probe (nil disables). Probe events
+// are stamped in wall-clock ns, and the probe runs with the channel
+// lock held: it must be cheap and must not call back into the channel.
+func (r *Replicator) SetProbe(p ft.Probe) {
+	r.mu.Lock()
+	r.core.SetProbe(p)
+	r.mu.Unlock()
+}
+
+// RecordFlight mirrors the channel's probe events and convictions into
+// st (nil disarms) through the emitter ft.InstrumentFlight arms on the
+// simulated channels, stamped in wall-clock µs; a conviction's fill and
+// divergence are sampled under the channel lock.
+func (r *Replicator) RecordFlight(st *obs.FlightStream) {
+	r.mu.Lock()
+	r.core.RecordFlight(st, int64(time.Microsecond))
+	r.mu.Unlock()
+}
 
 // Write duplicates the token into every healthy queue; a full queue
 // convicts its replica and the producer never blocks. Returns false
@@ -222,9 +228,21 @@ func (s *Selector) SetPolicy(p ft.Policy) {
 	s.mu.Unlock()
 }
 
-// SetProbe installs the channel's probe (nil disables). Install probes
-// before the channel is shared between goroutines.
-func (s *Selector) SetProbe(p Probe) { s.core.SetProbe(probeFor(p)) }
+// SetProbe installs the channel's probe (nil disables), as
+// Replicator.SetProbe does.
+func (s *Selector) SetProbe(p ft.Probe) {
+	s.mu.Lock()
+	s.core.SetProbe(p)
+	s.mu.Unlock()
+}
+
+// RecordFlight mirrors the channel's events into st, as
+// Replicator.RecordFlight does.
+func (s *Selector) RecordFlight(st *obs.FlightStream) {
+	s.mu.Lock()
+	s.core.RecordFlight(st, int64(time.Microsecond))
+	s.mu.Unlock()
+}
 
 // Reintegrate puts interface replica (1-based) into resynchronization
 // exactly as ft.Selector.Reintegrate does: stale tokens still in its

@@ -8,14 +8,17 @@ import (
 	"ftpn/internal/des"
 	"ftpn/internal/ft"
 	"ftpn/internal/kpn"
+	"ftpn/internal/obs"
 )
 
 // The cross-runtime differential test runs the same single-goroutine,
 // never-blocking operation script through the DES channels (driven by
 // one zero-delay process) and through the wall-clock channels (driven
 // by the test goroutine on a fakeClock). Both runtimes share one
-// arbitration core, so the (kind, replica, fill) probe sequences, the
-// tokens read and the (replica, reason) fault lists must be identical.
+// arbitration core and one flight emitter, so the (kind, replica, fill)
+// probe sequences, the flight events (kind, replica, fill, aux, reason),
+// the tokens read and the (replica, reason) fault lists must be
+// identical.
 
 type crossOpKind uint8
 
@@ -127,8 +130,18 @@ var crossScripts = []crossScript{
 // crossTrace is what both runtimes must agree on.
 type crossTrace struct {
 	events []string // "channel kind Rreplica fill"
+	flight []string // "channel kind Rreplica fill aux reason"
 	tokens []int64  // seqs returned by reads, in order
 	faults []string // "channel Rreplica reason"
+}
+
+// flightLog renders the recorded flight events without their timestamps
+// (the runtimes' clocks differ).
+func flightLog(fr *obs.FlightRecorder) (out []string) {
+	for _, e := range fr.Events() {
+		out = append(out, fmt.Sprintf("%s %s R%d fill=%d aux=%d %s", e.Channel, e.Kind, e.Replica, e.Fill, e.Aux, e.Reason))
+	}
+	return out
 }
 
 func (tr *crossTrace) event(channel, kind string, replica, fill int) {
@@ -159,6 +172,10 @@ func runCrossDES(t *testing.T, sc crossScript) crossTrace {
 	probe := func(e ft.ProbeEvent) { tr.event(e.Channel, e.Kind.String(), e.Replica, e.Fill) }
 	rep.SetProbe(probe)
 	sel.SetProbe(probe)
+	fr := obs.NewFlightRecorder(0)
+	st := fr.Stream(0)
+	rep.RecordFlight(st, 1)
+	sel.RecordFlight(st, 1)
 	if p := crossPolicy(t, sc.mk); p != nil {
 		rep.SetPolicy(p)
 		sel.SetPolicy(crossPolicy(t, sc.mk))
@@ -183,6 +200,7 @@ func runCrossDES(t *testing.T, sc crossScript) crossTrace {
 	})
 	k.Run(0)
 	k.Shutdown()
+	tr.flight = flightLog(fr)
 	return tr
 }
 
@@ -192,9 +210,13 @@ func runCrossCRT(t *testing.T, sc crossScript) crossTrace {
 	onFault := func(f Fault) { tr.fault(f.Channel, f.Replica, f.Reason) }
 	rep := NewReplicator(clock, "R", sc.repCaps, onFault)
 	sel := NewSelector(clock, "S", sc.selCaps, sc.selInits, sc.d, onFault)
-	probe := func(e ProbeEvent) { tr.event(e.Channel, e.Kind, e.Replica, e.Fill) }
+	probe := func(e ft.ProbeEvent) { tr.event(e.Channel, e.Kind.String(), e.Replica, e.Fill) }
 	rep.SetProbe(probe)
 	sel.SetProbe(probe)
+	fr := obs.NewFlightRecorder(0)
+	st := fr.Stream(0)
+	rep.RecordFlight(st)
+	sel.RecordFlight(st)
 	if p := crossPolicy(t, sc.mk); p != nil {
 		rep.SetPolicy(p)
 		sel.SetPolicy(crossPolicy(t, sc.mk))
@@ -220,6 +242,7 @@ func runCrossCRT(t *testing.T, sc crossScript) crossTrace {
 	}
 	rep.Close()
 	sel.Close()
+	tr.flight = flightLog(fr)
 	return tr
 }
 
@@ -230,6 +253,9 @@ func TestCrossRuntimeChannelsAgree(t *testing.T) {
 			if !reflect.DeepEqual(d.events, c.events) {
 				t.Errorf("probe events differ\nDES: %q\ncrt: %q", d.events, c.events)
 			}
+			if !reflect.DeepEqual(d.flight, c.flight) {
+				t.Errorf("flight events differ\nDES: %q\ncrt: %q", d.flight, c.flight)
+			}
 			if !reflect.DeepEqual(d.tokens, c.tokens) {
 				t.Errorf("tokens read differ\nDES: %v\ncrt: %v", d.tokens, c.tokens)
 			}
@@ -238,6 +264,10 @@ func TestCrossRuntimeChannelsAgree(t *testing.T) {
 			}
 			if len(d.events) == 0 {
 				t.Error("script produced no probe events")
+			}
+			if len(d.flight) != len(d.events)+len(d.faults) {
+				t.Errorf("flight events = %d, want one per probe event and conviction (%d + %d)",
+					len(d.flight), len(d.events), len(d.faults))
 			}
 		})
 	}

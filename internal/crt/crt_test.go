@@ -1,12 +1,14 @@
 package crt
 
 import (
+	"strconv"
 	"sync"
 	"sync/atomic"
 	"testing"
 	"time"
 
 	"ftpn/internal/ft"
+	"ftpn/internal/obs"
 )
 
 // fakeClock is a manually advanced clock for deterministic tests.
@@ -214,6 +216,48 @@ func TestSelectorConcurrentDedup(t *testing.T) {
 	}
 	if s.Drops(1)+s.Drops(2) != n {
 		t.Errorf("total drops = %d, want %d (every pair has one late copy)", s.Drops(1)+s.Drops(2), n)
+	}
+}
+
+// TestSelectorConcurrentFlightMetrics feeds one flight stream and its
+// metrics sink from two writer goroutines and a reader: the counts must
+// equal the selector's own counters.
+func TestSelectorConcurrentFlightMetrics(t *testing.T) {
+	s := NewSelector(NewWallClock(), "S", [2]int{16, 16}, [2]int{0, 0}, 0, nil)
+	reg := obs.NewRegistry()
+	st := obs.NewFlightRecorder(64).Stream(0) // wraps: the counts must not
+	st.SetMetrics(reg)
+	s.RecordFlight(st)
+	const n = 400
+	var wg sync.WaitGroup
+	for rep := 1; rep <= 2; rep++ {
+		wg.Add(1)
+		go func(rep int) {
+			defer wg.Done()
+			for i := int64(1); i <= n; i++ {
+				s.Write(rep, Token{Seq: i})
+			}
+		}(rep)
+	}
+	for i := 0; i < n; i++ {
+		if _, ok := s.Read(); !ok {
+			t.Fatal("selector closed early")
+		}
+	}
+	wg.Wait()
+	events := func(replica int, kind string) int64 {
+		return reg.Counter("ftpn_flight_events_total", "", obs.Labels{
+			"channel": "S", "replica": strconv.Itoa(replica), "kind": kind}).Value()
+	}
+	for rep := 1; rep <= 2; rep++ {
+		enq, dup := events(rep, "enqueue"), events(rep, "drop-duplicate")
+		if enq+dup != s.Writes(rep) || dup != s.Drops(rep) {
+			t.Errorf("interface %d: enqueue %d + duplicate %d, engine writes %d drops %d",
+				rep, enq, dup, s.Writes(rep), s.Drops(rep))
+		}
+	}
+	if got := events(0, "read"); got != n {
+		t.Errorf("reads = %d, want %d", got, n)
 	}
 }
 

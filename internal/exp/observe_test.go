@@ -7,36 +7,60 @@ import (
 	"strings"
 	"testing"
 
+	"ftpn/internal/des"
+	"ftpn/internal/fault"
+	"ftpn/internal/ft"
 	"ftpn/internal/obs"
+	"ftpn/internal/recover"
 )
 
 // TestObservedRunMetricIdentities runs a campaign-style fault+recovery
-// execution with the metrics registry attached and checks that the obs
-// layer's view is identical to the engine's own counters.
+// execution with the flight recorder and its metrics sink attached and
+// checks that the obs layer's view is identical to the engine's own
+// counters.
 func TestObservedRunMetricIdentities(t *testing.T) {
 	app := ADPCMApp(false, 150)
-	reg := obs.NewRegistry()
-	sys, mgr, err := observedRun(app, 2, reg)
+	sizing, err := SizingFor(app)
 	if err != nil {
 		t.Fatal(err)
 	}
+	net, err := app.Build(nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	k := des.NewKernel()
+	sys, err := ft.Build(k, net, sizing.BuildConfig(app))
+	if err != nil {
+		t.Fatal(err)
+	}
+	reg := obs.NewRegistry()
+	st := obs.NewFlightRecorder(0).Stream(0)
+	st.SetMetrics(reg)
+	ft.InstrumentFlight(sys, st)
+	mgr := recover.NewManager(sys, recover.Plan{Delay: 10 * app.PeriodUs, MaxRecoveries: 1})
+	mgr.RecordFlight(st)
+	sys.InjectFault(2, des.Time(app.Tokens/3)*app.PeriodUs, fault.StopAll, 0)
+	k.Run(0)
+	k.Shutdown()
 	if len(sys.Faults) == 0 {
 		t.Fatal("observed run detected no fault")
 	}
+	events := func(channel string, replica int, kind string) int64 {
+		return reg.Counter("ftpn_flight_events_total", "", obs.Labels{
+			"channel": channel, "replica": fmt.Sprintf("%d", replica), "kind": kind}).Value()
+	}
 
-	// Replicator: the metrics relayed through probes must equal the
-	// engine counters exactly.
+	// Replicator: the metrics relayed through the flight stream must
+	// equal the engine counters exactly.
 	rep := sys.Replicators[app.InChan]
-	ch := obs.Labels{"channel": app.InChan}
-	if got := reg.Counter("ftpn_ft_rep_writes_total", "", ch).Value(); got != rep.Writes() {
+	if got := events(app.InChan, 0, "write"); got != rep.Writes() {
 		t.Errorf("rep writes metric = %d, engine %d", got, rep.Writes())
 	}
-	if got := reg.Counter("ftpn_ft_rep_lost_total", "", ch).Value(); got != rep.Lost() {
+	if got := events(app.InChan, 0, "drop-lost"); got != rep.Lost() {
 		t.Errorf("rep lost metric = %d, engine %d", got, rep.Lost())
 	}
 	for i := 1; i <= 2; i++ {
-		rl := obs.Labels{"channel": app.InChan, "replica": fmt.Sprintf("%d", i)}
-		if got := reg.Counter("ftpn_ft_rep_reads_total", "", rl).Value(); got != rep.Reads(i) {
+		if got := events(app.InChan, i, "read"); got != rep.Reads(i) {
 			t.Errorf("rep reads metric R%d = %d, engine %d", i, got, rep.Reads(i))
 		}
 	}
@@ -45,10 +69,9 @@ func TestObservedRunMetricIdentities(t *testing.T) {
 	// resync drops of the re-integration match the engine.
 	sel := sys.Selectors[app.OutChan]
 	for i := 1; i <= 2; i++ {
-		rl := obs.Labels{"channel": app.OutChan, "replica": fmt.Sprintf("%d", i)}
-		enq := reg.Counter("ftpn_ft_sel_enqueued_total", "", rl).Value()
-		dup := reg.Counter("ftpn_ft_sel_dup_drops_total", "", rl).Value()
-		rsd := reg.Counter("ftpn_ft_sel_resync_drops_total", "", rl).Value()
+		enq := events(app.OutChan, i, "enqueue")
+		dup := events(app.OutChan, i, "drop-duplicate")
+		rsd := events(app.OutChan, i, "drop-resync")
 		if enq+dup != sel.Writes(i) {
 			t.Errorf("sel R%d: enqueued %d + dup drops %d != writes %d", i, enq, dup, sel.Writes(i))
 		}
@@ -59,33 +82,40 @@ func TestObservedRunMetricIdentities(t *testing.T) {
 			t.Errorf("sel R%d: resync drops metric = %d, engine %d", i, rsd, sel.ResyncDrops(i))
 		}
 	}
-	if got := reg.Counter("ftpn_ft_sel_reads_total", "", obs.Labels{"channel": app.OutChan}).Value(); got != sel.Reads() {
+	if got := events(app.OutChan, 0, "read"); got != sel.Reads() {
 		t.Errorf("sel reads metric = %d, engine %d", got, sel.Reads())
 	}
 
-	// Detection and recovery lifecycle: every engine fault is one fault
-	// metric increment and one conviction, and each scheduled conviction
-	// is one started recovery.
-	for _, name := range []string{"ftpn_ft_faults_total", "ftpn_recover_convictions_total"} {
-		var total int64
-		seen := map[string]bool{}
-		for _, f := range sys.Faults {
-			key := f.Channel + "|" + fmt.Sprintf("%d", f.Replica) + "|" + string(f.Reason)
-			if seen[key] {
-				continue
-			}
-			seen[key] = true
-			total += reg.Counter(name, "", obs.Labels{
-				"channel": f.Channel, "replica": fmt.Sprintf("%d", f.Replica), "reason": string(f.Reason),
-			}).Value()
-		}
-		if total != int64(len(sys.Faults)) {
-			t.Errorf("%s sums to %d, engine recorded %d faults", name, total, len(sys.Faults))
-		}
+	// Detection and recovery lifecycle: every engine fault is one
+	// conviction (in the by-reason family and in the event family), and
+	// each recovery is one count and one latency sample.
+	type site struct {
+		channel string
+		replica int
 	}
-	started := reg.Counter("ftpn_recover_recoveries_started_total", "", obs.Labels{"replica": "2"}).Value()
-	if started != int64(len(mgr.Events())) {
-		t.Errorf("recoveries started metric = %d, manager performed %d", started, len(mgr.Events()))
+	reasons := map[ft.Fault]bool{}
+	sites := map[site]bool{}
+	for _, f := range sys.Faults {
+		reasons[ft.Fault{Channel: f.Channel, Replica: f.Replica, Reason: f.Reason}] = true
+		sites[site{f.Channel, f.Replica}] = true
+	}
+	var byReason, byKind int64
+	for f := range reasons {
+		byReason += reg.Counter("ftpn_flight_convictions_total", "", obs.Labels{
+			"channel": f.Channel, "replica": fmt.Sprintf("%d", f.Replica), "reason": string(f.Reason),
+		}).Value()
+	}
+	for s := range sites {
+		byKind += events(s.channel, s.replica, obs.FlightConvict)
+	}
+	if byReason != int64(len(sys.Faults)) || byKind != int64(len(sys.Faults)) {
+		t.Errorf("convictions by reason %d, by kind %d; engine recorded %d faults", byReason, byKind, len(sys.Faults))
+	}
+	if got := reg.Counter("ftpn_flight_recoveries_total", "", obs.Labels{"replica": "2"}).Value(); got != int64(len(mgr.Events())) {
+		t.Errorf("recoveries metric = %d, manager performed %d", got, len(mgr.Events()))
+	}
+	if h := reg.Histogram("ftpn_flight_recovery_latency_us", "", nil, nil); h.Count() != int64(len(mgr.Events())) {
+		t.Errorf("latency histogram count = %d, want %d", h.Count(), len(mgr.Events()))
 	}
 	if len(mgr.Events()) != 1 {
 		t.Errorf("recoveries = %d, want 1", len(mgr.Events()))
@@ -118,8 +148,11 @@ func TestWriteChromeTraceTimeline(t *testing.T) {
 	}
 	counters := map[string]int{}
 	markers := map[string]bool{}
+	flows := map[string]int{}
 	for _, ev := range doc.TraceEvents {
 		switch ev.Phase {
+		case "s", "f":
+			flows[ev.Phase]++
 		case "C":
 			counters[ev.Name]++
 		case "i":
@@ -139,5 +172,9 @@ func TestWriteChromeTraceTimeline(t *testing.T) {
 		if !markers[want] {
 			t.Errorf("no instant marker containing %q", want)
 		}
+	}
+	// Each conviction's forensic chain is drawn as one flow.
+	if flows["s"] == 0 || flows["s"] != flows["f"] {
+		t.Errorf("flow starts %d, finishes %d: want one start/finish pair per conviction", flows["s"], flows["f"])
 	}
 }

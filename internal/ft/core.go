@@ -4,6 +4,7 @@ import (
 	"fmt"
 
 	"ftpn/internal/des"
+	"ftpn/internal/obs"
 )
 
 // Each arbitration channel is a clock-free core (ReplicatorState,
@@ -40,7 +41,8 @@ type verdict struct {
 }
 
 // detector is the detection bookkeeping both cores share: per-replica
-// verdicts, the policy, the probe and the shell's callbacks.
+// verdicts, the policy, the event outputs (probe and flight stream) and
+// the shell's callbacks.
 type detector struct {
 	name    string
 	now     func() int64
@@ -53,6 +55,17 @@ type detector struct {
 	// instance; it is called only inside core operations.
 	policy Policy
 	probe  Probe
+	flight flightTap
+}
+
+// flightTap is a channel's flight-recorder output (see RecordFlight).
+type flightTap struct {
+	st *obs.FlightStream
+	// perUs is the shell clock's ticks per µs: 1 on the DES clock, 1000
+	// on the wall clock's nanoseconds.
+	perUs int64
+	// state samples a convicted replica's queue fill and divergence.
+	state func(replica int) (fill int, div int64)
 }
 
 func newDetector(name string, n int, now func() int64, onFault FaultHandler, wake func(WaitOn, int)) detector {
@@ -74,26 +87,52 @@ func (d *detector) index(replica int) int {
 	return replica - 1
 }
 
-// emit delivers one probe event, timestamped by the shell's clock. The
-// nil check stays inlinable so an unprobed channel pays no call.
+// emit delivers one probe event to the probe and the flight stream,
+// timestamped by the shell's clock. The nil checks stay inlinable so an
+// unobserved channel pays no call.
 func (d *detector) emit(kind ProbeKind, replica, fill int, lead int64) {
-	if d.probe != nil {
+	if d.probe != nil || d.flight.st != nil {
 		d.send(kind, replica, fill, lead)
 	}
 }
 
 func (d *detector) send(kind ProbeKind, replica, fill int, lead int64) {
-	d.probe(ProbeEvent{At: d.now(), Channel: d.name, Kind: kind, Replica: replica, Fill: fill, Lead: lead})
+	now := d.now()
+	if d.probe != nil {
+		d.probe(ProbeEvent{At: now, Channel: d.name, Kind: kind, Replica: replica, Fill: fill, Lead: lead})
+	}
+	d.record(now, kind.String(), "", replica, fill, lead)
+}
+
+// record is the one place a core event — a probe event or a conviction,
+// under either runtime — becomes a flight-log record, stamped in µs.
+func (d *detector) record(at int64, kind string, reason Reason, replica, fill int, aux int64) {
+	if t := &d.flight; t.st != nil {
+		t.st.Record(obs.FlightEvent{At: at / t.perUs, Channel: d.name, Kind: kind,
+			Reason: string(reason), Replica: replica, Fill: fill, Aux: aux})
+	}
+}
+
+// recordFlight arms the flight output, declaring the channel's event
+// series to the stream's metrics; state samples conviction state.
+func (d *detector) recordFlight(st *obs.FlightStream, perUs int64, state func(replica int) (int, int64)) {
+	d.flight = flightTap{st: st, perUs: perUs, state: state}
+	st.Declare(d.name, len(d.v), probeKindNames[:]...)
 }
 
 // flag marks replica r (0-based) faulty if it is not already, reporting
-// the conviction once.
+// the conviction once. The flight record samples the replica's fill and
+// divergence inside the convicting operation.
 func (d *detector) flag(r int, reason Reason) {
 	if d.v[r].faulty {
 		return
 	}
 	now := d.now()
 	d.v[r] = verdict{faulty: true, at: now, reason: reason}
+	if d.flight.st != nil {
+		fill, div := d.flight.state(r + 1)
+		d.record(now, obs.FlightConvict, reason, r+1, fill, div)
+	}
 	if d.onFault != nil {
 		d.onFault(Fault{Channel: d.name, Replica: r + 1, At: now, Reason: reason, Kind: kindOf(reason)})
 	}

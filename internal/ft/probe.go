@@ -2,7 +2,8 @@ package ft
 
 import "ftpn/internal/des"
 
-// ProbeKind discriminates the channel-level events a probe can observe.
+// ProbeKind discriminates the channel-level events a probe can observe;
+// its String is the event's kind in the flight log.
 type ProbeKind uint8
 
 const (
@@ -62,6 +63,8 @@ func (k ProbeKind) String() string {
 
 // ProbeEvent is one channel-level event delivered to a probe. Events
 // carry plain values only — a probe must not call back into the channel.
+// At is the shell clock's timestamp: virtual µs on the simulator,
+// wall-clock ns in package crt.
 type ProbeEvent struct {
 	At      des.Time
 	Channel string

@@ -6,6 +6,7 @@ import (
 
 	"ftpn/internal/des"
 	"ftpn/internal/kpn"
+	"ftpn/internal/obs"
 )
 
 // ReplicatorState is the clock-free core of the paper's replicator
@@ -78,6 +79,14 @@ func NewReplicatorState(name string, caps []int, now func() int64, onFault Fault
 
 // Fill returns the fill level of replica queue i (1-based).
 func (r *ReplicatorState) Fill(replica int) int { return len(r.q[replica-1].toks) }
+
+// RecordFlight mirrors every probe event and conviction of the channel
+// into st (nil disarms), stamped in µs of a shell clock that ticks perUs
+// times per µs. A conviction carries the convicted queue's fill and its
+// read divergence.
+func (r *ReplicatorState) RecordFlight(st *obs.FlightStream, perUs int64) {
+	r.recordFlight(st, perUs, func(i int) (int, int64) { return r.Fill(i), r.Divergence(i) })
+}
 
 // Capacity returns the capacity of replica queue i (1-based).
 func (r *ReplicatorState) Capacity(replica int) int { return r.q[replica-1].cap }
@@ -214,7 +223,7 @@ func (r *ReplicatorState) TryWrite(tok kpn.Token) WaitOn {
 		r.lost++
 	}
 	r.emit(ProbeWrite, 0, 0, 0)
-	if r.Strict && r.probe != nil {
+	if r.Strict {
 		for i := range r.q {
 			r.emit(ProbeEnqueue, i+1, len(r.q[i].toks), 0)
 		}

@@ -6,6 +6,7 @@ import (
 
 	"ftpn/internal/des"
 	"ftpn/internal/kpn"
+	"ftpn/internal/obs"
 )
 
 // SelectorState is the clock-free core of the paper's selector channel
@@ -130,6 +131,13 @@ func NewSelectorState(name string, caps, inits []int, d int64, preload func(i in
 
 // Fill returns the number of tokens currently queued.
 func (s *SelectorState) Fill() int { return len(s.fifo) - s.head }
+
+// RecordFlight mirrors every probe event and conviction of the channel
+// into st (nil disarms), as ReplicatorState.RecordFlight does. A
+// conviction carries the shared FIFO's fill and the replica's divergence.
+func (s *SelectorState) RecordFlight(st *obs.FlightStream, perUs int64) {
+	s.recordFlight(st, perUs, func(i int) (int, int64) { return s.Fill(), s.Divergence(i) })
+}
 
 // MaxFill returns the highest observed fill (Table 2's observed fill).
 func (s *SelectorState) MaxFill() int { return s.maxFill }
@@ -341,13 +349,11 @@ func (s *SelectorState) TryWrite(replica int, tok kpn.Token) WaitOn {
 		// Late duplicate of an already-queued token: drop.
 		p.drops++
 	}
-	if s.probe != nil {
-		kind := ProbeDropDuplicate
-		if enq {
-			kind = ProbeEnqueue
-		}
-		s.emit(kind, replica, s.Fill(), s.effW(i)+1-front)
+	kind := ProbeDropDuplicate
+	if enq {
+		kind = ProbeEnqueue
 	}
+	s.emit(kind, replica, s.Fill(), s.effW(i)+1-front)
 	p.wcnt++
 	p.space--
 	p.lastSeqW = tok.Seq

@@ -2,23 +2,21 @@ package obs
 
 import (
 	"encoding/json"
+	"fmt"
 	"io"
-	"sync"
+	"strconv"
 )
 
 // TraceRecorder accumulates Chrome trace-event records (the JSON format
 // consumed by Perfetto and chrome://tracing) describing one run as a
-// timeline: duration slices for process activity, counter tracks for
-// queue fills, and instant markers for faults, convictions and
-// recovery phases. Timestamps are in microseconds — exactly the
-// simulator's virtual tick, so a DES run exports without conversion.
+// timeline: counter tracks for queue fills, instant markers for faults,
+// convictions and recovery phases, and flow arrows for forensic chains.
+// Timestamps are in microseconds — the flight log's unit, so a DES run
+// exports without conversion.
 //
-// A nil *TraceRecorder is a no-op on every method, mirroring the
-// registry's nil-safety: tracing disabled costs one branch per site.
-// The recorder is mutex-guarded so the wall-clock (crt) runtime can
-// record from several goroutines.
+// Recorders are built from a finished flight log by RenderTrace; nothing
+// records into one while a run is live.
 type TraceRecorder struct {
-	mu     sync.Mutex
 	events []chromeEvent
 	tids   map[string]int64 // track (thread) name -> tid
 	order  []string
@@ -29,7 +27,6 @@ type chromeEvent struct {
 	Name  string         `json:"name"`
 	Phase string         `json:"ph"`
 	TS    int64          `json:"ts"`
-	Dur   int64          `json:"dur,omitempty"`
 	PID   int64          `json:"pid"`
 	TID   int64          `json:"tid"`
 	Scope string         `json:"s,omitempty"`    // instant scope: g=global, p=process, t=thread
@@ -46,8 +43,78 @@ func NewTraceRecorder() *TraceRecorder {
 	return &TraceRecorder{tids: make(map[string]int64)}
 }
 
+// RenderTrace renders a finished flight log (canonical order, as
+// FlightRecorder.Events returns it) as a Chrome-trace timeline:
+//
+//   - one queue-fill counter track per channel, "fill <channel>", fed by
+//     enqueue and read events — series R1..Rn for per-replica queues,
+//     one series S for a shared queue (a channel whose reads are
+//     channel-wide, replica 0: the selector's FIFO);
+//   - global instant markers for injections, convictions, forgiven
+//     samples, value drops, re-integration (resync start → realigned)
+//     and recoveries;
+//   - one forensic flow per conviction (ExplainAll + AnnotateTrace),
+//     whose chain steps carry the markers of the events they cover.
+func RenderTrace(events []FlightEvent) *TraceRecorder {
+	t := NewTraceRecorder()
+	shared := map[string]bool{}
+	for _, ev := range events {
+		if ev.Kind == "read" && ev.Replica == 0 {
+			shared[ev.Channel] = true
+		}
+	}
+	exs := ExplainAll(events)
+	chained := map[FlightEvent]bool{}
+	for _, ex := range exs {
+		for _, ev := range ex.Chain {
+			chained[ev] = true
+		}
+	}
+	for _, ev := range events {
+		switch {
+		case ev.Kind == "enqueue" || ev.Kind == "read":
+			series := "S"
+			if !shared[ev.Channel] {
+				series = "R" + strconv.Itoa(ev.Replica)
+			}
+			t.counter("fill "+ev.Channel, series, ev.At, int64(ev.Fill))
+		case !chained[ev]:
+			if label := traceLabel(ev); label != "" {
+				t.instant(label, ev.At)
+			}
+		}
+	}
+	for i := range exs {
+		exs[i].AnnotateTrace(t, int64(i+1))
+	}
+	return t
+}
+
+// traceLabel names an event's timeline marker; "" for kinds that draw
+// none (data-path events and kernel scheduler events).
+func traceLabel(ev FlightEvent) string {
+	on := fmt.Sprintf("R%d on %s", ev.Replica, ev.Channel)
+	switch ev.Kind {
+	case FlightInject:
+		return fmt.Sprintf("inject %s into R%d", ev.Reason, ev.Replica)
+	case FlightConvict:
+		return fmt.Sprintf("fault %s convicted (%s; fill %d, divergence %d)", on, ev.Reason, ev.Fill, ev.Aux)
+	case FlightRecover:
+		return fmt.Sprintf("recovered %s (latency %dus)", on, ev.Aux)
+	case "reintegrate":
+		return fmt.Sprintf("resync start %s (fill %d)", on, ev.Fill)
+	case "aligned":
+		return "realigned " + on
+	case "forgiven":
+		return fmt.Sprintf("forgiven %s (fill %d, lead %d)", on, ev.Fill, ev.Aux)
+	case "drop-value":
+		return "value drop " + on
+	}
+	return ""
+}
+
 // tid returns the stable thread id for a named track, allocating the
-// next id (in first-use order) when new. Caller holds t.mu.
+// next id (in first-use order) when new.
 func (t *TraceRecorder) tid(track string) int64 {
 	if id, ok := t.tids[track]; ok {
 		return id
@@ -58,79 +125,40 @@ func (t *TraceRecorder) tid(track string) int64 {
 	return id
 }
 
-// Slice records a completed duration event [ts, ts+dur] on the named
-// track — one process "active" span.
-func (t *TraceRecorder) Slice(track, name string, ts, dur int64) {
-	if t == nil {
-		return
-	}
-	t.mu.Lock()
-	t.events = append(t.events, chromeEvent{
-		Name: name, Phase: "X", TS: ts, Dur: dur, PID: tracePID, TID: t.tid(track),
-	})
-	t.mu.Unlock()
-}
-
-// Counter records a counter sample: the named series on the named
+// counter records a counter sample: the named series on the named
 // counter track takes the given value at ts. Perfetto renders counter
 // tracks as filled step plots — the queue-fill trajectories of the
 // paper's Fig. 7.
-func (t *TraceRecorder) Counter(track, series string, ts, value int64) {
-	if t == nil {
-		return
-	}
-	t.mu.Lock()
+func (t *TraceRecorder) counter(track, series string, ts, value int64) {
 	t.events = append(t.events, chromeEvent{
 		Name: track, Phase: "C", TS: ts, PID: tracePID,
 		Args: map[string]any{series: value},
 	})
-	t.mu.Unlock()
 }
 
-// Instant records a zero-duration marker visible across the whole
-// timeline (fault raised, conviction, repair, re-integration).
-func (t *TraceRecorder) Instant(name string, ts int64) {
-	if t == nil {
-		return
-	}
-	t.mu.Lock()
+// instant records a zero-duration marker visible across the whole
+// timeline.
+func (t *TraceRecorder) instant(name string, ts int64) {
 	t.events = append(t.events, chromeEvent{
 		Name: name, Phase: "i", TS: ts, PID: tracePID, Scope: "g",
 	})
-	t.mu.Unlock()
 }
 
 // flow records one flow-phase event ("s" start, "t" step, "f" finish)
 // on the named track; events sharing (name, id) are drawn as a
 // connected arrow sequence by Perfetto.
 func (t *TraceRecorder) flow(phase, track, name string, id, ts int64) {
-	if t == nil {
-		return
-	}
-	t.mu.Lock()
 	t.events = append(t.events, chromeEvent{
 		Name: name, Phase: phase, TS: ts, PID: tracePID, TID: t.tid(track),
 		ID: id, BP: "e",
 	})
-	t.mu.Unlock()
 }
-
-// FlowBegin starts a named flow (causal arrow chain) at ts.
-func (t *TraceRecorder) FlowBegin(track, name string, id, ts int64) { t.flow("s", track, name, id, ts) }
-
-// FlowStep continues a flow started with FlowBegin at the same id.
-func (t *TraceRecorder) FlowStep(track, name string, id, ts int64) { t.flow("t", track, name, id, ts) }
-
-// FlowEnd terminates a flow at ts.
-func (t *TraceRecorder) FlowEnd(track, name string, id, ts int64) { t.flow("f", track, name, id, ts) }
 
 // Events returns the number of recorded events (0 for nil).
 func (t *TraceRecorder) Events() int {
 	if t == nil {
 		return 0
 	}
-	t.mu.Lock()
-	defer t.mu.Unlock()
 	return len(t.events)
 }
 
@@ -138,7 +166,6 @@ func (t *TraceRecorder) Events() int {
 // Object Format": thread-name metadata first (so Perfetto labels each
 // track), then every event in record order.
 func (t *TraceRecorder) WriteJSON(w io.Writer) error {
-	t.mu.Lock()
 	all := make([]chromeEvent, 0, len(t.order)+1+len(t.events))
 	all = append(all, chromeEvent{
 		Name: "process_name", Phase: "M", PID: tracePID,
@@ -151,11 +178,9 @@ func (t *TraceRecorder) WriteJSON(w io.Writer) error {
 		})
 	}
 	all = append(all, t.events...)
-	t.mu.Unlock()
 	doc := struct {
 		TraceEvents     []chromeEvent `json:"traceEvents"`
 		DisplayTimeUnit string        `json:"displayTimeUnit"`
 	}{TraceEvents: all, DisplayTimeUnit: "ms"}
-	enc := json.NewEncoder(w)
-	return enc.Encode(doc)
+	return json.NewEncoder(w).Encode(doc)
 }

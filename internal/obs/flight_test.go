@@ -261,6 +261,148 @@ func TestFlightRecordEnabledAllocs(t *testing.T) {
 	}
 }
 
+// TestFlightLenDroppedAllocs pins that counting the log copies no ring.
+func TestFlightLenDroppedAllocs(t *testing.T) {
+	fr := NewFlightRecorder(4)
+	for e := 0; e < 3; e++ {
+		st := fr.Stream(e)
+		for i := 0; i < 10; i++ {
+			st.Record(FlightEvent{At: int64(i), Channel: "C", Kind: "write"})
+		}
+	}
+	if fr.Len() != 12 || fr.Dropped() != 18 {
+		t.Fatalf("len/dropped = %d/%d, want 12/18", fr.Len(), fr.Dropped())
+	}
+	if allocs := testing.AllocsPerRun(100, func() { fr.Len(); fr.Dropped() }); allocs != 0 {
+		t.Fatalf("Len+Dropped allocate %.1f per call, want 0", allocs)
+	}
+}
+
+// metricsLog is one conviction-and-recovery arc on a replicator "R".
+func metricsLog() []FlightEvent {
+	return []FlightEvent{
+		{At: 1, Kind: FlightInject, Reason: "stop-all", Replica: 2},
+		{At: 2, Channel: "R", Kind: "write"},
+		{At: 2, Channel: "R", Kind: "enqueue", Replica: 1, Fill: 1},
+		{At: 2, Channel: "R", Kind: "enqueue", Replica: 2, Fill: 4},
+		{At: 3, Channel: "R", Kind: "read", Replica: 1, Fill: 0},
+		{At: 4, Channel: "R", Kind: FlightConvict, Reason: "queue-full", Replica: 2, Fill: 4, Aux: 1},
+		{At: 9, Channel: "R", Kind: "reintegrate", Replica: 2, Fill: 1},
+		{At: 9, Channel: "R", Kind: FlightRecover, Reason: "queue-full", Replica: 2, Fill: 4, Aux: 5000},
+	}
+}
+
+// TestFlightMetricsCountEveryEvent checks the registry view of a stream:
+// exact counts by (channel, replica, kind) that survive ring
+// wrap-around, the fill of the last enqueue/read, convictions by reason
+// and recoveries with their latency.
+func TestFlightMetricsCountEveryEvent(t *testing.T) {
+	reg := NewRegistry()
+	st := NewFlightRecorder(2).Stream(0) // wraps many times
+	st.SetMetrics(reg)
+	const rounds = 5
+	for i := 0; i < rounds; i++ {
+		for _, ev := range metricsLog() {
+			st.Record(ev)
+		}
+	}
+	count := func(l Labels) int64 { return reg.Counter(flightEventsTotal, "", l).Value() }
+	if got := count(Labels{"channel": "R", "replica": "2", "kind": "enqueue"}); got != rounds {
+		t.Errorf("enqueue R2 = %d, want %d", got, rounds)
+	}
+	if got := count(Labels{"channel": "R", "replica": "0", "kind": "write"}); got != rounds {
+		t.Errorf("write = %d, want %d", got, rounds)
+	}
+	if got := count(Labels{"channel": "", "replica": "2", "kind": FlightInject}); got != rounds {
+		t.Errorf("inject = %d, want %d", got, rounds)
+	}
+	if got := reg.Gauge(flightFill, "", Labels{"channel": "R", "replica": "1"}).Value(); got != 0 {
+		t.Errorf("fill R1 = %d, want 0 (after the read)", got)
+	}
+	if got := reg.Gauge(flightFill, "", Labels{"channel": "R", "replica": "2"}).Value(); got != 4 {
+		t.Errorf("fill R2 = %d, want 4 (reintegrate and convict do not move it)", got)
+	}
+	conv := reg.Counter(flightConvictionsTotal, "", Labels{"channel": "R", "replica": "2", "reason": "queue-full"})
+	if conv.Value() != rounds {
+		t.Errorf("convictions = %d, want %d", conv.Value(), rounds)
+	}
+	if got := reg.Counter(flightRecoveriesTotal, "", Labels{"replica": "2"}).Value(); got != rounds {
+		t.Errorf("recoveries = %d, want %d", got, rounds)
+	}
+	lat := reg.Histogram(flightRecoveryLatency, "", nil, nil)
+	if lat.Count() != rounds || lat.Sum() != rounds*5000 {
+		t.Errorf("latency count/sum = %d/%d, want %d/%d", lat.Count(), lat.Sum(), rounds, rounds*5000)
+	}
+	// Removing the sink stops the counts; the ring keeps recording.
+	st.SetMetrics(nil)
+	st.Record(FlightEvent{Channel: "R", Kind: "write"})
+	if got := count(Labels{"channel": "R", "replica": "0", "kind": "write"}); got != rounds {
+		t.Errorf("write after SetMetrics(nil) = %d, want %d", got, rounds)
+	}
+}
+
+// TestFlightMetricsAllocs pins the sink's steady state: once an event's
+// series are resolved, recording it allocates nothing.
+func TestFlightMetricsAllocs(t *testing.T) {
+	st := NewFlightRecorder(1 << 8).Stream(0)
+	st.SetMetrics(NewRegistry())
+	log := metricsLog()
+	for _, ev := range log {
+		st.Record(ev)
+	}
+	if allocs := testing.AllocsPerRun(100, func() {
+		for _, ev := range log {
+			st.Record(ev)
+		}
+	}); allocs != 0 {
+		t.Fatalf("metered Record allocates %.1f per %d events, want 0", allocs, len(log))
+	}
+}
+
+// TestFlightMetricsHammer is the sink's -race proof: goroutines record
+// into a shared metered stream and into their own streams feeding the
+// same registry while readers scrape it.
+func TestFlightMetricsHammer(t *testing.T) {
+	reg := NewRegistry()
+	fr := NewFlightRecorder(1 << 6)
+	shared := fr.Stream(0)
+	shared.SetMetrics(reg)
+	const writers, perW = 4, 1000
+	var wg sync.WaitGroup
+	for w := 0; w < writers; w++ {
+		wg.Add(1)
+		go func(w int) {
+			defer wg.Done()
+			own := fr.Stream(w + 1)
+			own.SetMetrics(reg)
+			for i := 0; i < perW; i++ {
+				own.Record(FlightEvent{At: int64(i), Channel: "R", Kind: "enqueue", Replica: 1 + w%2, Fill: i % 4})
+				shared.Record(FlightEvent{At: int64(i), Channel: "S", Kind: "read", Fill: i % 8})
+			}
+		}(w)
+	}
+	done := make(chan struct{})
+	go func() {
+		defer close(done)
+		var buf bytes.Buffer
+		for i := 0; i < 20; i++ {
+			buf.Reset()
+			reg.WritePrometheus(&buf)
+		}
+	}()
+	wg.Wait()
+	<-done
+	count := func(l Labels) int64 { return reg.Counter(flightEventsTotal, "", l).Value() }
+	if got := count(Labels{"channel": "S", "replica": "0", "kind": "read"}); got != writers*perW {
+		t.Errorf("shared reads = %d, want %d", got, writers*perW)
+	}
+	enq := count(Labels{"channel": "R", "replica": "1", "kind": "enqueue"}) +
+		count(Labels{"channel": "R", "replica": "2", "kind": "enqueue"})
+	if enq != writers*perW {
+		t.Errorf("enqueues = %d, want %d", enq, writers*perW)
+	}
+}
+
 func BenchmarkFlightRecordDisabled(b *testing.B) {
 	var st *FlightStream
 	ev := FlightEvent{At: 1, Channel: "C", Kind: "write", Fill: 3}

@@ -161,10 +161,10 @@ func explainAt(events []FlightEvent, ci int) Explanation {
 }
 
 // AnnotateTrace writes the explanation's causal chain into rec as a
-// Chrome-trace flow (a named arrow sequence): one instant per chain
-// step, connected by flow events sharing the given id. Perfetto draws
-// the arrows from injection through the window fills to the conviction
-// and repair.
+// Chrome-trace flow (a named arrow sequence): one instant marker per
+// chain step, connected by flow events sharing the given id. Perfetto
+// draws the arrows from injection through the window fills to the
+// conviction and repair.
 func (ex *Explanation) AnnotateTrace(rec *TraceRecorder, id int64) {
 	if rec == nil || ex == nil || len(ex.Chain) == 0 {
 		return
@@ -172,18 +172,14 @@ func (ex *Explanation) AnnotateTrace(rec *TraceRecorder, id int64) {
 	track := "forensics " + ex.Channel
 	name := "convict " + ex.Channel + " R" + strconv.Itoa(ex.Replica)
 	for i, ev := range ex.Chain {
-		label := ev.Kind
-		if ev.Reason != "" {
-			label += " (" + ev.Reason + ")"
+		rec.instant(traceLabel(ev), ev.At)
+		phase := "t"
+		switch i {
+		case 0:
+			phase = "s"
+		case len(ex.Chain) - 1:
+			phase = "f"
 		}
-		rec.Instant(label, ev.At)
-		switch {
-		case i == 0:
-			rec.FlowBegin(track, name, id, ev.At)
-		case i == len(ex.Chain)-1:
-			rec.FlowEnd(track, name, id, ev.At)
-		default:
-			rec.FlowStep(track, name, id, ev.At)
-		}
+		rec.flow(phase, track, name, id, ev.At)
 	}
 }

@@ -172,3 +172,66 @@ func TestAnnotateTraceFlow(t *testing.T) {
 	nilEx.AnnotateTrace(rec, 1)
 	ex.AnnotateTrace(nil, 1)
 }
+
+// TestRenderTrace renders chainLog plus fill samples and checks the three
+// views the timeline holds: fill counter tracks (one shared series for a
+// channel with channel-wide reads), instant markers, and the forensic
+// flow whose steps replace the markers of the events they cover.
+func TestRenderTrace(t *testing.T) {
+	log := append(chainLog(),
+		FlightEvent{At: 190, Channel: "S", Kind: "enqueue", Replica: 1, Fill: 1},
+		FlightEvent{At: 191, Channel: "S", Kind: "read", Fill: 0},
+		FlightEvent{At: 192, Channel: "S", Kind: "aligned", Replica: 2, Fill: 0},
+	)
+	var buf bytes.Buffer
+	if err := RenderTrace(log).WriteJSON(&buf); err != nil {
+		t.Fatal(err)
+	}
+	var doc struct {
+		TraceEvents []struct {
+			Name  string         `json:"name"`
+			Phase string         `json:"ph"`
+			Args  map[string]any `json:"args"`
+		} `json:"traceEvents"`
+	}
+	if err := json.Unmarshal(buf.Bytes(), &doc); err != nil {
+		t.Fatalf("trace is not valid JSON: %v", err)
+	}
+	series := map[string]bool{}
+	var markers []string
+	phases := map[string]int{}
+	for _, ev := range doc.TraceEvents {
+		phases[ev.Phase]++
+		switch ev.Phase {
+		case "C":
+			for s := range ev.Args {
+				series[ev.Name+"/"+s] = true
+			}
+		case "i":
+			markers = append(markers, ev.Name)
+		}
+	}
+	// G_out's read is replica 1, so its queues are per-replica.
+	for _, want := range []string{"fill S/S", "fill G_out/R1"} {
+		if !series[want] {
+			t.Errorf("no counter series %q in %v", want, series)
+		}
+	}
+	// One marker per chain step (7) plus the unchained aligned event.
+	if len(markers) != 8 {
+		t.Errorf("markers = %d, want 8: %q", len(markers), markers)
+	}
+	for _, want := range []string{"inject corrupt into R2", "fault R2 on F_in convicted", "resync start R2 on F_in",
+		"recovered R2", "realigned R2 on S", "value drop R2 on F_in", "forgiven R2 on F_in"} {
+		found := false
+		for _, m := range markers {
+			found = found || bytes.Contains([]byte(m), []byte(want))
+		}
+		if !found {
+			t.Errorf("no marker containing %q in %q", want, markers)
+		}
+	}
+	if phases["s"] != 1 || phases["f"] != 1 || phases["t"] != 5 {
+		t.Errorf("flow phases = %v, want one start, five steps, one finish", phases)
+	}
+}

@@ -1,7 +1,10 @@
-// Package obs is the runtime observability substrate: a typed metrics
+// Package obs is the runtime observability substrate. Its one input is
+// the flight recorder's structured event stream (flight.go), which both
+// runtimes' channels emit; every view derives from it: a typed metrics
 // registry (counters, gauges, fixed-bucket histograms) with
-// Prometheus-text and JSON encoders, and a Chrome trace-event recorder
-// that turns simulation or live runs into Perfetto-loadable timelines.
+// Prometheus-text and JSON encoders, fed live by a stream's metrics
+// sink; Perfetto-loadable Chrome traces rendered from a finished log;
+// and forensic explanations of convictions.
 //
 // Design constraints, in order:
 //

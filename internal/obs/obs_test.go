@@ -34,11 +34,8 @@ func TestNilSafety(t *testing.T) {
 		t.Errorf("nil registry WriteJSON: %v", err)
 	}
 	var tr *TraceRecorder
-	tr.Slice("a", "b", 0, 1)
-	tr.Counter("a", "s", 0, 1)
-	tr.Instant("m", 0)
 	if tr.Events() != 0 {
-		t.Error("nil recorder must record nothing")
+		t.Error("nil recorder must hold nothing")
 	}
 }
 
@@ -320,10 +317,10 @@ func TestConcurrentHammer(t *testing.T) {
 
 func TestTraceRecorder(t *testing.T) {
 	tr := NewTraceRecorder()
-	tr.Slice("dec#1", "run", 100, 40)
-	tr.Counter("F_in fill", "R1", 120, 3)
-	tr.Counter("F_in fill", "R1", 150, 2)
-	tr.Instant("fault R1 (queue-full on F_in)", 160)
+	tr.counter("F_in fill", "R1", 120, 3)
+	tr.counter("F_in fill", "R1", 150, 2)
+	tr.instant("fault R1 (queue-full on F_in)", 160)
+	tr.flow("s", "forensics F_in", "convict F_in R1", 1, 160)
 	if tr.Events() != 4 {
 		t.Fatalf("events = %d, want 4", tr.Events())
 	}
@@ -337,7 +334,7 @@ func TestTraceRecorder(t *testing.T) {
 	if err := json.Unmarshal(buf.Bytes(), &doc); err != nil {
 		t.Fatalf("trace is not valid JSON: %v", err)
 	}
-	// Metadata (process name + one slice-track thread name; counter
+	// Metadata (process name + one flow-track thread name; counter
 	// tracks key on their event name, not a tid) + 4 events.
 	if len(doc.TraceEvents) != 6 {
 		t.Errorf("traceEvents = %d, want 6", len(doc.TraceEvents))
@@ -346,29 +343,11 @@ func TestTraceRecorder(t *testing.T) {
 	for _, ev := range doc.TraceEvents {
 		phases = append(phases, ev["ph"].(string))
 	}
-	want := []string{"M", "M", "X", "C", "C", "i"}
+	want := []string{"M", "M", "C", "C", "i", "s"}
 	for i := range want {
 		if phases[i] != want[i] {
 			t.Fatalf("phases = %v, want %v", phases, want)
 		}
-	}
-}
-
-func TestTraceRecorderConcurrent(t *testing.T) {
-	tr := NewTraceRecorder()
-	var wg sync.WaitGroup
-	for w := 0; w < 4; w++ {
-		wg.Add(1)
-		go func(w int) {
-			defer wg.Done()
-			for i := 0; i < 500; i++ {
-				tr.Counter("track", "s", int64(i), int64(w))
-			}
-		}(w)
-	}
-	wg.Wait()
-	if tr.Events() != 2000 {
-		t.Errorf("events = %d, want 2000", tr.Events())
 	}
 }
 

@@ -126,7 +126,6 @@ type Manager struct {
 	// deterministically.
 	OnRecovered func(Event)
 
-	reg    *obs.Registry
 	flight *obs.FlightStream
 }
 
@@ -140,21 +139,13 @@ func NewManager(sys *ft.System, plan Plan) *Manager {
 // Events returns the completed recoveries in order.
 func (m *Manager) Events() []Event { return append([]Event(nil), m.events...) }
 
-// Observe registers the manager's lifecycle metrics in reg (see
-// DESIGN.md §9): ftpn_recover_convictions_total{channel,replica,reason},
-// ftpn_recover_recoveries_started_total{replica},
-// ftpn_recover_recoveries_total{replica,complete} and the
-// detection-to-recovery latency histogram ftpn_recover_latency_us. A
-// nil registry is a no-op. Recovery events are rare, so series are
-// resolved through the registry per event rather than pre-bound.
-func (m *Manager) Observe(reg *obs.Registry) { m.reg = reg }
-
 // RecordFlight mirrors each completed recovery into a flight-recorder
 // stream as an obs.FlightRecover event (Aux = detection→recovery
 // latency in virtual µs), closing the causal chain obs.Explain
-// reconstructs. Convictions themselves are recorded by
-// ft.InstrumentFlight's fault hook, which fires for every detection
-// whether or not a manager is attached. A nil stream is a no-op.
+// reconstructs; the stream's metrics count recoveries and their
+// latency from it. Convictions themselves are recorded by the channels
+// (ft.InstrumentFlight), whether or not a manager is attached. A nil
+// stream is a no-op.
 func (m *Manager) RecordFlight(st *obs.FlightStream) { m.flight = st }
 
 // conviction samples the detecting channel's state for a fault.
@@ -183,19 +174,11 @@ func (m *Manager) onFault(f ft.Fault) {
 	if m.OnConvicted != nil {
 		m.OnConvicted(conv)
 	}
-	if reg := m.reg; reg != nil {
-		reg.Counter("ftpn_recover_convictions_total", "Convictions seen by the recovery manager.",
-			obs.Labels{"channel": f.Channel, "replica": fmt.Sprintf("%d", f.Replica), "reason": string(f.Reason)}).Inc()
-	}
 	if !scheduled {
 		return
 	}
 	m.pending[i] = true
 	m.recoveries[i]++
-	if reg := m.reg; reg != nil {
-		reg.Counter("ftpn_recover_recoveries_started_total", "Recoveries scheduled after a conviction.",
-			obs.Labels{"replica": fmt.Sprintf("%d", f.Replica)}).Inc()
-	}
 	m.sys.K.At(f.At+m.plan.Delay, func() { m.recover(conv) })
 }
 
@@ -226,12 +209,6 @@ func (m *Manager) recover(conv Conviction) {
 		Fill:    conv.Fill,
 		Aux:     ev.RecoveredAt - ev.DetectedAt,
 	})
-	if reg := m.reg; reg != nil {
-		reg.Counter("ftpn_recover_recoveries_total", "Recoveries performed.",
-			obs.Labels{"replica": fmt.Sprintf("%d", det.Replica), "complete": fmt.Sprintf("%t", complete)}).Inc()
-		reg.Histogram("ftpn_recover_latency_us", "Detection-to-recovery latency.",
-			obs.ExpBuckets(1000, 4, 8), nil).Observe(ev.RecoveredAt - ev.DetectedAt)
-	}
 	if m.OnRecovered != nil {
 		m.OnRecovered(ev)
 	}

@@ -145,7 +145,10 @@ func TestOnConvictedCarriesChannelState(t *testing.T) {
 	k, sys := buildSys(t, 300, &sink)
 	m := NewManager(sys, Plan{Delay: 20_000, MaxRecoveries: 1})
 	reg := obs.NewRegistry()
-	m.Observe(reg)
+	st := obs.NewFlightRecorder(0).Stream(0)
+	st.SetMetrics(reg)
+	ft.InstrumentFlight(sys, st)
+	m.RecordFlight(st)
 	var convs []Conviction
 	m.OnConvicted = func(c Conviction) { convs = append(convs, c) }
 
@@ -180,9 +183,10 @@ func TestOnConvictedCarriesChannelState(t *testing.T) {
 		t.Errorf("scheduled convictions = %d, completed recoveries = %d", scheduled, len(m.Events()))
 	}
 
-	// Metric identities: convictions metric == faults; recoveries
-	// started == recoveries performed == scheduled convictions. Sum the
-	// conviction series over the distinct label sets the run produced.
+	// Metric identities over the flight stream's metrics: convictions
+	// metric == faults; recoveries == latency samples == scheduled
+	// convictions. Sum the conviction series over the distinct label
+	// sets the run produced.
 	var convTotal int64
 	seen := map[string]bool{}
 	for _, f := range sys.Faults {
@@ -191,17 +195,17 @@ func TestOnConvictedCarriesChannelState(t *testing.T) {
 			continue
 		}
 		seen[key] = true
-		convTotal += reg.Counter("ftpn_recover_convictions_total", "",
+		convTotal += reg.Counter("ftpn_flight_convictions_total", "",
 			obs.Labels{"channel": f.Channel, "replica": "2", "reason": string(f.Reason)}).Value()
 	}
 	if convTotal != int64(len(sys.Faults)) {
 		t.Errorf("convictions metric = %d, want %d", convTotal, len(sys.Faults))
 	}
-	started := reg.Counter("ftpn_recover_recoveries_started_total", "", obs.Labels{"replica": "2"}).Value()
-	if started != int64(scheduled) {
-		t.Errorf("recoveries started metric = %d, want %d", started, scheduled)
+	recovered := reg.Counter("ftpn_flight_recoveries_total", "", obs.Labels{"replica": "2"}).Value()
+	if recovered != int64(scheduled) {
+		t.Errorf("recoveries metric = %d, want %d", recovered, scheduled)
 	}
-	if h := reg.Histogram("ftpn_recover_latency_us", "", nil, nil); h.Count() != int64(len(m.Events())) {
+	if h := reg.Histogram("ftpn_flight_recovery_latency_us", "", nil, nil); h.Count() != int64(len(m.Events())) {
 		t.Errorf("latency histogram count = %d, want %d", h.Count(), len(m.Events()))
 	}
 }
