@@ -53,6 +53,7 @@
 package main
 
 import (
+	"encoding/json"
 	"flag"
 	"fmt"
 	"io"
@@ -323,20 +324,21 @@ func runExperiment(cfg cliConfig) error {
 	}
 }
 
-// writeReport writes rep's JSON to path: "-" is stdout and "" the
-// experiment's default file, whose name is reported on stderr.
-func writeReport(path, def, what string, rep interface{ WriteJSON(io.Writer) error }) error {
+// writeReport writes rep as indented JSON (two-space indent, trailing
+// newline) to path: "-" is stdout and "" the experiment's default file,
+// whose name is reported on stderr.
+func writeReport(path, def, what string, rep any) error {
 	if path == "" {
 		path = def
 	}
 	if path == "-" {
-		return rep.WriteJSON(os.Stdout)
+		return encodeReport(os.Stdout, rep)
 	}
 	f, err := os.Create(path)
 	if err != nil {
 		return err
 	}
-	if err := rep.WriteJSON(f); err != nil {
+	if err := encodeReport(f, rep); err != nil {
 		f.Close()
 		return err
 	}
@@ -345,4 +347,11 @@ func writeReport(path, def, what string, rep interface{ WriteJSON(io.Writer) err
 	}
 	fmt.Fprintf(os.Stderr, "%s written to %s\n", what, path)
 	return nil
+}
+
+// encodeReport is the one JSON encoding of every -out report.
+func encodeReport(w io.Writer, rep any) error {
+	enc := json.NewEncoder(w)
+	enc.SetIndent("", "  ")
+	return enc.Encode(rep)
 }

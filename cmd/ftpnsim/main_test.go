@@ -2,7 +2,6 @@ package main
 
 import (
 	"encoding/json"
-	"io"
 	"os"
 	"path/filepath"
 	"testing"
@@ -94,31 +93,43 @@ func TestRunErrors(t *testing.T) {
 	}
 }
 
-// jsonReport is a stand-in report for writeReport.
-type jsonReport struct{ body string }
-
-func (r jsonReport) WriteJSON(w io.Writer) error {
-	_, err := io.WriteString(w, r.body)
-	return err
+// testReport is a stand-in report for writeReport.
+type testReport struct {
+	Runs  int            `json:"runs"`
+	Modes map[string]int `json:"modes"`
 }
+
+// testReportJSON is testReport{2, {stop-all: 2}} as every -out report is
+// encoded: two-space indent and a trailing newline.
+const testReportJSON = `{
+  "runs": 2,
+  "modes": {
+    "stop-all": 2
+  }
+}
+`
 
 func TestWriteReport(t *testing.T) {
 	dir := t.TempDir()
+	rep := testReport{Runs: 2, Modes: map[string]int{"stop-all": 2}}
 	def := filepath.Join(dir, "default.json")
-	if err := writeReport("", def, "test report", jsonReport{"{}\n"}); err != nil {
+	if err := writeReport("", def, "test report", rep); err != nil {
 		t.Fatal(err)
 	}
-	if got, err := os.ReadFile(def); err != nil || string(got) != "{}\n" {
+	if got, err := os.ReadFile(def); err != nil || string(got) != testReportJSON {
 		t.Fatalf("default path holds %q, %v", got, err)
 	}
 	out := filepath.Join(dir, "out.json")
-	if err := writeReport(out, def, "test report", jsonReport{"[]\n"}); err != nil {
+	if err := writeReport(out, def, "test report", &rep); err != nil {
 		t.Fatal(err)
 	}
-	if got, err := os.ReadFile(out); err != nil || string(got) != "[]\n" {
+	if got, err := os.ReadFile(out); err != nil || string(got) != testReportJSON {
 		t.Fatalf("-out path holds %q, %v", got, err)
 	}
-	if err := writeReport(filepath.Join(dir, "missing", "x.json"), def, "test report", jsonReport{}); err == nil {
+	if err := writeReport(filepath.Join(dir, "missing", "x.json"), def, "test report", rep); err == nil {
 		t.Error("unwritable -out path should fail")
+	}
+	if err := writeReport(filepath.Join(dir, "bad.json"), def, "test report", make(chan int)); err == nil {
+		t.Error("a report JSON cannot encode should fail")
 	}
 }

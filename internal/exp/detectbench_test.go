@@ -2,6 +2,7 @@ package exp
 
 import (
 	"bytes"
+	"encoding/json"
 	"fmt"
 	"testing"
 
@@ -21,24 +22,24 @@ func TestCampaignMK01MatchesBinary(t *testing.T) {
 		{Kind: ft.PolicyMK, M: 0, K: 1},
 	}
 	for _, par := range []int{1, 4} {
-		var ref bytes.Buffer
+		var ref []byte
 		for i, sp := range specs {
 			res, err := Campaign(CampaignConfig{Runs: 16, Seed: 11, Policy: sp}, WithParallelism(par))
 			if err != nil {
 				t.Fatalf("Campaign(%v, parallel=%d): %v", sp, par, err)
 			}
 			res.Policy = "" // the label is the only allowed difference
-			var buf bytes.Buffer
-			if err := res.WriteJSON(&buf); err != nil {
-				t.Fatalf("WriteJSON: %v", err)
+			buf, err := json.Marshal(res)
+			if err != nil {
+				t.Fatalf("json.Marshal: %v", err)
 			}
 			if i == 0 {
 				ref = buf
 				continue
 			}
-			if !bytes.Equal(ref.Bytes(), buf.Bytes()) {
+			if !bytes.Equal(ref, buf) {
 				t.Fatalf("policy %v differs from the inline path at parallel=%d:\n-- inline:\n%s\n-- %v:\n%s",
-					sp, par, ref.String(), sp, buf.String())
+					sp, par, ref, sp, buf)
 			}
 		}
 	}

@@ -16,7 +16,6 @@ import (
 // runConfig collects the experiment-execution options.
 type runConfig struct {
 	workers int
-	opCosts bool // measure host-time per channel op (wall-clock, nondeterministic)
 }
 
 // Option configures how an experiment executes (not what it computes).
@@ -30,17 +29,9 @@ func WithParallelism(n int) Option {
 	return func(c *runConfig) { c.workers = n }
 }
 
-// WithoutOpCosts skips the host wall-clock measurement of per-operation
-// overhead (Table2Result.SelOpNs/RepOpNs stay zero). The measurement is
-// the only nondeterministic part of a result; tests comparing rendered
-// output across executions disable it.
-func WithoutOpCosts() Option {
-	return func(c *runConfig) { c.opCosts = false }
-}
-
 // newRunConfig applies options over the defaults.
 func newRunConfig(opts []Option) runConfig {
-	c := runConfig{workers: runtime.GOMAXPROCS(0), opCosts: true}
+	c := runConfig{workers: runtime.GOMAXPROCS(0)}
 	for _, o := range opts {
 		o(&c)
 	}

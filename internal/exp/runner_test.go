@@ -7,8 +7,8 @@ import (
 
 // TestParallelDeterminism is the regression for the parallel runner: the
 // rendered Table 2 block must be String()-identical between a sequential
-// and a heavily parallel execution. Host-time op-cost measurement is the
-// one legitimately nondeterministic field, so both sides disable it.
+// and a heavily parallel execution. Host-time op costs are the one
+// legitimately nondeterministic field, so both sides zero them.
 func TestParallelDeterminism(t *testing.T) {
 	names := []string{"adpcm"}
 	if !testing.Short() {
@@ -20,14 +20,16 @@ func TestParallelDeterminism(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		seq, err := Table2(app, 6, WithParallelism(1), WithoutOpCosts())
+		seq, err := Table2(app, 6, WithParallelism(1))
 		if err != nil {
 			t.Fatalf("%s sequential: %v", name, err)
 		}
-		par, err := Table2(app, 6, WithParallelism(8), WithoutOpCosts())
+		par, err := Table2(app, 6, WithParallelism(8))
 		if err != nil {
 			t.Fatalf("%s parallel: %v", name, err)
 		}
+		seq.SelOpNs, seq.RepOpNs = 0, 0
+		par.SelOpNs, par.RepOpNs = 0, 0
 		if s, p := seq.String(), par.String(); s != p {
 			t.Errorf("%s: parallel output differs from sequential:\n--- sequential ---\n%s\n--- parallel ---\n%s", name, s, p)
 		}

@@ -2,6 +2,7 @@ package exp
 
 import (
 	"bytes"
+	"encoding/json"
 	"testing"
 )
 
@@ -52,14 +53,15 @@ func TestTopoBenchParallelIdentity(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	var a, b bytes.Buffer
-	if err := seq.WriteJSON(&a); err != nil {
+	a, err := json.Marshal(seq)
+	if err != nil {
 		t.Fatal(err)
 	}
-	if err := par.WriteJSON(&b); err != nil {
+	b, err := json.Marshal(par)
+	if err != nil {
 		t.Fatal(err)
 	}
-	if !bytes.Equal(a.Bytes(), b.Bytes()) {
-		t.Fatalf("topobench report differs between -parallel 1 and 8:\n%s\nvs\n%s", a.Bytes(), b.Bytes())
+	if !bytes.Equal(a, b) {
+		t.Fatalf("topobench report differs between -parallel 1 and 8:\n%s\nvs\n%s", a, b)
 	}
 }
