@@ -60,6 +60,7 @@ import (
 	"os"
 	"runtime"
 	"runtime/pprof"
+	"strconv"
 	"strings"
 
 	"ftpn/internal/des"
@@ -96,6 +97,9 @@ func parsePolicy(policy, mk string) (ft.PolicySpec, error) {
 		sp.Value = true
 		policy = s
 	}
+	if mk != "" && policy != "mk" {
+		return sp, fmt.Errorf("-mk %q applies only to -policy mk or mk+value", mk)
+	}
 	switch policy {
 	case "":
 		if sp.Value {
@@ -105,8 +109,12 @@ func parsePolicy(policy, mk string) (ft.PolicySpec, error) {
 		sp.Kind = ft.PolicyBinary
 	case "mk":
 		sp.Kind = ft.PolicyMK
-		if _, err := fmt.Sscanf(mk, "%d,%d", &sp.M, &sp.K); err != nil {
-			return sp, fmt.Errorf("invalid -mk %q (want \"m,k\", e.g. -mk 2,16): %v", mk, err)
+		ms, ks, ok := strings.Cut(mk, ",")
+		var errM, errK error
+		sp.M, errM = strconv.Atoi(ms)
+		sp.K, errK = strconv.Atoi(ks)
+		if !ok || errM != nil || errK != nil {
+			return sp, fmt.Errorf("invalid -mk %q (want \"m,k\", e.g. -mk 2,16)", mk)
 		}
 	default:
 		return sp, fmt.Errorf("unknown -policy %q (want binary, mk, binary+value or mk+value)", policy)

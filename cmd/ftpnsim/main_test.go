@@ -91,6 +91,22 @@ func TestRunErrors(t *testing.T) {
 	if err := run(cli("fills", "unknown-app", 1, 1000, 0)); err == nil {
 		t.Error("unknown app should fail for fills")
 	}
+	// -mk is read only by -policy mk / mk+value, and only as exactly "m,k".
+	for _, tc := range []struct{ policy, mk string }{
+		{"", "2,16"},
+		{"binary", "2,16"},
+		{"binary+value", "2,16"},
+		{"mk", "2,16x"},
+		{"mk", "2,16,9"},
+		{"mk+value", "2"},
+		{"mk", ""},
+	} {
+		cfg := cli("campaign", "all", 1, 1000, 0)
+		cfg.n, cfg.policy, cfg.mk = 1, tc.policy, tc.mk
+		if err := run(cfg); err == nil {
+			t.Errorf("-policy %q -mk %q should fail", tc.policy, tc.mk)
+		}
+	}
 }
 
 // testReport is a stand-in report for writeReport.

@@ -62,7 +62,7 @@ func main() {
 	check(err)
 	init2, err := rtc.InitialFill(out2.Lower(), consumer.Upper(), h)
 	check(err)
-	bound, err := rtc.StoppedDetectionBound([]rtc.Curve{out1.Lower(), out2.Lower()}, d, 8*h)
+	bound, err := rtc.StoppedDetectionBound([]rtc.Curve{out1.Lower(), out2.Lower()}, d, 0, 8*h)
 	check(err)
 	fmt.Printf("analytic design: D=%d  |S|0=(%d,%d)  detection bound=%.1f ms\n",
 		d, init1, init2, float64(bound)/1000)

@@ -39,15 +39,16 @@ func main() {
 	check(err)
 	fmt.Printf("D = %d (eq. 5, no false positives)\n", d)
 
-	// Eq. 8: worst-case detection latency for a fail-silent replica.
-	b, err := rtc.StoppedDetectionBound([]rtc.Curve{rep1.Lower(), rep2.Lower()}, d, 8*h)
+	// Eq. 8: worst-case detection latency for a fail-silent replica,
+	// convicted on its first violation (a violation budget m of 0).
+	b, err := rtc.StoppedDetectionBound([]rtc.Curve{rep1.Lower(), rep2.Lower()}, d, 0, 8*h)
 	check(err)
 	fmt.Printf("max detection latency = %.1f ms (eq. 8)\n", float64(b)/1000)
 
 	// Eq. 6: a degraded (not stopped) replica that still produces at a
 	// third of the required rate takes longer to convict.
 	degraded := rtc.PJD{Period: 15_000, Jitter: 20_000}
-	b2, err := rtc.DetectionBound(rep1.Lower(), degraded.Upper(), d, 64*h)
+	b2, err := rtc.DetectionBound(rep1.Lower(), degraded.Upper(), d, 0, 64*h)
 	check(err)
 	fmt.Printf("degraded-replica detection latency = %.1f ms (eq. 6)\n", float64(b2)/1000)
 

@@ -8,8 +8,8 @@ package exp
 // a seeded instant, no recovery manager (detection only), and the
 // consumer stream compared against the cell's golden reference. For
 // permanent stop faults the cell also carries the analytic (m,k)
-// detection bound (rtc.DetectionBoundMK via MKDetectionBounds), so the
-// report doubles as the analytic-vs-simulated latency comparison.
+// detection bound (MKDetectionBounds), so the report doubles as the
+// analytic-vs-simulated latency comparison.
 
 import (
 	"fmt"

@@ -22,8 +22,9 @@ type Sizing struct {
 	D        int64 // selector divergence threshold
 	DRep     int64 // replicator read-divergence threshold
 
-	SelBoundUs des.Time // eq. 8 bound for a stopped replica at the selector
-	RepBoundUs des.Time // queue-fill bound at the replicator
+	// MKBounds holds the paper's stopped-replica detection bounds:
+	// MKDetectionBounds at m = 0.
+	MKBounds
 }
 
 // ComputeSizing derives the full analytic design for an application.
@@ -74,43 +75,10 @@ func ComputeSizing(app App) (Sizing, error) {
 	}
 	s.DRep = dr
 
-	// Eq. 8: selector detection bound for a fail-silent replica.
-	bh := h * 8
-	selBound, err := rtc.StoppedDetectionBound([]rtc.Curve{out1.Lower(), out2.Lower()}, s.D, bh)
-	if err != nil {
-		return s, fmt.Errorf("exp: selector detection bound: %w", err)
-	}
-	s.SelBoundUs = selBound
-
-	// Replicator bound: a stopped replica's queue (worst case empty at
-	// the fault) fills after cap more tokens; the write that finds it
-	// full is the cap+1-th. One additional token must be budgeted for a
-	// read the replica had already posted when the fault struck (a
-	// blocking read in flight completes; the fault model observes faults
-	// at interfaces), so the bound is the time for the producer's lower
-	// curve to deliver cap+2 tokens. The divergence detector (2·DRep-1
-	// consumption events by the healthy replica) may fire earlier; the
-	// bound takes the per-replica minimum, then the worst replica.
-	for i := range s.RepCaps {
-		qf, err := boundForCount(app.Producer.Lower(), int64(s.RepCaps[i])+2, bh)
-		if err != nil {
-			return s, fmt.Errorf("exp: replicator queue-fill bound R%d: %w", i+1, err)
-		}
-		other := []rtc.PJD{in1, in2}[1-i]
-		dv, err := boundForCount(other.Lower(), 2*s.DRep, bh) // +1 read in flight
-
-		if err != nil {
-			dv = qf // divergence never fires within the horizon
-		}
-		b := qf
-		if dv < b {
-			b = dv
-		}
-		if b > s.RepBoundUs {
-			s.RepBoundUs = b
-		}
-	}
-	return s, nil
+	// Eq. 8 and the replicator's queue-fill bound, as MKDetectionBounds
+	// derives them for the paper's binary policy.
+	s.MKBounds, err = MKDetectionBounds(app, s, 0)
+	return s, err
 }
 
 // sizingKey is the complete analytic input of ComputeSizing: the six
@@ -157,14 +125,13 @@ func SizingCacheStats() (hits, misses int64) {
 }
 
 // MKBounds carries the worst-case detection-latency bounds for a
-// permanent fail-silent fault under an (m,k) policy: the analytic
-// generalization of Sizing's SelBoundUs/RepBoundUs with m extra
-// forgiven violations budgeted per detector (k does not appear — a
-// permanent fault violates every sample once past the threshold, see
-// rtc.DetectionBoundMK).
+// permanent fail-silent fault under a policy with violation budget m
+// (m = 0 is the paper's binary rule; k does not appear — a permanent
+// fault violates every sample once past the threshold, see
+// rtc.DetectionBound).
 type MKBounds struct {
-	SelBoundUs des.Time
-	RepBoundUs des.Time
+	SelBoundUs des.Time // eq. 8 bound for a stopped replica at the selector
+	RepBoundUs des.Time // queue-fill bound at the replicator
 }
 
 // Worst returns the later of the two detectors' bounds.
@@ -175,44 +142,45 @@ func (b MKBounds) Worst() des.Time {
 	return b.SelBoundUs
 }
 
-// MKDetectionBounds re-derives the stopped-replica detection bounds of
-// ComputeSizing under an (m,k) policy with violation budget m. m = 0
-// reproduces (SelBoundUs, RepBoundUs) exactly.
+// MKDetectionBounds derives the stopped-replica detection bounds of a
+// sized design under a policy with violation budget m; ComputeSizing
+// stores the m = 0 bounds in Sizing.
+//
+// The selector bound is eq. 8 with m forgiven divergence violations.
+// Replicator bound: a stopped replica's queue (worst case empty at the
+// fault) fills after cap more tokens; the write that finds it full is
+// the cap+1-th. One additional token must be budgeted for a read the
+// replica had already posted when the fault struck (a blocking read in
+// flight completes; the fault model observes faults at interfaces), so
+// the bound is the time for the producer's lower curve to deliver
+// cap+2 tokens, plus m forgiven full-queue writes. The read-divergence
+// detector (2·DRep-1 consumption events by the healthy replica, +1 read
+// in flight, + m) may fire earlier; the bound takes the per-replica
+// minimum, then the worst replica.
 func MKDetectionBounds(app App, s Sizing, m int) (MKBounds, error) {
 	var b MKBounds
-	if m < 0 {
-		m = 0
-	}
+	m = max(m, 0)
 	in1, in2 := app.InModel(1), app.InModel(2)
 	out1, out2 := app.OutModel(1), app.OutModel(2)
 	bh := rtc.Horizon(app.Producer, app.Consumer, in1, in2, out1, out2) * 8
 
-	sel, err := rtc.StoppedDetectionBoundMK([]rtc.Curve{out1.Lower(), out2.Lower()}, s.D, m, bh)
+	sel, err := rtc.StoppedDetectionBound([]rtc.Curve{out1.Lower(), out2.Lower()}, s.D, m, bh)
 	if err != nil {
-		return b, fmt.Errorf("exp: mk selector detection bound: %w", err)
+		return b, fmt.Errorf("exp: selector detection bound: %w", err)
 	}
 	b.SelBoundUs = sel
 
-	// Replicator side, mirroring ComputeSizing: the queue-full detector
-	// tolerates m forgiven full-queue writes (each one producer token),
-	// the read-divergence detector m extra healthy-side consumptions.
 	for i := range s.RepCaps {
-		qf, err := boundForCount(app.Producer.Lower(), int64(s.RepCaps[i])+2+int64(m), bh)
+		qf, err := rtc.TimeToReach(app.Producer.Lower(), int64(s.RepCaps[i])+2+int64(m), bh)
 		if err != nil {
-			return b, fmt.Errorf("exp: mk replicator queue-fill bound R%d: %w", i+1, err)
+			return b, fmt.Errorf("exp: replicator queue-fill bound R%d: %w", i+1, err)
 		}
 		other := []rtc.PJD{in1, in2}[1-i]
-		dv, err := boundForCount(other.Lower(), 2*s.DRep+int64(m), bh)
+		dv, err := rtc.TimeToReach(other.Lower(), 2*s.DRep+int64(m), bh)
 		if err != nil {
 			dv = qf // divergence never fires within the horizon
 		}
-		rb := qf
-		if dv < rb {
-			rb = dv
-		}
-		if rb > b.RepBoundUs {
-			b.RepBoundUs = rb
-		}
+		b.RepBoundUs = max(b.RepBoundUs, min(qf, dv))
 	}
 	return b, nil
 }
@@ -241,12 +209,6 @@ func policyM(pol ft.PolicySpec) int {
 		return pol.M
 	}
 	return 0
-}
-
-// boundForCount returns the smallest Δ with curve(Δ) >= need, via the
-// breakpoint-driven inversion (rtc.TimeToReach) instead of a tick scan.
-func boundForCount(c rtc.Curve, need rtc.Count, horizon des.Time) (des.Time, error) {
-	return rtc.TimeToReach(c, need, horizon)
 }
 
 // BuildConfig converts the sizing into the ft transform's configuration

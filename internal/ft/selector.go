@@ -449,11 +449,9 @@ func (s *SelectorState) CheckInvariants() error {
 // process-facing ports that park on des.Signal.
 type Selector struct {
 	SelectorState
-	k          *des.Kernel
 	notEmpty   des.Signal
 	notFull    []des.Signal
 	resyncWait des.Signal
-	onWrite    []func(now des.Time)
 }
 
 // NewSelector builds a two-interface selector channel. caps are the
@@ -468,7 +466,7 @@ func NewSelector(k *des.Kernel, name string, caps, inits [2]int, d int64, preloa
 // NewNSelector builds an n-way selector (n = len(caps) = len(inits) >=
 // 2), the first-of-set merge of the paper's §1 generalization.
 func NewNSelector(k *des.Kernel, name string, caps, inits []int, d int64, preload func(i int) kpn.Token, handler FaultHandler) *Selector {
-	s := &Selector{k: k, notFull: make([]des.Signal, len(caps)), onWrite: make([]func(des.Time), len(caps))}
+	s := &Selector{notFull: make([]des.Signal, len(caps))}
 	s.SelectorState = *NewSelectorState(name, caps, inits, d, preload, k.Now, handler,
 		func(w WaitOn, port int) { k.Broadcast(s.signal(w, port)) })
 	return s
@@ -485,22 +483,11 @@ func (s *Selector) signal(w WaitOn, port int) *des.Signal {
 	}
 }
 
-// SetWriteHook registers a callback fired after each counted write by
-// replica (1-based); external monitors observe the replica's production
-// events through it.
-func (s *Selector) SetWriteHook(replica int, fn func(now des.Time)) {
-	s.onWrite[replica-1] = fn
-}
-
 // write submits interface i's (0-based) next token, blocking on the
 // interface's own space counter (Lemma 1) or on resynchronization.
 func (s *Selector) write(p *des.Proc, i int, tok kpn.Token) {
-	n := s.in[i].wcnt
 	for w := s.TryWrite(i+1, tok); w != Proceed; w = s.TryWrite(i+1, tok) {
 		p.Wait(s.signal(w, i))
-	}
-	if fn := s.onWrite[i]; fn != nil && s.in[i].wcnt != n {
-		fn(s.k.Now())
 	}
 }
 

@@ -5,12 +5,8 @@ package rtc
 // of scanning every interval length Δ = 0..horizon they iterate only the
 // curves' breakpoints — the Δ where a staircase can change value — which
 // turns O(horizon) scans into O(breakpoints) scans (classic RTC/MPA
-// toolkit technique). Curves that do not expose breakpoints are sampled
-// once into a memo table (Sampled), so the worst case stays the old
-// dense cost. Value-equivalence with the dense reference implementations
-// in reference.go is checked by property tests; unboundedness is decided
-// exactly from long-run rates when both curves expose them (Rated) and
-// by the seed's last-improvement heuristic otherwise.
+// toolkit technique). Value-equivalence with the dense reference
+// implementations in reference.go is checked by property tests.
 
 // BufferCapacity computes the minimum FIFO capacity |F_P| such that a
 // producer with upper arrival curve prodUpper never blocks on a consumer
@@ -85,28 +81,50 @@ func DivergenceThreshold(upper1, lower1, upper2, lower2 Curve, horizon Time) (Co
 	return s + 1, nil
 }
 
+// Detection latency under a violation budget m. The paper's detectors
+// convict on the first violation (m = 0). Under an (m,k) weakly-hard
+// policy (Liang et al.) a replica is convicted only when more than m of
+// its last k detection samples were violations, so a permanently faulty
+// replica must first accumulate m+1 violating samples. The bounds below
+// account for those m forgiven violations; k does not appear, because a
+// permanent fault violates every sample once past the threshold, so any
+// k > m window fills with violations regardless of its length (k only
+// controls how much history a transient needs to outlive).
+//
+// The divergence threshold D itself must NOT shrink under (m,k). Eq. 5's
+// D is the smallest bound two fault-free replicas can never reach; any
+// smaller D' admits fault-free excursions that can persist for
+// unboundedly many consecutive samples (the envelopes allow a replica to
+// sit at the supremum difference for arbitrarily long), so no finite m
+// forgives them safely. The relaxation is in the conviction rule only.
+
 // DetectionBound computes the maximum time to detect a fault (eq. 6): the
 // smallest Δ such that the healthy replica's lower curve exceeds the
-// faulty replica's post-fault upper curve by at least 2D-1 tokens:
+// faulty replica's post-fault upper curve by at least 2D-1+m tokens:
 //
-//	inf { Δ | (α_healthy^l - ᾱ_faulty^u)(Δ) >= 2D-1 }.
+//	inf { Δ | (α_healthy^l - ᾱ_faulty^u)(Δ) >= 2D-1+m }.
+//
+// The binary bound inverts a 2D-1 token gap — D-1 tokens of pre-fault
+// slack, then D more to reach the threshold. Divergence samples arrive
+// one per counted write of the healthy side and each write past the
+// threshold is one violation, so a budget of m forgiven violations
+// (m < 0 counts as 0) adds m tokens to the gap.
 //
 // Pass rtc.Zero as faultyUpper for a replica that stops producing
 // entirely (eq. 8). ErrUnreachable is returned when the gap is never
 // reached within the horizon (the "faulty" curve still satisfies the
 // constraints, i.e. it is not detectably faulty).
-func DetectionBound(healthyLower, faultyUpper Curve, d Count, horizon Time) (Time, error) {
+func DetectionBound(healthyLower, faultyUpper Curve, d Count, m int, horizon Time) (Time, error) {
 	h, err := validateHorizon(horizon)
 	if err != nil {
 		return 0, err
 	}
-	need := 2*d - 1
+	need := 2*d - 1 + Count(max(m, 0))
 	// The difference of two staircases is piecewise constant between
 	// their merged breakpoints, so the smallest satisfying Δ is the left
 	// endpoint of the first satisfying segment — a breakpoint.
-	hb, fb := Sampled(healthyLower, h), Sampled(faultyUpper, h)
-	for _, p := range mergePoints(h, hb.Breakpoints(h), fb.Breakpoints(h)) {
-		if hb.Eval(p)-fb.Eval(p) >= need {
+	for _, p := range mergePoints(h, healthyLower.Breakpoints(h), faultyUpper.Breakpoints(h)) {
+		if healthyLower.Eval(p)-faultyUpper.Eval(p) >= need {
 			return p, nil
 		}
 	}
@@ -122,9 +140,8 @@ func TimeToReach(c Curve, need Count, horizon Time) (Time, error) {
 	if err != nil {
 		return 0, err
 	}
-	bc := Sampled(c, h)
-	for _, p := range bc.Breakpoints(h) {
-		if bc.Eval(p) >= need {
+	for _, p := range c.Breakpoints(h) {
+		if c.Eval(p) >= need {
 			return p, nil
 		}
 	}
@@ -137,80 +154,76 @@ func TimeToReach(c Curve, need Count, horizon Time) (Time, error) {
 // assumed post-fault upper curve; the bound for "replica j faulty" uses
 // every other replica i's healthy lower curve against ᾱ_j^u, and the
 // result is the maximum over all such pairs of the per-pair infimum.
-func MaxDetectionBound(healthyLowers, faultyUppers []Curve, d Count, horizon Time) (Time, error) {
+func MaxDetectionBound(healthyLowers, faultyUppers []Curve, d Count, m int, horizon Time) (Time, error) {
 	if len(healthyLowers) != len(faultyUppers) || len(healthyLowers) < 2 {
 		return 0, ErrUnreachable
 	}
 	var worst Time
-	found := false
 	for j := range faultyUppers {
 		for i := range healthyLowers {
 			if i == j {
 				continue
 			}
-			b, err := DetectionBound(healthyLowers[i], faultyUppers[j], d, horizon)
+			b, err := DetectionBound(healthyLowers[i], faultyUppers[j], d, m, horizon)
 			if err != nil {
 				return 0, err
 			}
-			if b > worst {
-				worst = b
-			}
-			found = true
+			worst = max(worst, b)
 		}
-	}
-	if !found {
-		return 0, ErrUnreachable
 	}
 	return worst, nil
 }
 
 // StoppedDetectionBound specializes eq. 8: the faulty replica produces
 // nothing after the fault, so the bound is the worst case over replicas
-// of inf { Δ | α_i^l(Δ) >= 2D-1 }.
-func StoppedDetectionBound(healthyLowers []Curve, d Count, horizon Time) (Time, error) {
+// of inf { Δ | α_i^l(Δ) >= 2D-1+m }.
+func StoppedDetectionBound(healthyLowers []Curve, d Count, m int, horizon Time) (Time, error) {
 	var worst Time
 	for _, l := range healthyLowers {
-		b, err := DetectionBound(l, Zero, d, horizon)
+		b, err := DetectionBound(l, Zero, d, m, horizon)
 		if err != nil {
 			return 0, err
 		}
-		if b > worst {
-			worst = b
-		}
+		worst = max(worst, b)
 	}
 	return worst, nil
+}
+
+// StallViolationBudget estimates the (m,k) violation budget m needed to
+// forgive a transient stall of glitchUs on a replica: while stalled and
+// then catching up, the healthy side issues violating divergence
+// samples; bounding the catch-up phase by a second glitch-length of
+// writes gives m ≈ α_h^u(2·glitch). The factor 2 is a heuristic backed
+// by the workloads' low stage utilization (a recovered replica drains
+// its backlog much faster than the period, so catch-up adds well under
+// one glitch-length of violating samples); detectbench measures the
+// real margin. Returns at least 1.
+func StallViolationBudget(healthyUpper Curve, glitchUs Time, horizon Time) (int, error) {
+	h, err := validateHorizon(horizon)
+	if err != nil {
+		return 0, err
+	}
+	return max(int(healthyUpper.Eval(min(2*glitchUs, h))), 1), nil
 }
 
 // supDiff computes sup_{0<=Δ<=horizon} { a(Δ) - b(Δ) } by evaluating
 // only at the merged breakpoints of the two curves (the difference is
 // constant in between, so the per-segment maximum sits at the left
-// endpoint). Divergence is decided exactly from long-run rates when both
-// curves expose them: the supremum is infinite iff a's rate strictly
-// exceeds b's. Otherwise the dense scan's heuristic is preserved: a new
-// maximum still being attained in the last eighth of the horizon is
-// considered divergent.
+// endpoint). Divergence is decided exactly from long-run rates: the
+// supremum is infinite iff a's rate strictly exceeds b's.
 func supDiff(a, b Curve, horizon Time) (Count, error) {
 	h, err := validateHorizon(horizon)
 	if err != nil {
 		return 0, err
 	}
-	ab, bb := Sampled(a, h), Sampled(b, h)
-	var sup Count
-	lastImprove := Time(0)
-	for _, p := range mergePoints(h, ab.Breakpoints(h), bb.Breakpoints(h)) {
-		if d := ab.Eval(p) - bb.Eval(p); d > sup {
-			sup = d
-			lastImprove = p
-		}
-	}
-	an, ad, aOK := longRunRate(a)
-	bn, bd, bOK := longRunRate(b)
-	if aOK && bOK {
-		if rateExceeds(an, ad, bn, bd) {
-			return 0, ErrUnbounded
-		}
-	} else if h >= 16 && lastImprove > h-h/8 {
+	an, ad := a.LongRunRate()
+	bn, bd := b.LongRunRate()
+	if rateExceeds(an, ad, bn, bd) {
 		return 0, ErrUnbounded
+	}
+	var sup Count
+	for _, p := range mergePoints(h, a.Breakpoints(h), b.Breakpoints(h)) {
+		sup = max(sup, a.Eval(p)-b.Eval(p))
 	}
 	return sup, nil
 }

@@ -2,6 +2,7 @@ package rtc
 
 import (
 	"errors"
+	"math/rand"
 	"testing"
 	"testing/quick"
 )
@@ -100,7 +101,7 @@ func TestDetectionBoundStoppedReplica(t *testing.T) {
 	// Healthy replica strictly periodic p=10, D=4: need lower(Δ) >= 7,
 	// first at Δ = 70.
 	healthy := PJD{Period: 10}
-	b, err := DetectionBound(healthy.Lower(), Zero, 4, 10000)
+	b, err := DetectionBound(healthy.Lower(), Zero, 4, 0, 10000)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -114,7 +115,7 @@ func TestDetectionBoundDegradedReplica(t *testing.T) {
 	// healthy stays at period 10. Gap 2D-1 = 7 must open up.
 	healthy := PJD{Period: 10}
 	degraded := PJD{Period: 40}
-	b, err := DetectionBound(healthy.Lower(), degraded.Upper(), 4, 100000)
+	b, err := DetectionBound(healthy.Lower(), degraded.Upper(), 4, 0, 100000)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -124,7 +125,7 @@ func TestDetectionBoundDegradedReplica(t *testing.T) {
 		t.Errorf("DetectionBound degraded = %d, want 100", b)
 	}
 	// Degraded detection must be slower than full-stop detection.
-	stop, err := DetectionBound(healthy.Lower(), Zero, 4, 100000)
+	stop, err := DetectionBound(healthy.Lower(), Zero, 4, 0, 100000)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -136,7 +137,7 @@ func TestDetectionBoundDegradedReplica(t *testing.T) {
 func TestDetectionBoundUnreachable(t *testing.T) {
 	// "Faulty" replica as fast as the healthy one: gap never opens.
 	m := PJD{Period: 10}
-	_, err := DetectionBound(m.Lower(), m.Upper(), 4, 5000)
+	_, err := DetectionBound(m.Lower(), m.Upper(), 4, 0, 5000)
 	if !errors.Is(err, ErrUnreachable) {
 		t.Errorf("err = %v, want ErrUnreachable", err)
 	}
@@ -149,12 +150,12 @@ func TestMaxDetectionBoundAsymmetric(t *testing.T) {
 	r2 := PJD{Period: 10, Jitter: 30}
 	lowers := []Curve{r1.Lower(), r2.Lower()}
 	uppers := []Curve{Zero, Zero} // both stop entirely after a fault
-	b, err := MaxDetectionBound(lowers, uppers, 4, 10000)
+	b, err := MaxDetectionBound(lowers, uppers, 4, 0, 10000)
 	if err != nil {
 		t.Fatal(err)
 	}
-	b1, _ := DetectionBound(r2.Lower(), Zero, 4, 10000) // replica 1 faulty
-	b2, _ := DetectionBound(r1.Lower(), Zero, 4, 10000) // replica 2 faulty
+	b1, _ := DetectionBound(r2.Lower(), Zero, 4, 0, 10000) // replica 1 faulty
+	b2, _ := DetectionBound(r1.Lower(), Zero, 4, 0, 10000) // replica 2 faulty
 	want := b1
 	if b2 > want {
 		want = b2
@@ -168,11 +169,11 @@ func TestMaxDetectionBoundAsymmetric(t *testing.T) {
 }
 
 func TestMaxDetectionBoundDegenerate(t *testing.T) {
-	if _, err := MaxDetectionBound(nil, nil, 2, 100); err == nil {
+	if _, err := MaxDetectionBound(nil, nil, 2, 0, 100); err == nil {
 		t.Error("MaxDetectionBound(nil) should fail")
 	}
 	m := PJD{Period: 5}
-	if _, err := MaxDetectionBound([]Curve{m.Lower()}, []Curve{Zero}, 2, 100); err == nil {
+	if _, err := MaxDetectionBound([]Curve{m.Lower()}, []Curve{Zero}, 2, 0, 100); err == nil {
 		t.Error("MaxDetectionBound with one replica should fail")
 	}
 }
@@ -180,7 +181,7 @@ func TestMaxDetectionBoundDegenerate(t *testing.T) {
 func TestStoppedDetectionBound(t *testing.T) {
 	r1 := PJD{Period: 10}
 	r2 := PJD{Period: 10, Jitter: 20}
-	b, err := StoppedDetectionBound([]Curve{r1.Lower(), r2.Lower()}, 3, 10000)
+	b, err := StoppedDetectionBound([]Curve{r1.Lower(), r2.Lower()}, 3, 0, 10000)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -196,8 +197,8 @@ func TestDetectionBoundMonotoneInD(t *testing.T) {
 	prop := func(period uint8, jitter uint8, d uint8) bool {
 		m := PJD{Period: Time(period%40) + 1, Jitter: Time(jitter % 40)}
 		dd := Count(d%8) + 1
-		b1, err1 := DetectionBound(m.Lower(), Zero, dd, 1<<20)
-		b2, err2 := DetectionBound(m.Lower(), Zero, dd+1, 1<<20)
+		b1, err1 := DetectionBound(m.Lower(), Zero, dd, 0, 1<<20)
+		b2, err2 := DetectionBound(m.Lower(), Zero, dd+1, 0, 1<<20)
 		if err1 != nil || err2 != nil {
 			return false
 		}
@@ -258,5 +259,60 @@ func TestDivergenceThresholdNoFalsePositives(t *testing.T) {
 	}
 	if err := quick.Check(prop, &quick.Config{MaxCount: 100}); err != nil {
 		t.Error(err)
+	}
+}
+
+// randomPJD draws a well-formed PJD envelope for property tests.
+func randomPJD(rng *rand.Rand) PJD {
+	p := Time(100 + rng.Intn(2000))
+	j := Time(rng.Intn(int(3 * p)))
+	var d Time
+	if rng.Intn(2) == 0 && p > 2 {
+		d = Time(1 + rng.Intn(int(p/2)))
+	}
+	return PJD{Period: p, Jitter: j, MinDist: d}
+}
+
+// TestDetectionBoundMKMonotoneInM: forgiving more violations of an
+// (m,k) policy can only delay detection, so the bound is non-decreasing
+// in the violation budget m.
+func TestDetectionBoundMKMonotoneInM(t *testing.T) {
+	rng := rand.New(rand.NewSource(11))
+	for trial := 0; trial < 100; trial++ {
+		healthy := randomPJD(rng)
+		h := Horizon(healthy) * 16
+		d := Count(1 + rng.Intn(4))
+		prev := Time(-1)
+		for m := 0; m <= 8; m++ {
+			b, err := DetectionBound(healthy.Lower(), Zero, d, m, h)
+			if err != nil {
+				t.Fatalf("trial %d m=%d: %v", trial, m, err)
+			}
+			if b < prev {
+				t.Fatalf("trial %d: bound decreased from %d to %d at m=%d", trial, prev, b, m)
+			}
+			prev = b
+		}
+	}
+}
+
+// TestStallViolationBudget sanity: the budget is positive and grows
+// (weakly) with the glitch length.
+func TestStallViolationBudget(t *testing.T) {
+	healthy := PJD{Period: 1000, Jitter: 500}
+	h := Horizon(healthy) * 16
+	prev := 0
+	for _, g := range []Time{0, 500, 1000, 5000, 20000} {
+		m, err := StallViolationBudget(healthy.Upper(), g, h)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if m < 1 {
+			t.Fatalf("budget %d < 1 for glitch %d", m, g)
+		}
+		if m < prev {
+			t.Fatalf("budget shrank from %d to %d at glitch %d", prev, m, g)
+		}
+		prev = m
 	}
 }

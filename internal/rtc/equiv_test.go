@@ -128,7 +128,7 @@ func TestDetectionBoundMatchesDense(t *testing.T) {
 		if rng.Intn(3) == 0 {
 			fu = Zero // eq. 8: fail-silent replica
 		}
-		db, berr := DetectionBound(healthy.Lower(), fu, d, h)
+		db, berr := DetectionBound(healthy.Lower(), fu, d, 0, h)
 		dd, derr := DenseDetectionBound(healthy.Lower(), fu, d, h)
 		if !assertSameErr(t, "DetectionBound", berr, derr) {
 			continue
@@ -161,78 +161,12 @@ func TestTimeToReachMatchesDense(t *testing.T) {
 	}
 }
 
-// randService draws a rate-latency service curve at least as fast as the
-// given input model, so deconvolution stays bounded.
-func randService(rng *rand.Rand, in PJD) RateLatency {
-	per := Time(1 + rng.Intn(int(in.Period)))
-	return RateLatency{LatencyUs: Time(rng.Intn(60)), Rate: 1, Per: per}
-}
-
-func TestOutputBoundMatchesDense(t *testing.T) {
-	rng := rand.New(rand.NewSource(5))
-	for trial := 0; trial < 60; trial++ {
-		in := randPJD(rng)
-		svc := randService(rng, in)
-		h := Time(200 + rng.Intn(400))
-		bc, berr := OutputBound(in.Upper(), svc, h)
-		dc, derr := DenseOutputBound(in.Upper(), svc, h)
-		if errors.Is(derr, ErrUnbounded) {
-			// Heuristic false alarm is possible on slow transients; the
-			// exact path must only report unbounded when rates diverge,
-			// which randService rules out.
-			if errors.Is(berr, ErrUnbounded) {
-				t.Fatalf("trial %d: exact OutputBound unbounded despite service at least as fast", trial)
-			}
-			continue
-		}
-		if !assertSameErr(t, "OutputBound", berr, derr) {
-			continue
-		}
-		// Compare across the table range and beyond (linear extension).
-		for _, delta := range []Time{-3, 0, 1, 2, h / 3, h/2 + 1, h - 1, h, h + 1, h + 7, 2 * h} {
-			if bv, dv := bc.Eval(delta), dc.Eval(delta); bv != dv {
-				t.Fatalf("trial %d: OutputBound(%v ⊘ %+v, h=%d).Eval(%d) = %d, dense = %d",
-					trial, in, svc, h, delta, bv, dv)
-			}
-		}
-		for delta := Time(0); delta <= h; delta++ {
-			if bv, dv := bc.Eval(delta), dc.Eval(delta); bv != dv {
-				t.Fatalf("trial %d: OutputBound.Eval(%d) = %d, dense = %d (%v ⊘ %+v, h=%d)",
-					trial, delta, bv, dv, in, svc, h)
-			}
-		}
-	}
-}
-
-func TestDelayBoundMatchesDense(t *testing.T) {
-	rng := rand.New(rand.NewSource(6))
-	for trial := 0; trial < 120; trial++ {
-		in := randPJD(rng)
-		svc := randService(rng, in)
-		h := Time(200 + rng.Intn(800))
-		bd, berr := DelayBound(in.Upper(), svc, h)
-		dd, derr := DenseDelayBound(in.Upper(), svc, h)
-		if errors.Is(derr, ErrUnbounded) {
-			if errors.Is(berr, ErrUnbounded) {
-				t.Fatalf("trial %d: exact DelayBound unbounded despite service at least as fast", trial)
-			}
-			continue
-		}
-		if !assertSameErr(t, "DelayBound", berr, derr) {
-			continue
-		}
-		if bd != dd {
-			t.Fatalf("trial %d: DelayBound = %d, dense = %d (%v vs %+v, h=%d)", trial, bd, dd, in, svc, h)
-		}
-	}
-}
-
-// TestBreakpointsCoverChanges checks the BreakpointCurve contract for
+// TestBreakpointsCoverChanges checks the Curve breakpoint contract for
 // every implementation in the package: each Δ with Eval(Δ) != Eval(Δ-1)
 // must appear in Breakpoints (supersets allowed, omissions not).
 func TestBreakpointsCoverChanges(t *testing.T) {
 	rng := rand.New(rand.NewSource(7))
-	check := func(name string, bc BreakpointCurve, h Time) {
+	check := func(name string, bc Curve, h Time) {
 		t.Helper()
 		pts := bc.Breakpoints(h)
 		set := make(map[Time]bool, len(pts))
@@ -259,51 +193,15 @@ func TestBreakpointsCoverChanges(t *testing.T) {
 	for trial := 0; trial < 40; trial++ {
 		m := randPJD(rng)
 		h := m.SuggestedHorizon()
-		check("pjdUpper", m.Upper().(BreakpointCurve), h)
-		check("pjdLower", m.Lower().(BreakpointCurve), h)
+		check("pjdUpper", m.Upper(), h)
+		check("pjdLower", m.Lower(), h)
 
 		up, lo, err := CalibratedCurves(randTrace(rng), 0)
 		if err != nil {
 			t.Fatal(err)
 		}
-		check("step upper", up.(BreakpointCurve), 600)
-		check("step lower", lo.(BreakpointCurve), 600)
-
-		svc := randService(rng, m)
-		check("rate-latency", svc, 500)
-		if out, err := OutputBound(m.Upper(), svc, 300); err == nil {
-			check("deconv", out.(BreakpointCurve), 450)
-		}
+		check("step upper", up, 600)
+		check("step lower", lo, 600)
 	}
-	check("zero", Zero.(BreakpointCurve), 100)
-	check("sampled", Sampled(CurveFunc(func(d Time) Count {
-		if d <= 0 {
-			return 0
-		}
-		return Count(d / 7)
-	}), 200), 200)
-}
-
-// TestOutputBoundExactOverload is the regression for the re-derived
-// unboundedness condition: an input strictly faster than the service
-// must report ErrUnbounded from the long-run rates alone, even at
-// horizons far too short for the old last-improvement heuristic to
-// trigger reliably.
-func TestOutputBoundExactOverload(t *testing.T) {
-	in := PJD{Period: 100, Jitter: 10}
-	svc := RateLatency{LatencyUs: 0, Rate: 1, Per: 101} // barely too slow
-	if _, err := OutputBound(in.Upper(), svc, 20000); !errors.Is(err, ErrUnbounded) {
-		t.Fatalf("rate 1/100 into service 1/101: got %v, want ErrUnbounded", err)
-	}
-	if _, err := DelayBound(in.Upper(), svc, 20000); !errors.Is(err, ErrUnbounded) {
-		t.Fatalf("DelayBound overloaded: got %v, want ErrUnbounded", err)
-	}
-	if _, err := BacklogBound(in.Upper(), svc, 20000); !errors.Is(err, ErrUnbounded) {
-		t.Fatalf("BacklogBound overloaded: got %v, want ErrUnbounded", err)
-	}
-	// Matched rates stay bounded at any horizon.
-	ok := RateLatency{LatencyUs: 50, Rate: 1, Per: 100}
-	if _, err := OutputBound(in.Upper(), ok, 20000); err != nil {
-		t.Fatalf("matched rates should be bounded: %v", err)
-	}
+	check("zero", Zero, 100)
 }

@@ -98,7 +98,7 @@ func (c pjdLower) Eval(delta Time) Count {
 	return n
 }
 
-// Breakpoints implements BreakpointCurve: a superset of the interval
+// Breakpoints implements Curve: a superset of the interval
 // lengths where α^u can change. The ceil((Δ+j)/p) term increments at
 // Δ = k·p − j + 1 and the ceil(Δ/d) term at Δ = k·d + 1, so the curve
 // has O(h/p + h/d) breakpoints over a horizon h — far fewer than h.
@@ -127,11 +127,11 @@ func (c pjdUpper) Breakpoints(horizon Time) []Time {
 	return mergePoints(horizon, pts)
 }
 
-// LongRunRate implements Rated: one event per period (the min-distance
+// LongRunRate implements Curve: one event per period (the min-distance
 // term only sharpens the transient, since MinDist <= Period).
 func (c pjdUpper) LongRunRate() (Count, Time) { return 1, c.m.Period }
 
-// Breakpoints implements BreakpointCurve: floor((Δ-j)/p) increments at
+// Breakpoints implements Curve: floor((Δ-j)/p) increments at
 // Δ = j + k·p.
 func (c pjdLower) Breakpoints(horizon Time) []Time {
 	pts := []Time{0}
@@ -144,7 +144,7 @@ func (c pjdLower) Breakpoints(horizon Time) []Time {
 	return mergePoints(horizon, pts)
 }
 
-// LongRunRate implements Rated.
+// LongRunRate implements Curve.
 func (c pjdLower) LongRunRate() (Count, Time) { return 1, c.m.Period }
 
 // Upper returns the upper arrival curve α^u of the model.
@@ -168,56 +168,6 @@ func (m PJD) SuggestedHorizon() Time {
 		h += 4 * m.MinDist
 	}
 	return h
-}
-
-// FitPJD calibrates a PJD model from an observed event trace (sorted
-// timestamps): the period is the mean inter-event gap (rounded), the
-// jitter the largest deviation of any event from the best-fit periodic
-// grid, and the minimum distance the smallest observed gap. The fitted
-// model's curves contain the trace (its envelope is conservative for
-// the observations; future behaviour is the designer's responsibility,
-// as with any calibration, §3.4).
-func FitPJD(timestamps []Time) (PJD, error) {
-	n := len(timestamps)
-	if n < 3 {
-		return PJD{}, fmt.Errorf("rtc: fitting needs at least 3 timestamps, got %d", n)
-	}
-	for i := 1; i < n; i++ {
-		if timestamps[i] < timestamps[i-1] {
-			return PJD{}, fmt.Errorf("rtc: timestamps not sorted at index %d", i)
-		}
-	}
-	span := timestamps[n-1] - timestamps[0]
-	if span <= 0 {
-		return PJD{}, fmt.Errorf("rtc: zero-span trace")
-	}
-	period := (span + Time(n-1)/2) / Time(n-1)
-	if period < 1 {
-		period = 1
-	}
-	minDist := span
-	for i := 1; i < n; i++ {
-		if d := timestamps[i] - timestamps[i-1]; d < minDist {
-			minDist = d
-		}
-	}
-	if minDist > period {
-		minDist = period
-	}
-	// Jitter: max |ts[i] - (ts[0] + i*period)|, doubled to cover phase
-	// both ways (the PJD envelope places events in [i*p, i*p + j]).
-	var maxDev Time
-	for i := 0; i < n; i++ {
-		ideal := timestamps[0] + Time(i)*period
-		d := timestamps[i] - ideal
-		if d < 0 {
-			d = -d
-		}
-		if d > maxDev {
-			maxDev = d
-		}
-	}
-	return PJD{Period: period, Jitter: 2 * maxDev, MinDist: minDist}, nil
 }
 
 // Horizon returns a scan horizon suitable for joint analyses over all the

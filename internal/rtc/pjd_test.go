@@ -209,56 +209,3 @@ func TestHorizonPositive(t *testing.T) {
 		t.Errorf("Horizon(m,m) = %d, want >= %d", h, 2*m.SuggestedHorizon())
 	}
 }
-
-func TestFitPJDStrictlyPeriodic(t *testing.T) {
-	ts := make([]Time, 20)
-	for i := range ts {
-		ts[i] = Time(i) * 50
-	}
-	m, err := FitPJD(ts)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if m.Period != 50 || m.Jitter != 0 || m.MinDist != 50 {
-		t.Errorf("fitted %v, want <50,0,50>", m)
-	}
-	if err := m.Validate(); err != nil {
-		t.Error(err)
-	}
-}
-
-func TestFitPJDEnvelopeContainsTrace(t *testing.T) {
-	// A jittered periodic trace must lie within its fitted envelope.
-	var ts []Time
-	state := int64(99)
-	for i := 0; i < 60; i++ {
-		state = state*6364136223846793005 + 1442695040888963407
-		ph := ((state >> 33) & 0xFFFF) % 9
-		ts = append(ts, Time(i)*40+ph)
-	}
-	m, err := FitPJD(ts)
-	if err != nil {
-		t.Fatal(err)
-	}
-	u := m.Upper()
-	for a := 0; a < len(ts); a++ {
-		for b := a; b < len(ts); b++ {
-			delta := ts[b] - ts[a] + 1
-			if cnt := Count(b - a + 1); cnt > u.Eval(delta) {
-				t.Fatalf("fitted upper violated: %d events in window %d (model %v)", cnt, delta, m)
-			}
-		}
-	}
-}
-
-func TestFitPJDErrors(t *testing.T) {
-	if _, err := FitPJD([]Time{1, 2}); err == nil {
-		t.Error("too few timestamps should fail")
-	}
-	if _, err := FitPJD([]Time{3, 2, 4}); err == nil {
-		t.Error("unsorted should fail")
-	}
-	if _, err := FitPJD([]Time{5, 5, 5}); err == nil {
-		t.Error("zero span should fail")
-	}
-}

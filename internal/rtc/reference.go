@@ -1,13 +1,10 @@
 package rtc
 
 // Reference solvers: the original per-tick dense-scan implementations,
-// retained verbatim after the breakpoint-driven rewrite. They serve two
-// purposes: (a) test oracles — the equivalence property tests check that
-// the breakpoint solvers return exactly the same values on randomized
-// models — and (b) fallbacks for OutputBound/DelayBound when a curve
-// exposes neither breakpoints nor an exact long-run rate. They scan every
-// integer tick and are O(horizon) to O(horizon²); do not use them on
-// production paths.
+// retained verbatim after the breakpoint-driven rewrite as test oracles —
+// the equivalence property tests check that the breakpoint solvers
+// return exactly the same values on randomized models. They scan every
+// integer tick and are O(horizon); do not use them on production paths.
 
 // DenseSupDiff computes sup_{0<=Δ<=horizon} { a(Δ) - b(Δ) } by scanning
 // every tick, verifying convergence with the last-improvement heuristic:
@@ -62,82 +59,4 @@ func DenseTimeToReach(c Curve, need Count, horizon Time) (Time, error) {
 		}
 	}
 	return 0, ErrUnreachable
-}
-
-// DenseOutputBound is the O(horizon²) reference for OutputBound: the
-// (min,+) deconvolution α' = α ⊘ β evaluated tick-by-tick with the
-// last-improvement unboundedness heuristic of the seed implementation.
-func DenseOutputBound(input Curve, service ServiceCurve, horizon Time) (Curve, error) {
-	h, err := validateHorizon(horizon)
-	if err != nil {
-		return nil, err
-	}
-	// Precompute the output curve as an explicit table up to the horizon.
-	vals := make([]Count, h+1)
-	for delta := Time(0); delta <= h; delta++ {
-		var sup Count
-		lastImprove := Time(0)
-		for u := Time(0); u <= h; u++ {
-			if v := input.Eval(delta+u) - service.Eval(u); v > sup {
-				sup = v
-				lastImprove = u
-			}
-		}
-		if h >= 16 && lastImprove > h-h/8 {
-			return nil, ErrUnbounded
-		}
-		vals[delta] = sup
-	}
-	rate := vals[h] - vals[h-1]
-	if rate < 0 {
-		rate = 0
-	}
-	return CurveFunc(func(delta Time) Count {
-		if delta <= 0 {
-			return 0
-		}
-		if delta <= h {
-			return vals[delta]
-		}
-		return vals[h] + rate*Count(delta-h) // linear extension
-	}), nil
-}
-
-// DenseDelayBound is the per-tick reference for DelayBound: the
-// horizontal deviation sup_t inf { d | α(t) <= β(t+d) } with the seed's
-// 4·horizon search limit and last-improvement heuristic.
-func DenseDelayBound(input Curve, service ServiceCurve, horizon Time) (Time, error) {
-	h, err := validateHorizon(horizon)
-	if err != nil {
-		return 0, err
-	}
-	var worst Time
-	lastImprove := Time(0)
-	for t := Time(0); t <= h; t++ {
-		need := input.Eval(t)
-		if need == 0 {
-			continue
-		}
-		// Find the smallest d with β(t+d) >= need.
-		d, found := Time(0), false
-		for ; t+d <= 4*h; d++ {
-			if service.Eval(t+d) >= need {
-				found = true
-				break
-			}
-		}
-		if !found {
-			return 0, ErrUnbounded
-		}
-		if d > worst {
-			worst = d
-			lastImprove = t
-		}
-	}
-	// A bound still growing at the end of the horizon indicates an
-	// overloaded server: the true supremum is infinite.
-	if h >= 16 && lastImprove > h-h/8 {
-		return 0, ErrUnbounded
-	}
-	return worst, nil
 }

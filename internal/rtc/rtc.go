@@ -24,40 +24,22 @@ type Time = int64
 // Count is a number of tokens (stream events).
 type Count = int64
 
-// Curve is an arrival curve: a wide-sense increasing function from an
-// interval length Δ (in ticks) to a token count. Implementations must
-// return 0 for Δ <= 0 and be monotone in Δ.
+// Curve is an arrival curve: a wide-sense increasing staircase from an
+// interval length Δ (in ticks) to a token count. The solvers in this
+// package scan only a curve's breakpoints, O(breakpoints) interval
+// lengths instead of every integer tick up to the horizon, and decide
+// unboundedness exactly from long-run rates.
 type Curve interface {
-	// Eval returns the curve value at interval length delta.
+	// Eval returns the curve value at interval length delta: 0 for
+	// delta <= 0, and monotone in delta.
 	Eval(delta Time) Count
-}
-
-// CurveFunc adapts an ordinary function to the Curve interface.
-type CurveFunc func(delta Time) Count
-
-// Eval implements Curve.
-func (f CurveFunc) Eval(delta Time) Count { return f(delta) }
-
-// BreakpointCurve is an optional extension of Curve for staircase curves
-// that can enumerate where their value may change. The solvers in this
-// package exploit it to scan only O(breakpoints) interval lengths
-// instead of every integer tick up to the horizon.
-type BreakpointCurve interface {
-	Curve
 
 	// Breakpoints returns interval lengths in [0, horizon], sorted
 	// ascending and starting with 0, that include every Δ in the range
 	// with Eval(Δ) != Eval(Δ-1). Supersets are allowed (extra points
 	// where the value does not change are harmless); omissions are not.
 	Breakpoints(horizon Time) []Time
-}
 
-// Rated is an optional extension of curves (arrival or service) that
-// know their exact long-run rate of tokens/per ticks. Solvers use it to
-// decide unboundedness exactly — a supremum over the difference of two
-// staircases diverges iff the minuend's long-run rate strictly exceeds
-// the subtrahend's — instead of heuristically from dense sampling.
-type Rated interface {
 	// LongRunRate returns the asymptotic rate as the pair
 	// (tokens, per): tokens per `per` ticks, with per > 0.
 	LongRunRate() (tokens Count, per Time)
@@ -75,16 +57,6 @@ func (zeroCurve) LongRunRate() (Count, Time) { return 0, 1 }
 // that has stopped entirely, e.g. a replica suffering a fail-silent
 // timing fault (the ᾱ^u of eq. 8).
 var Zero Curve = zeroCurve{}
-
-// longRunRate unwraps a curve's exact long-run rate, if it exposes one.
-func longRunRate(c Curve) (tokens Count, per Time, ok bool) {
-	if r, isRated := c.(Rated); isRated {
-		if n, d := r.LongRunRate(); d > 0 {
-			return n, d, true
-		}
-	}
-	return 0, 0, false
-}
 
 // rateExceeds reports whether rate an/ad strictly exceeds bn/bd.
 func rateExceeds(an Count, ad Time, bn Count, bd Time) bool {

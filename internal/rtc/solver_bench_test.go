@@ -11,7 +11,6 @@ const benchHorizon = Time(100000)
 var (
 	benchHealthy = PJD{Period: 900, Jitter: 250, MinDist: 100}
 	benchFaulty  = PJD{Period: 1100, Jitter: 400}
-	benchService = RateLatency{LatencyUs: 700, Rate: 1, Per: 800}
 )
 
 func BenchmarkSupDiff(b *testing.B) {
@@ -32,7 +31,7 @@ func BenchmarkDenseSupDiff(b *testing.B) {
 
 func BenchmarkDetectionBound(b *testing.B) {
 	for i := 0; i < b.N; i++ {
-		if _, err := DetectionBound(benchHealthy.Lower(), Zero, 4, benchHorizon); err != nil {
+		if _, err := DetectionBound(benchHealthy.Lower(), Zero, 4, 0, benchHorizon); err != nil {
 			b.Fatal(err)
 		}
 	}
@@ -41,51 +40,6 @@ func BenchmarkDetectionBound(b *testing.B) {
 func BenchmarkDenseDetectionBound(b *testing.B) {
 	for i := 0; i < b.N; i++ {
 		if _, err := DenseDetectionBound(benchHealthy.Lower(), Zero, 4, benchHorizon); err != nil {
-			b.Fatal(err)
-		}
-	}
-}
-
-// OutputBound is quadratic in its scan set, so the dense reference runs
-// at a reduced horizon; the breakpoint version is benchmarked at both.
-
-const denseDeconvHorizon = Time(20000)
-
-func BenchmarkOutputBound(b *testing.B) {
-	for i := 0; i < b.N; i++ {
-		if _, err := OutputBound(benchHealthy.Upper(), benchService, denseDeconvHorizon); err != nil {
-			b.Fatal(err)
-		}
-	}
-}
-
-func BenchmarkOutputBound100k(b *testing.B) {
-	for i := 0; i < b.N; i++ {
-		if _, err := OutputBound(benchHealthy.Upper(), benchService, benchHorizon); err != nil {
-			b.Fatal(err)
-		}
-	}
-}
-
-func BenchmarkDenseOutputBound(b *testing.B) {
-	for i := 0; i < b.N; i++ {
-		if _, err := DenseOutputBound(benchHealthy.Upper(), benchService, denseDeconvHorizon); err != nil {
-			b.Fatal(err)
-		}
-	}
-}
-
-func BenchmarkDelayBound(b *testing.B) {
-	for i := 0; i < b.N; i++ {
-		if _, err := DelayBound(benchHealthy.Upper(), benchService, benchHorizon); err != nil {
-			b.Fatal(err)
-		}
-	}
-}
-
-func BenchmarkDenseDelayBound(b *testing.B) {
-	for i := 0; i < b.N; i++ {
-		if _, err := DenseDelayBound(benchHealthy.Upper(), benchService, benchHorizon); err != nil {
 			b.Fatal(err)
 		}
 	}

@@ -85,7 +85,7 @@ func (c *StepCurve) Eval(delta Time) Count {
 // transient prefix of the curve.
 func (c *StepCurve) NumBreakpoints() int { return len(c.points) }
 
-// Breakpoints implements BreakpointCurve: the explicit transient
+// Breakpoints implements Curve: the explicit transient
 // breakpoints plus, beyond the last one, the ticks where the long-run
 // linear extension steps (every rateDen ticks while rateNum > 0).
 func (c *StepCurve) Breakpoints(horizon Time) []Time {
@@ -109,7 +109,7 @@ func (c *StepCurve) Breakpoints(horizon Time) []Time {
 	return mergePoints(horizon, pts)
 }
 
-// LongRunRate implements Rated: the explicit extension rate.
+// LongRunRate implements Curve: the explicit extension rate.
 func (c *StepCurve) LongRunRate() (Count, Time) { return c.rateNum, c.rateDen }
 
 // CalibratedCurves derives an upper and a lower arrival curve from a

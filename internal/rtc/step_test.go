@@ -221,10 +221,3 @@ func TestZeroCurve(t *testing.T) {
 		}
 	}
 }
-
-func TestCurveFunc(t *testing.T) {
-	c := CurveFunc(func(d Time) Count { return Count(d) })
-	if c.Eval(7) != 7 {
-		t.Error("CurveFunc does not delegate")
-	}
-}
