@@ -6,8 +6,8 @@ import "testing"
 // processes ping-ponging through Delay plus a periodic callback, the mix
 // Table2 simulations exercise. With the event freelist, steady-state
 // scheduling performs zero heap allocations per event (run with
-// -benchmem; the small constant per op is goroutine machinery, not
-// events).
+// -benchmem; the small constant per op is the kernel and each process's
+// iter.Pull coroutine set-up, priced alone by BenchmarkProcSpawn).
 func BenchmarkKernelChurn(b *testing.B) {
 	b.ReportAllocs()
 	for i := 0; i < b.N; i++ {
@@ -46,6 +46,19 @@ func BenchmarkProcPingPong(b *testing.B) {
 	k.Run(0)
 	b.StopTimer()
 	k.Shutdown()
+}
+
+// BenchmarkProcSpawn prices a process's whole life on a fresh kernel, as
+// workloads that build a kernel per run pay it: spawn, first resume, end
+// and Shutdown. iter.Pull moves cost from each switch to this set-up.
+func BenchmarkProcSpawn(b *testing.B) {
+	b.ReportAllocs()
+	for i := 0; i < b.N; i++ {
+		k := NewKernel()
+		k.Spawn("p", 0, func(p *Proc) {})
+		k.Run(0)
+		k.Shutdown()
+	}
 }
 
 // BenchmarkProcSelfResume prices a yield whose next event resumes the

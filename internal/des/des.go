@@ -1,17 +1,15 @@
 // Package des is a deterministic discrete-event simulation kernel with
-// cooperative goroutine processes. It provides the virtual-time substrate
+// cooperative coroutine processes. It provides the virtual-time substrate
 // on which the SCC platform model and the Kahn-process-network runtime
 // execute: processes advance a shared virtual clock by sleeping
 // (Proc.Delay) and blocking on conditions (Proc.Wait), and the kernel
 // resumes exactly one process at a time, ordered by (time, sequence
 // number), so every run of the same program is bit-identical.
 //
-// Control passes directly between goroutines. A yielding process runs
-// the dispatch loop itself: it executes due callbacks inline and hands
-// the processor straight to the next process to resume, one goroutine
-// handoff per switch. When that next process is the yielding one, it
-// just continues, with no switch at all. Control returns to the caller
-// of Run only when the run ends.
+// Each process is an iter.Pull coroutine that only Run resumes. A
+// yielding process runs the dispatch loop itself, executing due callbacks
+// inline, and hands Run the next process to resume; when that is the
+// yielding one, it just continues, with no switch at all.
 //
 // Time is in ticks; one tick is one microsecond of virtual time
 // throughout this repository.
@@ -19,6 +17,7 @@ package des
 
 import (
 	"fmt"
+	"runtime"
 	"slices"
 )
 
@@ -47,12 +46,13 @@ type Kernel struct {
 	stopped    bool
 	panicV     any    // panic to re-throw from Run
 	dispatched uint64 // events consumed across all Run calls
+	stats      Stats
 
 	// until is the time limit of the run in progress (<= 0: none).
 	until Time
-	// home receives control back from process goroutines when a run
-	// ends, and from each process Shutdown terminates.
-	home chan struct{}
+	// handoff is the process a suspending coroutine asks Run to resume
+	// next (nil: the run is over).
+	handoff *Proc
 
 	tracer func(TraceEvent)
 }
@@ -95,7 +95,7 @@ func NewKernel() *Kernel {
 // queue implementation. Both kinds dequeue in identical (time, FIFO)
 // order; the choice affects host performance only.
 func NewKernelWithQueue(kind QueueKind) *Kernel {
-	return &Kernel{events: newQueue(kind), home: make(chan struct{})}
+	return &Kernel{events: newQueue(kind)}
 }
 
 // Now returns the current virtual time.
@@ -168,16 +168,16 @@ func (k *Kernel) recycle(e *event) {
 // would pass `until` (use a non-positive value for "no limit"), or Stop
 // is called. It returns the virtual time at which the simulation settled.
 // A panic inside any process is re-thrown from Run.
-//
-// The dispatch loop runs on whichever goroutine holds control: here
-// until the first process resumes, then on process goroutines, which
-// pass control directly to one another and send it back through k.home
-// when the run ends.
 func (k *Kernel) Run(until Time) Time {
 	k.until = until
-	if p := k.nextProc(); p != nil {
-		p.wake <- struct{}{}
-		<-k.home
+	for p := k.nextProc(); p != nil; p = k.handoff {
+		// Switches bypass the Go scheduler, which on one P is also what
+		// runs the GC's mark worker: without a yield now and then, a mark
+		// phase drags on while the heap, and so peak RSS, overshoots.
+		if k.stats.Switches++; k.stats.Switches%64 == 0 {
+			runtime.Gosched()
+		}
+		p.resume()
 	}
 	if v := k.panicV; v != nil {
 		k.panicV = nil
@@ -204,6 +204,7 @@ func (k *Kernel) nextProc() *Proc {
 		k.dispatched++
 		k.now = e.at
 		if e.fn != nil {
+			k.stats.Callbacks++
 			k.emit("callback", "")
 			e.fn()
 		} else if p := e.proc; p != nil && p.state != stateDone {
@@ -217,10 +218,9 @@ func (k *Kernel) nextProc() *Proc {
 	return nil
 }
 
-// step runs the dispatch loop on a process goroutine. A callback that
+// step runs the dispatch loop inside a process coroutine. A callback that
 // panics there must neither unwind the process's stack nor pass for a
-// panic of the process: step catches it, and Run re-panics the raw
-// value once control is back home.
+// panic of the process: step catches it for Run to re-panic raw.
 func (k *Kernel) step() (next *Proc) {
 	defer func() {
 		if v := recover(); v != nil {
@@ -229,16 +229,6 @@ func (k *Kernel) step() (next *Proc) {
 		}
 	}()
 	return k.nextProc()
-}
-
-// pass hands control to process next, or back to the run caller when
-// next is nil.
-func (k *Kernel) pass(next *Proc) {
-	if next == nil {
-		k.home <- struct{}{}
-		return
-	}
-	next.wake <- struct{}{}
 }
 
 // Blocked returns the names of processes that are blocked on a Signal,
@@ -264,17 +254,27 @@ func (k *Kernel) NumProcs() int { return len(k.procs) }
 // execution and throughput benchmarks.
 func (k *Kernel) Dispatched() uint64 { return k.dispatched }
 
-// Shutdown terminates all process goroutines that have not finished,
-// unwinding their stacks. Call it once after the final Run to avoid
-// leaking goroutines; the kernel must not be used afterwards.
+// Stats counts scheduler actions across all Run calls. Every "resume"
+// trace event is either a switch or a self-resume.
+type Stats struct {
+	Switches    uint64 // Run resumed a process's coroutine
+	SelfResumes uint64 // a yielding process was the next to resume
+	Callbacks   uint64 // kernel-context callbacks run
+	Blocks      uint64 // Waits on a Signal
+}
+
+// Stats returns the scheduler counters.
+func (k *Kernel) Stats() Stats { return k.stats }
+
+// Shutdown stops every unfinished process coroutine, unwinding its
+// stack (one that never started never runs its body). Call it once after
+// the final Run to avoid leaking goroutines; the kernel must not be used
+// afterwards.
 func (k *Kernel) Shutdown() {
 	k.stopped = true
 	for _, p := range k.procs {
-		if p.state == stateDone {
-			continue
+		if p.state != stateDone {
+			p.stop()
 		}
-		p.killed = true
-		p.wake <- struct{}{}
-		<-k.home
 	}
 }

@@ -5,6 +5,7 @@ import (
 	"runtime"
 	"slices"
 	"strings"
+	"sync/atomic"
 	"testing"
 	"time"
 )
@@ -506,5 +507,93 @@ func TestTraceGoldenThreeProcesses(t *testing.T) {
 	}
 	if k.Dispatched() != 9 {
 		t.Errorf("Dispatched = %d, want 9", k.Dispatched())
+	}
+	if got, want := k.Stats(), (Stats{Switches: 8, Callbacks: 1, Blocks: 2}); got != want {
+		t.Errorf("Stats = %+v, want %+v", got, want)
+	}
+}
+
+func TestStatsSplitsSwitchesFromSelfResumes(t *testing.T) {
+	k := NewKernel()
+	var resumes uint64
+	k.Trace(func(e TraceEvent) {
+		if e.Kind == "resume" {
+			resumes++
+		}
+	})
+	k.Spawn("solo", 0, func(p *Proc) {
+		p.Delay(0) // nothing else due: resumes itself
+		p.Delay(4) // "other" is due first: a switch there, then one back
+	})
+	k.Spawn("other", 1, func(p *Proc) {})
+	k.Run(0)
+	k.Shutdown()
+	st := k.Stats()
+	if want := (Stats{Switches: 3, SelfResumes: 1}); st != want {
+		t.Errorf("Stats = %+v, want %+v", st, want)
+	}
+	if st.Switches+st.SelfResumes != resumes {
+		t.Errorf("switches %d + self-resumes %d != %d traced resumes", st.Switches, st.SelfResumes, resumes)
+	}
+}
+
+func TestRunYieldsToScheduler(t *testing.T) {
+	// Coroutine switches bypass the Go scheduler. On one P, Run must
+	// still yield now and then, or other goroutines, the GC's mark
+	// worker among them, wait for a preemption while the heap grows.
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(1))
+	k := NewKernel()
+	defer k.Shutdown()
+	var sig Signal
+	left := 1000
+	body := func(p *Proc) {
+		for left > 0 {
+			left--
+			k.Broadcast(&sig)
+			p.Wait(&sig)
+		}
+	}
+	k.Spawn("ping", 0, body)
+	k.Spawn("pong", 0, body)
+	var ran atomic.Bool
+	k.At(0, func() { go ran.Store(true) })
+	k.Run(0)
+	if !ran.Load() {
+		t.Error("a goroutine made runnable during a 1000-switch run never ran")
+	}
+}
+
+func TestProcSwitchZeroAllocs(t *testing.T) {
+	// Two processes ping-pong through one Signal until left runs out,
+	// then both wait and the run drains; each run re-arms them.
+	const switches = 1000
+	k := NewKernel()
+	defer k.Shutdown()
+	var sig Signal
+	left := 0
+	body := func(p *Proc) {
+		for {
+			if left > 0 {
+				left--
+				k.Broadcast(&sig)
+			}
+			p.Wait(&sig)
+		}
+	}
+	k.Spawn("ping", 0, body)
+	k.Spawn("pong", 0, body)
+	kick := func() { k.Broadcast(&sig) }
+	run := func() {
+		left = switches
+		k.At(k.Now(), kick)
+		k.Run(0)
+	}
+	before := k.Stats().Switches
+	run() // also warms the event freelist and the waiter slices
+	if got := k.Stats().Switches - before; got < switches {
+		t.Fatalf("%d switches per run, want at least %d", got, switches)
+	}
+	if allocs := testing.AllocsPerRun(20, run); allocs > 0 {
+		t.Errorf("%.1f allocations per %d-switch ping-pong, want 0", allocs, switches)
 	}
 }

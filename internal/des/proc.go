@@ -1,6 +1,11 @@
+//go:build go1.23
+
 package des
 
-import "fmt"
+import (
+	"fmt"
+	"iter"
+)
 
 // procState tracks where a process is in its lifecycle.
 type procState int
@@ -12,56 +17,51 @@ const (
 	stateDone                     // body returned
 )
 
-// Proc is a simulated process: a goroutine that advances virtual time by
+// Proc is a simulated process: a coroutine that advances virtual time by
 // calling Delay and synchronizes with other processes via Signals and the
 // structures built on them. All Proc methods must be called from the
 // process's own body function.
 type Proc struct {
-	k      *Kernel
-	name   string
-	state  procState
-	killed bool
-	// wake hands the processor to this process, from the dispatcher or
-	// from Shutdown. One slot of buffer lets the sender move on when the
-	// goroutine has not parked yet, as on a new process's first resume.
-	wake chan struct{}
+	k     *Kernel
+	name  string
+	state procState
+	// The iter.Pull coroutine, which Run resumes and Shutdown stops.
+	resume  func() (struct{}, bool)
+	suspend func(struct{}) bool
+	stop    func()
 }
 
-// errKilled is the sentinel used by Kernel.Shutdown to unwind process
-// goroutines that are still alive when the simulation is torn down.
+// errKilled unwinds a process that Kernel.Shutdown stops mid-body.
 type errKilled struct{}
 
-// Spawn creates a process that starts executing body at virtual time
-// now+startDelay. The body runs in its own goroutine but strictly
-// interleaved with all other processes under kernel control.
+// Spawn creates a process whose body starts, as a coroutine, at virtual
+// time now+startDelay, strictly interleaved with all other processes.
 func (k *Kernel) Spawn(name string, startDelay Time, body func(p *Proc)) *Proc {
 	if startDelay < 0 {
 		panic(fmt.Sprintf("des: negative start delay %d for process %q", startDelay, name))
 	}
-	p := &Proc{k: k, name: name, state: stateReady, wake: make(chan struct{}, 1)}
+	p := &Proc{k: k, name: name, state: stateReady}
 	k.procs = append(k.procs, p)
 	k.emit("spawn", name)
-	go func() {
+	p.resume, p.stop = iter.Pull(func(suspend func(struct{}) bool) {
+		p.suspend = suspend
 		defer func() {
 			v := recover()
 			p.state = stateDone
-			if p.killed { // terminated by Shutdown, which waits on k.home
-				k.home <- struct{}{}
-				return
+			p.resume, p.suspend, p.stop = nil, nil, nil // release the body
+			if _, killed := v.(errKilled); killed {
+				return // stopped by Shutdown
 			}
 			k.emit("end", name)
-			if v != nil {
+			k.handoff = nil
+			if v == nil {
+				k.handoff = k.step()
+			} else {
 				k.panicV = fmt.Errorf("des: process %q panicked: %v", name, v)
-				k.home <- struct{}{}
-				return
 			}
-			k.pass(k.step())
 		}()
-		<-p.wake
-		if !p.killed {
-			body(p)
-		}
-	}()
+		body(p)
+	})
 	k.push(k.now+startDelay, p, nil)
 	return p
 }
@@ -87,20 +87,19 @@ func (p *Proc) Delay(d Time) {
 }
 
 // yield gives up the processor, recording the new state, and runs the
-// dispatch loop on this goroutine until control passes on. When the
-// next resumed process is p itself, yield returns without any goroutine
-// switch; otherwise it hands control to the next process (or back to
-// the Run caller) and parks until resumed.
+// dispatch loop inline until it finds the next process to resume. When
+// that is p itself, yield returns without any switch; otherwise it names
+// the next process (or nil: the run is over) and suspends p back to Run.
 func (p *Proc) yield(s procState) {
 	p.state = s
 	k := p.k
 	next := k.step()
 	if next == p {
+		k.stats.SelfResumes++
 		return
 	}
-	k.pass(next)
-	<-p.wake
-	if p.killed {
+	k.handoff = next
+	if !p.suspend(struct{}{}) {
 		panic(errKilled{})
 	}
 }
@@ -116,6 +115,7 @@ type Signal struct {
 // the guarded condition in a loop, as with sync.Cond.
 func (p *Proc) Wait(s *Signal) {
 	s.waiters = append(s.waiters, p)
+	p.k.stats.Blocks++
 	p.k.emit("block", p.name)
 	p.yield(stateBlocked)
 }
