@@ -251,7 +251,7 @@ func runExperiment(cfg cliConfig) error {
 		}
 		return nil
 	case "table3":
-		rows, err := exp.Table3(cfg.runs, des.Time(cfg.pollUs), des.Time(cfg.tokens), opts...)
+		rows, err := exp.Table3(cfg.runs, des.Time(cfg.pollUs), cfg.tokens, opts...)
 		if err != nil {
 			return err
 		}

@@ -5,8 +5,8 @@
 //	ftpntopo -fig 1            # Figure 1: reference + duplicated network
 //	ftpntopo -fig 2            # Figure 2: MJPEG decoder and ADPCM app
 //	ftpntopo -app h264 -dup    # any app, duplicated topology
-//	ftpntopo -load net.yaml    # a JSON/YAML topology spec
-//	ftpntopo -load net.yaml -emit   # ... re-emitted as canonical JSON
+//	ftpntopo -load net.json    # a JSON topology spec
+//	ftpntopo -load net.json -emit   # ... re-emitted as canonical JSON
 //	ftpntopo -gen 42 -dup      # a generated topology, duplicated
 package main
 
@@ -25,8 +25,8 @@ import (
 func main() {
 	var (
 		fig     = flag.Int("fig", 0, "paper figure to dump (1 or 2); 0 selects -app")
-		appName = flag.String("app", "mjpeg", "application topology: mjpeg, adpcm or h264")
-		load    = flag.String("load", "", "load a topology spec (JSON or YAML) instead of a built-in app")
+		appName = flag.String("app", "mjpeg", "application topology: mjpeg, adpcm, h264 or radar")
+		load    = flag.String("load", "", "load a JSON topology spec instead of a built-in app")
 		gen     = flag.Int64("gen", -1, "generate the seeded random topology instead of a built-in app (-1 = off)")
 		dup     = flag.Bool("dup", false, "dump the duplicated (fault-tolerant) topology")
 		summary = flag.Bool("summary", false, "plain summary instead of DOT")

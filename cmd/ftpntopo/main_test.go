@@ -19,7 +19,7 @@ func TestRunFigures(t *testing.T) {
 }
 
 func TestRunAppTopologies(t *testing.T) {
-	for _, app := range []string{"mjpeg", "adpcm", "h264"} {
+	for _, app := range []string{"mjpeg", "adpcm", "h264", "radar"} {
 		if err := run(0, app, "", -1, false, false, false); err != nil {
 			t.Errorf("%s reference: %v", app, err)
 		}
@@ -36,7 +36,7 @@ func specPath(name string) string {
 }
 
 func TestRunLoadSpec(t *testing.T) {
-	for _, name := range []string{"chain.json", "chain.yaml", "feedback.yaml"} {
+	for _, name := range []string{"chain.json", "feedback.json"} {
 		for _, dup := range []bool{false, true} {
 			if err := run(0, "", specPath(name), -1, dup, false, false); err != nil {
 				t.Errorf("-load %s dup=%v: %v", name, dup, err)
@@ -69,10 +69,10 @@ func TestRunErrors(t *testing.T) {
 	if err := run(0, "unknown", "", -1, false, false, false); err == nil {
 		t.Error("unknown app should fail")
 	}
-	if err := run(0, "", "no-such-file.yaml", -1, false, false, false); err == nil {
+	if err := run(0, "", "no-such-file.json", -1, false, false, false); err == nil {
 		t.Error("missing -load file should fail")
 	}
-	if err := run(0, "", "x.yaml", 3, false, false, false); err == nil {
+	if err := run(0, "", "x.json", 3, false, false, false); err == nil {
 		t.Error("-load with -gen should fail")
 	}
 	// A spec that parses but fails validation must be rejected.

@@ -30,6 +30,7 @@ package exp
 import (
 	"fmt"
 	"math/rand"
+	"sort"
 	"strings"
 
 	"ftpn/internal/des"
@@ -459,12 +460,7 @@ func countLine(m map[string]int) string {
 	for k := range m {
 		keys = append(keys, k)
 	}
-	// small n: insertion sort keeps this dependency-free
-	for i := 1; i < len(keys); i++ {
-		for j := i; j > 0 && keys[j] < keys[j-1]; j-- {
-			keys[j], keys[j-1] = keys[j-1], keys[j]
-		}
-	}
+	sort.Strings(keys)
 	parts := make([]string, 0, len(keys))
 	for _, k := range keys {
 		parts = append(parts, fmt.Sprintf("%s=%d", k, m[k]))

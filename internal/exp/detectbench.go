@@ -125,7 +125,7 @@ type detectRun struct {
 
 // injectClass injects one fault of the named detectbench class into
 // replica at injectAt; idx seeds the corruption pattern.
-func injectClass(sys *ft.System, app App, class string, replica int, injectAt des.Time, idx int) error {
+func injectClass(sys *ft.System, app App, class string, replica int, injectAt des.Time, idx int) {
 	p := app.PeriodUs
 	sw := sys.Switches[replica-1]
 	switch class {
@@ -150,12 +150,13 @@ func injectClass(sys *ft.System, app App, class string, replica int, injectAt de
 	case "corrupt":
 		sw.InjectGrayAt(injectAt, fault.Corrupt, fault.Gray{EveryN: 4, Seed: uint64(idx) + 1})
 	default:
-		return fmt.Errorf("exp: unknown detect class %q", class)
+		panic("exp: unknown detect class " + class) // detectClasses is static
 	}
-	return nil
 }
 
-// detectOne executes one detectbench run.
+// detectOne executes one detectbench run. Its detection is
+// checkDetection's: the run is fault-free before the injection, where
+// the analytic sizing admits no conviction.
 func detectOne(g *golden, pol ft.PolicySpec, class string, transient bool, seed int64, idx int) (detectRun, error) {
 	var out detectRun
 	app := g.app
@@ -164,33 +165,26 @@ func detectOne(g *golden, pol ft.PolicySpec, class string, transient bool, seed 
 	p := app.PeriodUs
 	injectAt := des.Time(app.Tokens/4)*p + des.Time(rng.Int63n(int64(app.Tokens/4)*int64(p)))
 
-	var stream []tokenID
-	sys, err := runDuplicated(app, g.buildConfig(pol), recordStream(&stream), 0, func(sys *ft.System) error {
-		return injectClass(sys, app, class, replica, injectAt, idx)
-	})
+	run, err := g.runDetection(pol, injection{replica: replica, at: injectAt, arm: func(sys *ft.System) {
+		injectClass(sys, app, class, replica, injectAt, idx)
+	}}, MKBounds{}, nil)
 	if err != nil {
 		return out, err
 	}
 
-	out.golden = streamDiff(stream, g.stream) == ""
-	// Detection: the target's first conviction at or after the injection
-	// (unlike checkDetection, an earlier one is ignored).
-	for _, f := range sys.Faults {
-		if f.Replica == replica && f.At >= injectAt && !out.convicted {
-			out.convicted = true
-			out.latencyUs = int64(f.At - injectAt)
-			out.valueConv = f.Kind == ft.KindValue
-		}
+	out.golden = streamDiff(run.stream, g.stream) == ""
+	out.convicted = run.det.convicted
+	out.latencyUs = int64(run.det.latency)
+	out.valueConv = run.det.first.Kind == ft.KindValue
+	for _, f := range run.sys.Faults {
 		if f.Replica == 3-replica {
 			out.falseConv = true
 		}
 	}
-	if transient && (out.convicted || out.falseConv) {
+	if transient && out.convicted {
 		out.falseConv = true
 	}
-	if !transient && !out.convicted {
-		out.missed = true
-	}
+	out.missed = !transient && !out.convicted
 	return out, nil
 }
 

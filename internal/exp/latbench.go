@@ -19,7 +19,6 @@ import (
 	"strings"
 
 	"ftpn/internal/des"
-	"ftpn/internal/fault"
 	"ftpn/internal/ft"
 	"ftpn/internal/obs"
 	"ftpn/internal/topo"
@@ -119,12 +118,12 @@ func eventsHash(fr *obs.FlightRecorder) uint64 {
 // checkForensics verifies that the forensic reconstruction of the
 // conviction matches the directly measured injection/latency, and that
 // for value convictions the chain carries replay evidence.
-func checkForensics(fr *obs.FlightRecorder, first ft.Fault, injectAt des.Time, mode string) (obs.Explanation, []string) {
-	var problems []string
+func checkForensics(fr *obs.FlightRecorder, first ft.Fault, injectAt des.Time, mode string) []string {
 	ex, ok := obs.Explain(fr.Events(), first.Channel, first.Replica, int64(first.At))
 	if !ok {
-		return ex, []string{"forensics: no convict event in the flight log"}
+		return []string{"forensics: no convict event in the flight log"}
 	}
+	var problems []string
 	if ex.InjectedAt != int64(injectAt) {
 		problems = append(problems, fmt.Sprintf("forensics: injection reconstructed at %dus, injected at %dus", ex.InjectedAt, injectAt))
 	}
@@ -137,74 +136,24 @@ func checkForensics(fr *obs.FlightRecorder, first ft.Fault, injectAt des.Time, m
 	if first.Kind == ft.KindValue && ex.ValueDrops == 0 && ex.Reason != string(ft.ReasonValueDivergence) {
 		problems = append(problems, "forensics: value conviction without replay evidence in the chain")
 	}
-	return ex, problems
+	return problems
 }
 
-// latTopoOne measures detection latency on one generated stop topology.
-func latTopoOne(seed int64) (LatRun, error) {
+// latTopoOne measures detection latency on one generated stop topology:
+// checkSpec with the flight recorder armed, then the forensic
+// cross-check and the event-log hash.
+func latTopoOne(seed int64) LatRun {
 	spec := topo.Generate(seed)
-	run := LatRun{
-		Seed: seed, Name: spec.Name, Shape: spec.Shape,
-		Policy: "inline", DetectedUs: -1, LatencyUs: -1, SlackPct: -1,
-	}
-	violate := violator(&run.Violations)
-	if len(spec.Faults) == 0 {
-		violate("seed %d is not a fault scenario", seed)
-		return run, nil
-	}
-	fs := spec.Faults[0]
-	mode, ok := fault.ModeByName(fs.Mode)
-	if !ok {
-		violate("unknown fault mode %q", fs.Mode)
-		return run, nil
-	}
-	run.Mode = fs.Mode
-	pol := ft.PolicySpec{}
-	if spec.Detection != nil {
-		pol = *spec.Detection
-		run.Policy = pol.String()
-	}
-	pol.Value = false // stop faults are timing faults; no golden to replay
-
-	model, err := topo.Compile(spec)
-	if err != nil {
-		violate("compile: %v", err)
-		return run, nil
-	}
-	app := topoApp(model)
-	sizing, err := SizingFor(app)
-	if err != nil {
-		violate("sizing: %v", err)
-		return run, nil
-	}
-	polM := policyM(pol)
-	bounds, err := MKDetectionBounds(app, sizing, polM)
-	if err != nil {
-		violate("mk bounds: %v", err)
-		return run, nil
-	}
-	injectAt := des.Time(fs.AtUs)
-	run.InjectAtUs = fs.AtUs
-
-	cfg := sizing.BuildConfig(app)
-	cfg.Policy = pol
+	fs := spec.Faults[0] // LatBench scans for permanent stop scenarios
 	fr := obs.NewFlightRecorder(0)
-	sys, err := runDuplicated(app, cfg, nil, 0, func(sys *ft.System) error {
-		st := fr.Stream(0)
-		ft.InstrumentFlight(sys, st)
-		st.Record(obs.FlightEvent{At: fs.AtUs, Kind: obs.FlightInject, Reason: fs.Mode, Replica: fs.Replica})
-		model.ApplyFaults(sys)
-		return nil
-	})
-	if err != nil {
-		violate("build: %v", err)
-		return run, nil
+	sc := checkSpec(spec, fr)
+	run := LatRun{
+		Seed: seed, Name: spec.Name, Shape: spec.Shape, Mode: fs.Mode, Policy: sc.policy,
+		InjectAtUs: fs.AtUs, DetectedUs: -1, LatencyUs: -1, SlackPct: -1, Violations: sc.violations,
 	}
-
-	det := checkDetection(sys, fs.Replica, injectAt, mode, bounds, polM)
-	run.Violations = append(run.Violations, det.violations...)
+	det := sc.det
 	if !det.convicted {
-		return run, nil
+		return run
 	}
 	run.DetectedUs = int64(det.first.At)
 	run.LatencyUs = int64(det.latency)
@@ -213,49 +162,45 @@ func latTopoOne(seed int64) (LatRun, error) {
 		run.SlackUs = int64(det.bound - det.latency)
 		run.SlackPct = det.slackPct
 	}
-	_, problems := checkForensics(fr, det.first, injectAt, fs.Mode)
+	problems := checkForensics(fr, det.first, des.Time(fs.AtUs), fs.Mode)
 	run.ForensicsOK = len(problems) == 0
 	run.Violations = append(run.Violations, problems...)
 	run.Events = fr.Len()
 	run.EventsHash = eventsHash(fr)
-	return run, nil
+	return run
 }
 
 // latStopModes are the paper-app stop sweep axes.
-var latStopModes = []struct {
-	name string
-	mode fault.Mode
-}{
-	{"stop-all", fault.StopAll},
-	{"stop-consuming", fault.StopConsuming},
-	{"stop-producing", fault.StopProducing},
+var latStopModes = []string{"stop-all", "stop-consuming", "stop-producing"}
+
+// latAppCell is one paper app × policy × stop mode cell.
+type latAppCell struct {
+	g       *golden
+	app     string
+	pol     ft.PolicySpec
+	polName string
+	mode    string
 }
 
-// latAppOne measures one paper app × stop mode × policy cell.
-func latAppOne(g *golden, appName string, pol ft.PolicySpec, polName string, modeName string, mode fault.Mode, idx int) (LatAppRun, error) {
-	app := g.app
-	run := LatAppRun{App: appName, Mode: modeName, Policy: polName,
+// latAppOne measures cell c on its idx-th run.
+func latAppOne(c latAppCell, idx int) (LatAppRun, error) {
+	app := c.g.app
+	run := LatAppRun{App: c.app, Mode: c.mode, Policy: c.polName,
 		DetectedUs: -1, LatencyUs: -1, SlackPct: -1}
-	replica := 1 + idx%2
-	injectAt := des.Time(app.Tokens/2) * app.PeriodUs
-	run.InjectAtUs = int64(injectAt)
-	bounds, err := MKDetectionBounds(app, g.sizing, policyM(pol))
+	inj := injection{replica: 1 + idx%2, at: des.Time(app.Tokens/2) * app.PeriodUs, mode: modeByName(c.mode), name: c.mode}
+	inj.arm = func(sys *ft.System) { sys.InjectFault(inj.replica, inj.at, inj.mode, 0) }
+	run.InjectAtUs = int64(inj.at)
+	bounds, err := MKDetectionBounds(app, c.g.sizing, policyM(c.pol))
 	if err != nil {
 		return run, err
 	}
 	fr := obs.NewFlightRecorder(0)
-	sys, err := runDuplicated(app, g.buildConfig(pol), nil, 0, func(sys *ft.System) error {
-		st := fr.Stream(0)
-		ft.InstrumentFlight(sys, st)
-		st.Record(obs.FlightEvent{At: int64(injectAt), Kind: obs.FlightInject, Reason: modeName, Replica: replica})
-		sys.InjectFault(replica, injectAt, mode, 0)
-		return nil
-	})
+	res, err := c.g.runDetection(c.pol, inj, bounds, fr)
 	if err != nil {
 		return run, err
 	}
 
-	det := checkDetection(sys, replica, injectAt, mode, bounds, policyM(pol))
+	det := res.det
 	run.BoundUs = int64(det.bound)
 	run.Violations = append(run.Violations, det.violations...)
 	if !det.convicted {
@@ -264,7 +209,7 @@ func latAppOne(g *golden, appName string, pol ft.PolicySpec, polName string, mod
 	run.DetectedUs = int64(det.first.At)
 	run.LatencyUs = int64(det.latency)
 	run.SlackPct = det.slackPct
-	_, problems := checkForensics(fr, det.first, injectAt, modeName)
+	problems := checkForensics(fr, det.first, inj.at, c.mode)
 	run.ForensicsOK = len(problems) == 0
 	run.Violations = append(run.Violations, problems...)
 	return run, nil
@@ -297,7 +242,7 @@ func LatBench(n int, seed int64, opts ...Option) (*LatBenchReport, error) {
 	}
 
 	results, err := runIndexed(rc.workers, n, func(i int) (LatRun, error) {
-		return latTopoOne(seeds[i])
+		return latTopoOne(seeds[i]), nil
 	})
 	if err != nil {
 		return nil, err
@@ -361,15 +306,7 @@ func LatBench(n int, seed int64, opts ...Option) (*LatBenchReport, error) {
 	if err != nil {
 		return nil, err
 	}
-	type appCell struct {
-		g        *golden
-		app      string
-		pol      ft.PolicySpec
-		polName  string
-		modeName string
-		mode     fault.Mode
-	}
-	var cells []appCell
+	var cells []latAppCell
 	for _, a := range campaignApps {
 		g := goldens[goldenKey{a.name, false}]
 		mk, err := MKBudgetFor(g.app, glitchFor(g.app))
@@ -380,14 +317,13 @@ func LatBench(n int, seed int64, opts ...Option) (*LatBenchReport, error) {
 			pol  ft.PolicySpec
 			name string
 		}{{ft.PolicySpec{Kind: ft.PolicyBinary}, "binary"}, {mk, mk.String()}} {
-			for _, m := range latStopModes {
-				cells = append(cells, appCell{g: g, app: a.name, pol: pc.pol, polName: pc.name, modeName: m.name, mode: m.mode})
+			for _, mode := range latStopModes {
+				cells = append(cells, latAppCell{g: g, app: a.name, pol: pc.pol, polName: pc.name, mode: mode})
 			}
 		}
 	}
 	appRuns, err := runIndexed(rc.workers, len(cells), func(i int) (LatAppRun, error) {
-		c := cells[i]
-		return latAppOne(c.g, c.app, c.pol, c.polName, c.modeName, c.mode, i)
+		return latAppOne(cells[i], i)
 	})
 	if err != nil {
 		return nil, err

@@ -8,7 +8,6 @@ import (
 	"testing"
 
 	"ftpn/internal/des"
-	"ftpn/internal/fault"
 	"ftpn/internal/ft"
 	"ftpn/internal/obs"
 )
@@ -57,20 +56,16 @@ func flightClassRun(g *golden, pol ft.PolicySpec, class string, idx int) (*obs.F
 	injectAt := des.Time(app.Tokens/4)*p + des.Time(rng.Int63n(int64(app.Tokens/4)*int64(p)))
 
 	fr := obs.NewFlightRecorder(0)
-	sys, err := runDuplicated(app, g.buildConfig(pol), nil, 0, func(sys *ft.System) error {
-		st := fr.Stream(0)
-		ft.InstrumentFlight(sys, st)
-		st.Record(obs.FlightEvent{At: int64(injectAt), Kind: obs.FlightInject, Reason: class, Replica: replica})
-		return injectClass(sys, app, class, replica, injectAt, idx)
-	})
+	run, err := g.runDetection(pol, injection{replica: replica, at: injectAt, name: class, arm: func(sys *ft.System) {
+		injectClass(sys, app, class, replica, injectAt, idx)
+	}}, MKBounds{}, fr)
 	if err != nil {
 		return nil, ft.Fault{}, 0, err
 	}
-	det := checkDetection(sys, replica, injectAt, fault.None, MKBounds{}, 0)
-	if !det.convicted {
+	if !run.det.convicted {
 		return fr, ft.Fault{}, injectAt, fmt.Errorf("class %q (idx %d) produced no conviction", class, idx)
 	}
-	return fr, det.first, injectAt, nil
+	return fr, run.det.first, injectAt, nil
 }
 
 // TestExplainDetectbenchClasses is the forensics acceptance check: for

@@ -53,7 +53,7 @@ func WriteReport(w io.Writer, cfg ReportConfig) error {
 		fmt.Fprintln(w, res.String())
 	}
 
-	rows, err := Table3(cfg.Runs, cfg.PollUs, des.Time(cfg.Tokens), opts...)
+	rows, err := Table3(cfg.Runs, cfg.PollUs, cfg.Tokens, opts...)
 	if err != nil {
 		return fmt.Errorf("exp: report table 3: %w", err)
 	}

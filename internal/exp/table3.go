@@ -32,10 +32,10 @@ type Table3Row struct {
 // the paper's fail-silent modification of the baseline; it polls with
 // period pollUs (the paper uses 1 ms), which is exactly where its extra
 // latency comes from.
-func Table3(runs int, pollUs, tokens des.Time, opts ...Option) ([]Table3Row, error) {
+func Table3(runs int, pollUs des.Time, tokens int64, opts ...Option) ([]Table3Row, error) {
 	var rows []Table3Row
 	for _, name := range []string{"mjpeg", "adpcm", "h264"} {
-		row, err := table3App(name, runs, pollUs, int64(tokens), opts...)
+		row, err := table3App(name, runs, pollUs, tokens, opts...)
 		if err != nil {
 			return nil, fmt.Errorf("exp: table 3 %s: %w", name, err)
 		}

@@ -1,24 +1,11 @@
 package exp
 
 // topobench property-checks the paper's guarantees on generated
-// topologies. For every seeded topo.Generate spec it verifies, on a
-// network nobody hand-wired:
-//
-//  1. structure — the compiled graph validates and every cycle carries
-//     initial tokens (kpn.DeadlockRisks is empty);
-//  2. sizing admits zero false convictions — the analytic design
-//     (eqs. 3-8 via SizingFor) runs the duplicated system fault-free
-//     with the spec's detection policy armed and no replica is
-//     convicted, the consumer stream is complete, and both replicas
-//     write the full workload;
-//  3. the (m,k) bounds are monotone in m — MKDetectionBounds at m = 1
-//     and 2 never undercut the sizing's m = 0 bounds;
-//  4. Lemma 1 isolation and masking under the spec's fault script —
-//     the consumer stream is token-identical to the golden run, the
-//     healthy replica is never convicted and never back-pressured,
-//     permanent faults are detected (stop modes within the analytic
-//     (m,k) bound, corruption by the value cross-check), within-budget
-//     transients convict nobody.
+// topologies: every seeded topo.Generate spec, a network nobody
+// hand-wired, goes through checkSpec (harness.go) — structure, zero
+// false convictions under the analytic sizing, monotone (m,k) bounds,
+// and Lemma 1 isolation, masking and bounded detection under the
+// spec's fault script.
 //
 // On top of the generated sweep, the four paper apps round-trip
 // through the DSL (topo.Describe -> Emit -> Parse -> Compile with the
@@ -32,7 +19,6 @@ import (
 
 	"ftpn/internal/apps"
 	"ftpn/internal/des"
-	"ftpn/internal/fault"
 	"ftpn/internal/ft"
 	"ftpn/internal/kpn"
 	"ftpn/internal/topo"
@@ -122,144 +108,20 @@ type topoRunResult struct {
 }
 
 // topoOne property-checks one generated network.
-func topoOne(seed int64, idx int) (topoRunResult, error) {
-	spec := topo.Generate(seed + int64(idx))
-	res := topoRunResult{run: TopoRun{
-		Seed: seed + int64(idx), Name: spec.Name, Shape: spec.Shape, Scenario: spec.Scenario,
-		Policy: "inline", Procs: len(spec.Procs), Chans: len(spec.Chans),
-		DetectedUs: -1, MarginPct: -1,
-	}}
-	run := &res.run
-	violate := violator(&run.Violations)
-	pol := ft.PolicySpec{}
-	if spec.Detection != nil {
-		pol = *spec.Detection
-		run.Policy = pol.String()
+func topoOne(seed int64) topoRunResult {
+	spec := topo.Generate(seed)
+	sc := checkSpec(spec, nil)
+	run := TopoRun{
+		Seed: seed, Name: spec.Name, Shape: spec.Shape, Scenario: spec.Scenario,
+		Policy: sc.policy, Procs: len(spec.Procs), Chans: len(spec.Chans),
+		DetectedUs: -1, MarginPct: -1, Violations: sc.violations,
 	}
-
-	// --- Check 1: structure. ---
-	model, err := topo.Compile(spec)
-	if err != nil {
-		violate("compile: %v", err)
-		return res, nil
+	if sc.det.convicted {
+		run.DetectedUs = int64(sc.det.first.At)
+		run.BoundUs = int64(sc.det.bound)
+		run.MarginPct = sc.det.slackPct
 	}
-	skel := spec.Skeleton()
-	for _, cy := range skel.Cycles() {
-		if cy.InitialTokens == 0 {
-			violate("cycle %v has no initial tokens yet passed validation", cy.Channels)
-		}
-	}
-	if risks := skel.DeadlockRisks(); len(risks) > 0 {
-		violate("DeadlockRisks flagged %v on a validated spec", risks[0].Channels)
-	}
-
-	// --- Check 2: analytic sizing admits zero false convictions. ---
-	app := topoApp(model)
-	sizing, err := SizingFor(app)
-	if err != nil {
-		violate("sizing: %v", err)
-		return res, nil
-	}
-	timingPol := pol
-	timingPol.Value = false // the golden run is what the value check replays against
-	g, sys, err := newGolden(app, sizing, timingPol)
-	if err != nil {
-		violate("build: %v", err)
-		return res, nil
-	}
-	if len(sys.Faults) != 0 {
-		f := sys.Faults[0]
-		violate("fault-free run convicted R%d at %dus (%s on %s)", f.Replica, f.At, f.Reason, f.Channel)
-	}
-	if int64(len(g.stream)) != spec.Tokens {
-		violate("fault-free consumer stream %d/%d tokens", len(g.stream), spec.Tokens)
-	}
-	for r := 1; r <= 2; r++ {
-		if w := sys.Selectors[app.OutChan].Writes(r); w != spec.Tokens {
-			violate("fault-free replica R%d wrote %d/%d tokens (back-pressured)", r, w, spec.Tokens)
-		}
-	}
-	if err := sys.CheckInvariants(); err != nil {
-		violate("fault-free counter identities: %v", err)
-	}
-
-	// --- Check 3: (m,k) bounds dominate the sizing's (m = 0). ---
-	prev := sizing.MKBounds
-	for m := 1; m <= 2; m++ {
-		bmm, err := MKDetectionBounds(app, sizing, m)
-		if err != nil {
-			violate("mk bounds m=%d: %v", m, err)
-			break
-		}
-		if bmm.SelBoundUs < prev.SelBoundUs || bmm.RepBoundUs < prev.RepBoundUs {
-			violate("mk bounds not monotone at m=%d: (%d,%d) < (%d,%d)",
-				m, bmm.SelBoundUs, bmm.RepBoundUs, prev.SelBoundUs, prev.RepBoundUs)
-		}
-		prev = bmm
-	}
-	res.mkChecked = true
-
-	// --- Check 4: masking, Lemma 1 and detection under the script. ---
-	if len(spec.Faults) == 0 {
-		return res, nil
-	}
-	fs := spec.Faults[0]
-	transient := fs.RepairAtUs > 0
-	var stream []tokenID
-	sys2, err := runDuplicated(app, g.buildConfig(pol), recordStream(&stream), 0, func(sys *ft.System) error {
-		model.ApplyFaults(sys)
-		return nil
-	})
-	if err != nil {
-		violate("fault-run build: %v", err)
-		return res, nil
-	}
-
-	// Exact masking: token-identical to the golden stream.
-	if d := streamDiff(stream, g.stream); d != "" {
-		violate("fault-run %s", d)
-	}
-
-	// Zero false convictions; transients convict nobody.
-	healthy := 3 - fs.Replica
-	for _, f := range sys2.Faults {
-		if f.Replica == healthy {
-			violate("healthy replica R%d convicted at %dus (%s on %s)", f.Replica, f.At, f.Reason, f.Channel)
-		}
-		if transient && f.Replica == fs.Replica {
-			violate("within-budget transient convicted R%d at %dus (%s on %s)", f.Replica, f.At, f.Reason, f.Channel)
-		}
-	}
-
-	// Lemma 1: the healthy replica is never back-pressured.
-	if w := sys2.Selectors[app.OutChan].Writes(healthy); w != spec.Tokens {
-		violate("Lemma 1: healthy replica R%d wrote %d/%d tokens", healthy, w, spec.Tokens)
-	}
-
-	// Permanent faults must be detected; stop modes within the
-	// analytic (m,k) bound, corruption by the value cross-check.
-	if !transient {
-		polM := policyM(pol)
-		bounds, err := MKDetectionBounds(app, sizing, polM)
-		if err != nil {
-			violate("mk bounds m=%d: %v", polM, err)
-		}
-		mode, _ := fault.ModeByName(fs.Mode)
-		det := checkDetection(sys2, fs.Replica, des.Time(fs.AtUs), mode, bounds, polM)
-		run.Violations = append(run.Violations, det.violations...)
-		if det.convicted {
-			run.DetectedUs = int64(det.first.At)
-			run.BoundUs = int64(det.bound)
-			run.MarginPct = det.slackPct
-			if mode == fault.Corrupt && det.first.Kind != ft.KindValue {
-				violate("corruption detected as %s, want a value conviction", det.first.Kind)
-			}
-		}
-	}
-	if err := sys2.CheckInvariants(); err != nil {
-		violate("fault-run counter identities: %v", err)
-	}
-	return res, nil
+	return topoRunResult{run: run, mkChecked: sc.mkChecked}
 }
 
 // topoAppNames are the paper apps swept by the round-trip check.
@@ -353,7 +215,7 @@ func TopoBench(n int, seed int64, opts ...Option) (*TopoReport, error) {
 	}
 	rc := newRunConfig(opts)
 	results, err := runIndexed(rc.workers, n, func(i int) (topoRunResult, error) {
-		return topoOne(seed, i)
+		return topoOne(seed + int64(i)), nil
 	})
 	if err != nil {
 		return nil, err

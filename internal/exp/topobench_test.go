@@ -3,7 +3,10 @@ package exp
 import (
 	"bytes"
 	"encoding/json"
+	"os"
 	"testing"
+
+	"ftpn/internal/topo"
 )
 
 // TestTopoBenchProperties property-checks a slice of the generated
@@ -35,6 +38,44 @@ func TestTopoBenchProperties(t *testing.T) {
 			t.Errorf("app %s round-trip: sizing_equal=%v golden_identical=%v %v",
 				a.App, a.SizingEqual, a.GoldenIdentical, a.Violations)
 		}
+	}
+}
+
+// TestCheckSpecHandWritten runs the hand-written topology documents
+// through the same property checks as the generated sweep: the (1,4)
+// chain and the feedback loop, whose fault script stops replica 1 and
+// must be detected within the analytic bound.
+func TestCheckSpecHandWritten(t *testing.T) {
+	for _, tc := range []struct {
+		file, policy string
+		detected     bool
+	}{
+		{"chain.json", "mk(1,4)", false},
+		{"feedback.json", "binary", true},
+	} {
+		data, err := os.ReadFile("../topo/testdata/" + tc.file)
+		if err != nil {
+			t.Fatal(err)
+		}
+		spec, err := topo.Parse(data)
+		if err != nil {
+			t.Fatalf("%s: %v", tc.file, err)
+		}
+		sc := checkSpec(spec, nil)
+		if len(sc.violations) != 0 {
+			t.Errorf("%s: %d violations: %v", tc.file, len(sc.violations), sc.violations)
+		}
+		if sc.policy != tc.policy || !sc.mkChecked {
+			t.Errorf("%s: policy %q mk_checked=%v, want %q and true", tc.file, sc.policy, sc.mkChecked, tc.policy)
+		}
+		det := sc.det
+		if det.convicted != tc.detected {
+			t.Errorf("%s: convicted=%v, want %v", tc.file, det.convicted, tc.detected)
+		}
+		if det.convicted && (det.bound <= 0 || det.latency > det.bound) {
+			t.Errorf("%s: latency %dus against bound %dus", tc.file, det.latency, det.bound)
+		}
+		t.Logf("%s: %s, detected at %dus, bound %dus, margin %.1f%%", tc.file, sc.policy, det.first.At, det.bound, det.slackPct)
 	}
 }
 

@@ -63,7 +63,7 @@ func TestCompileChain(t *testing.T) {
 // TestCompileRunDeterministic: two un-duplicated runs of the same model
 // produce token-identical streams of the full workload length.
 func TestCompileRunDeterministic(t *testing.T) {
-	for _, name := range []string{"chain.json", "feedback.yaml"} {
+	for _, name := range []string{"chain.json", "feedback.json"} {
 		spec := load(t, name)
 		model, err := Compile(spec)
 		if err != nil {

@@ -6,32 +6,19 @@ import (
 	"fmt"
 )
 
-// Parse decodes a Spec from JSON or a YAML subset (yaml.go), sniffing
-// the format: a document whose first non-space byte is '{' is JSON.
-// Decoding is strict — unknown fields are errors in both formats, so a
-// typo'd key never silently vanishes. Parse performs syntax and schema
-// decoding only; call Spec.Validate for semantic checks.
+// Parse decodes a Spec from a JSON document, which must be one object.
+// Decoding is strict — unknown fields are errors, so a typo'd key never
+// silently vanishes. Parse performs syntax and schema decoding only;
+// call Spec.Validate for semantic checks.
 func Parse(data []byte) (*Spec, error) {
 	trimmed := bytes.TrimLeft(data, " \t\r\n")
 	if len(trimmed) == 0 {
 		return nil, fmt.Errorf("topo: empty spec document")
 	}
-	var jsonDoc []byte
-	if trimmed[0] == '{' {
-		jsonDoc = trimmed
-	} else {
-		tree, err := parseYAML(data)
-		if err != nil {
-			return nil, err
-		}
-		// The YAML tree re-encodes as JSON and flows through the same
-		// strict decoder, so both formats share one schema definition.
-		jsonDoc, err = json.Marshal(tree)
-		if err != nil {
-			return nil, fmt.Errorf("topo: yaml document does not map onto the schema: %w", err)
-		}
+	if trimmed[0] != '{' {
+		return nil, fmt.Errorf("topo: spec must be JSON: one object starting with '{'")
 	}
-	dec := json.NewDecoder(bytes.NewReader(jsonDoc))
+	dec := json.NewDecoder(bytes.NewReader(trimmed))
 	dec.DisallowUnknownFields()
 	var spec Spec
 	if err := dec.Decode(&spec); err != nil {

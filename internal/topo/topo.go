@@ -1,4 +1,4 @@
-// Package topo is the declarative topology/scenario layer: a JSON/YAML
+// Package topo is the declarative topology/scenario layer: a JSON
 // schema (Spec) that compiles onto the existing kpn.Network graph plus
 // conservative RTC envelopes for the ft duplication transform, and a
 // seeded random-topology generator (gen.go) producing chains, trees,
@@ -61,7 +61,7 @@ const (
 )
 
 // Spec is the declarative description of one network plus its
-// fault-tolerance scenario. It is the unit the JSON/YAML parser reads
+// fault-tolerance scenario. It is the unit the JSON parser reads
 // and the generator emits. All durations are virtual-time microseconds.
 type Spec struct {
 	Name string `json:"name"`
