@@ -19,8 +19,8 @@ import (
 	"ftpn/internal/rtc"
 )
 
-// newStageRand seeds a deterministic per-stage random source.
-func newStageRand(seed int64) *rand.Rand { return rand.New(rand.NewSource(seed)) }
+// newStageRand returns a deterministic per-stage random source.
+func newStageRand(seed int64) *rand.Rand { return kpn.NewRand(seed) }
 
 // stageDuration draws one execution time from a stage's work model.
 func stageDuration(w kpn.WorkModel, rng *rand.Rand, bytes int) des.Time {

@@ -2,6 +2,8 @@ package apps
 
 import (
 	"bytes"
+	"hash/fnv"
+	"slices"
 	"testing"
 
 	"ftpn/internal/des"
@@ -303,5 +305,58 @@ func TestReplicaOutputModelEnvelope(t *testing.T) {
 		if sel.Writes(r) > upper {
 			t.Errorf("replica %d wrote %d tokens, above envelope %d", r, sel.Writes(r), upper)
 		}
+	}
+}
+
+// TestMJPEGWarmRunHashesNothing: a second fault-free MJPEG run on a warm
+// payload memo hashes no payload bytes — the decode strips' digests are
+// never needed and every merged frame reuses the join digest the first
+// run hashed — and delivers the same stream, each frame hashing to its
+// bytes.
+func TestMJPEGWarmRunHashesNothing(t *testing.T) {
+	cfg := DefaultMJPEGConfig()
+	cfg.Frames = 40
+	cfg.Memo = kpn.NewPayloadMemo()
+	run := func() (seqs []int64, sums []uint64) {
+		net, err := MJPEGNetwork(cfg, func(now des.Time, tok kpn.Token) {
+			if tok.Seq <= 0 {
+				return
+			}
+			h := fnv.New64a()
+			h.Write(tok.Payload)
+			if tok.Hash() != h.Sum64() {
+				t.Fatalf("frame %d: Hash differs from the hash of its bytes", tok.Seq)
+			}
+			seqs, sums = append(seqs, tok.Seq), append(sums, tok.Hash())
+		})
+		if err != nil {
+			t.Fatal(err)
+		}
+		k := des.NewKernel()
+		if _, err := net.Instantiate(k, kpn.Options{}); err != nil {
+			t.Fatal(err)
+		}
+		k.Run(0)
+		k.Shutdown()
+		return seqs, sums
+	}
+	coldSeqs, coldSums := run()
+	cold := cfg.Memo.Stats()
+	warmSeqs, warmSums := run()
+	warm := cfg.Memo.Stats()
+	if want := int(cfg.Frames) - cfg.OutInit; len(coldSeqs) != want {
+		t.Fatalf("consumer saw %d frames, want %d", len(coldSeqs), want)
+	}
+	if !slices.Equal(coldSeqs, warmSeqs) || !slices.Equal(coldSums, warmSums) {
+		t.Fatal("the warm run's stream differs from the cold run's")
+	}
+	if cold.Hashed < int64(len(coldSeqs)) || cold.JoinsReused != 0 {
+		t.Fatalf("cold run Stats = %+v, want a join digest hashed per merged frame (>= %d) and none reused", cold, len(coldSeqs))
+	}
+	if hashed := warm.Hashed - cold.Hashed; hashed != 0 {
+		t.Fatalf("warm run hashed %d digests, want 0", hashed)
+	}
+	if reused := warm.JoinsReused - cold.JoinsReused; reused != cold.Hashed {
+		t.Fatalf("warm run reused %d join digests, want one per merged frame (%d)", reused, cold.Hashed)
 	}
 }

@@ -36,9 +36,10 @@ type MJPEGConfig struct {
 	// Memo, when non-nil, caches the deterministic payload pipeline
 	// (frame encode, per-strip decode) across runs sharing the config;
 	// see kpn.PayloadMemo. Timing and output streams are unaffected.
-	// mergeframe is not memoized: caching the merged frames too would
-	// keep a second copy of every decoded frame next to its strips, so
-	// its output tokens are hashed from their bytes on every run.
+	// mergeframe's frames are not cached: that would keep a second copy
+	// of every decoded frame next to its strips. mergeframe joins the
+	// strips through kpn.PayloadMemo.Join, which caches only the merged
+	// frame's digest, so a warm run hashes no frame bytes.
 	Memo *kpn.PayloadMemo
 }
 
@@ -204,22 +205,18 @@ func mergeFrameBehavior(cfg MJPEGConfig, replica int) kpn.Behavior {
 			panic(fmt.Sprintf("apps: mergeframe ports %d/%d, want %d/1", len(in), len(out), cfg.Strips))
 		}
 		rng := newStageRand(19 + int64(replica))
-		frame := make([]byte, 0, cfg.DecodedBytes())
+		parts := make([]kpn.Token, len(in))
 		for i := int64(1); ; i++ {
-			frame = frame[:0]
-			var seq int64
+			n := 0
 			for s, ip := range in {
-				part := ip.Read(p)
-				if s == 0 {
-					seq = part.Seq
-				}
-				frame = append(frame, part.Payload...)
+				parts[s] = ip.Read(p)
+				n += parts[s].Size()
 			}
-			if len(frame) != cfg.DecodedBytes() {
-				panic(fmt.Sprintf("apps: mergeframe %d assembled %d bytes, want %d", i, len(frame), cfg.DecodedBytes()))
+			if n != cfg.DecodedBytes() {
+				panic(fmt.Sprintf("apps: mergeframe %d assembled %d bytes, want %d", i, n, cfg.DecodedBytes()))
 			}
-			p.Delay(stageDuration(work, rng, len(frame)))
-			out[0].Write(p, kpn.Token{Seq: seq, Stamp: p.Now(), Payload: append([]byte{}, frame...)})
+			p.Delay(stageDuration(work, rng, n))
+			out[0].Write(p, cfg.Memo.Join("mjpeg/mergeframe", parts[0].Seq, p.Now(), parts))
 		}
 	}
 }

@@ -2,7 +2,7 @@ package kpn
 
 import (
 	"fmt"
-	"math/rand"
+	"maps"
 	"sync"
 	"sync/atomic"
 
@@ -20,10 +20,22 @@ import (
 // hands every later run (and the second replica within a run) the same
 // read-only byte slice.
 //
-// Each entry also holds the payload's FNV-1a digest, computed lazily at
-// most once. Tokens built by Token carry a reference to their entry, so
-// the golden-stream comparison (Token.Hash at the consumer) hashes each
-// cached payload once per memo instead of once per run.
+// Storage: each stage name owns one table, looked up once when a
+// behavior or generator is built (Gen, MemoTransform, MemoStage), so a
+// firing indexes a slice by seq instead of hashing a key. Lookups are
+// lock-free; a miss computes its payload outside any lock and stores it
+// under the stage's mutex, which also grows the slice. A miss that finds
+// an entry stored meanwhile returns that entry, so concurrent first
+// computations of one key converge on one slice and one digest.
+//
+// Digests: each entry also holds the payload's FNV-1a digest, computed
+// lazily at most once. Tokens built by Token carry a reference to their
+// entry, so the golden-stream comparison (Token.Hash at the consumer)
+// hashes each cached payload once per memo instead of once per run.
+// Join builds a fresh concatenation of memoized parts every run and
+// caches only its digest, keyed by (stage, seq) together with the part
+// entries it was hashed from; a later Join reuses the digest only when
+// its parts are exactly those entries' own slices.
 //
 // Correctness: cached slices are exactly the bytes the stage would have
 // produced, so consumer streams — including the Seq+payload-hash golden
@@ -35,47 +47,159 @@ import (
 //
 // A nil *PayloadMemo is valid and disables caching.
 type PayloadMemo struct {
-	m      sync.Map // memoKey -> *memoEntry
-	hits   atomic.Int64
-	misses atomic.Int64
+	mu     sync.Mutex                            // serializes adding a stage table
+	tables atomic.Pointer[map[string]*memoTable] // copy-on-write: stage -> table
+
+	hits, misses, hashed, joinsReused atomic.Int64
 }
 
-// memoKey identifies one stage output in one application's stream.
-type memoKey struct {
-	stage string
-	seq   int64
+// MemoStats counts a PayloadMemo's work since it was created.
+type MemoStats struct {
+	Hits   int64 // payload lookups served from the memo
+	Misses int64 // payload lookups that computed the payload
+	// Hashed counts digests hashed from payload bytes: entry digests on
+	// their first Token.Hash and join digests on their first Join.
+	Hashed int64
+	// JoinsReused counts Join calls that reused a cached join digest.
+	JoinsReused int64
 }
 
-// memoEntry is one cached stage output and its lazily computed digest.
+// memoEntry is one cached stage output and its lazily computed digest,
+// or (parts != nil) one cached join digest.
 type memoEntry struct {
 	payload []byte
 	once    sync.Once
 	sum     uint64
+	owner   *PayloadMemo // counts the digest when it is hashed
+	parts   []*memoEntry // join digests: the part entries sum covers
 }
 
 // digest returns the FNV-1a digest of the entry's payload, hashing it on
 // the first call only.
 func (e *memoEntry) digest() uint64 {
-	e.once.Do(func() { e.sum = hashBytes(e.payload) })
+	e.once.Do(func() {
+		e.sum = hashBytes(e.payload)
+		e.owner.hashed.Add(1)
+	})
 	return e.sum
+}
+
+// hashedEntry returns an entry for payload whose digest is already sum.
+func hashedEntry(payload []byte, sum uint64, parts []*memoEntry) *memoEntry {
+	e := &memoEntry{payload: payload, parts: parts}
+	e.once.Do(func() { e.sum = sum })
+	return e
+}
+
+// maxDenseSeq bounds the seqs a stage table indexes by slice; any other
+// seq (the non-positive Seqs of preloaded tokens, say) goes to its map.
+const maxDenseSeq = 1 << 20
+
+// memoTable holds one stage's entries, indexed by seq.
+type memoTable struct {
+	dense  atomic.Pointer[[]atomic.Pointer[memoEntry]]
+	mu     sync.Mutex           // guards stores, growth and sparse
+	sparse map[int64]*memoEntry // seqs outside [0, maxDenseSeq)
+}
+
+// load returns the entry stored for seq, or nil.
+func (t *memoTable) load(seq int64) *memoEntry {
+	if seq >= 0 && seq < maxDenseSeq {
+		if d := t.dense.Load(); d != nil && seq < int64(len(*d)) {
+			return (*d)[seq].Load()
+		}
+		return nil
+	}
+	t.mu.Lock()
+	defer t.mu.Unlock()
+	return t.sparse[seq]
+}
+
+// store stores e for seq unless an entry is there already, and returns
+// the entry that stays: the first one stored.
+func (t *memoTable) store(seq int64, e *memoEntry) *memoEntry {
+	t.mu.Lock()
+	defer t.mu.Unlock()
+	if seq < 0 || seq >= maxDenseSeq {
+		if old := t.sparse[seq]; old != nil {
+			return old
+		}
+		if t.sparse == nil {
+			t.sparse = map[int64]*memoEntry{}
+		}
+		t.sparse[seq] = e
+		return e
+	}
+	d := t.dense.Load()
+	if d == nil || seq >= int64(len(*d)) {
+		n := 64
+		if d != nil {
+			n = 2 * len(*d)
+		}
+		for int64(n) <= seq {
+			n *= 2
+		}
+		grown := make([]atomic.Pointer[memoEntry], n)
+		if d != nil {
+			for i := range *d {
+				grown[i].Store((*d)[i].Load())
+			}
+		}
+		t.dense.Store(&grown)
+		d = &grown
+	}
+	slot := &(*d)[seq]
+	if old := slot.Load(); old != nil {
+		return old
+	}
+	slot.Store(e)
+	return e
 }
 
 // NewPayloadMemo returns an empty memo.
 func NewPayloadMemo() *PayloadMemo { return &PayloadMemo{} }
 
-// entry returns the cached entry for (stage, seq), computing its payload
-// via compute on a miss. Concurrent first computations of the same key
-// converge: LoadOrStore keeps the first stored entry and every caller
-// gets it, so one key has one slice and one digest.
-func (m *PayloadMemo) entry(stage string, seq int64, compute func() []byte) *memoEntry {
-	key := memoKey{stage, seq}
-	if v, ok := m.m.Load(key); ok {
+// find returns the table of stage, or nil if none was made.
+func (m *PayloadMemo) find(stage string) *memoTable {
+	if tabs := m.tables.Load(); tabs != nil {
+		return (*tabs)[stage]
+	}
+	return nil
+}
+
+// table returns the table of stage, making it on first use; nil for a
+// nil memo.
+func (m *PayloadMemo) table(stage string) *memoTable {
+	if m == nil {
+		return nil
+	}
+	if t := m.find(stage); t != nil {
+		return t
+	}
+	m.mu.Lock()
+	defer m.mu.Unlock()
+	if t := m.find(stage); t != nil {
+		return t
+	}
+	next := map[string]*memoTable{}
+	if old := m.tables.Load(); old != nil {
+		next = maps.Clone(*old)
+	}
+	t := &memoTable{}
+	next[stage] = t
+	m.tables.Store(&next)
+	return t
+}
+
+// entry returns t's entry for seq, computing its payload via compute on
+// a miss.
+func (m *PayloadMemo) entry(t *memoTable, seq int64, compute func() []byte) *memoEntry {
+	if e := t.load(seq); e != nil {
 		m.hits.Add(1)
-		return v.(*memoEntry)
+		return e
 	}
 	m.misses.Add(1)
-	v, _ := m.m.LoadOrStore(key, &memoEntry{payload: compute()})
-	return v.(*memoEntry)
+	return t.store(seq, &memoEntry{payload: compute(), owner: m})
 }
 
 // Token returns a token for stream index seq stamped at stamp, whose
@@ -84,33 +208,105 @@ func (m *PayloadMemo) entry(stage string, seq int64, compute func() []byte) *mem
 // digest. With a nil memo the payload is computed afresh and the token
 // carries no entry.
 func (m *PayloadMemo) Token(stage string, seq int64, stamp des.Time, compute func() []byte) Token {
+	return m.token(m.table(stage), seq, stamp, compute)
+}
+
+// token is Token on a table already looked up; t is nil when m is.
+func (m *PayloadMemo) token(t *memoTable, seq int64, stamp des.Time, compute func() []byte) Token {
 	if m == nil {
 		return Token{Seq: seq, Stamp: stamp, Payload: compute()}
 	}
-	e := m.entry(stage, seq, compute)
+	e := m.entry(t, seq, compute)
 	return Token{Seq: seq, Stamp: stamp, Payload: e.payload, memo: e}
+}
+
+// Join returns a token for stream index seq stamped at stamp whose
+// payload is a fresh concatenation of the parts' payloads, in order. Its
+// digest is cached per (stage, seq) with the part entries it was hashed
+// from, and a later Join reuses it only when every part is still its own
+// entry's slice (the Token.Hash identity rule) and those entries are the
+// recorded ones. Otherwise — a nil memo, an unmemoized or corrupted part,
+// parts from other stream indices — the token carries no digest and
+// hashes its bytes. The payload is never cached: every Join allocates
+// its own.
+func (m *PayloadMemo) Join(stage string, seq int64, stamp des.Time, parts []Token) Token {
+	n := 0
+	for _, p := range parts {
+		n += len(p.Payload)
+	}
+	joined := make([]byte, 0, n)
+	for _, p := range parts {
+		joined = append(joined, p.Payload...)
+	}
+	tok := Token{Seq: seq, Stamp: stamp, Payload: joined}
+	if m == nil || n == 0 {
+		return tok
+	}
+	t := m.table(stage)
+	if rec := t.load(seq); rec != nil {
+		if rec.joins(parts) {
+			m.joinsReused.Add(1)
+			tok.memo = hashedEntry(joined, rec.sum, nil)
+		}
+		return tok
+	}
+	ents := make([]*memoEntry, len(parts))
+	for i, p := range parts {
+		if ents[i] = p.ownEntry(); ents[i] == nil || p.Seq != seq {
+			return tok
+		}
+	}
+	sum := hashBytes(joined)
+	m.hashed.Add(1)
+	t.store(seq, hashedEntry(nil, sum, ents))
+	tok.memo = hashedEntry(joined, sum, nil)
+	return tok
+}
+
+// joins reports whether parts are exactly the part entries of join
+// digest e, each still its entry's own slice.
+func (e *memoEntry) joins(parts []Token) bool {
+	if len(parts) != len(e.parts) {
+		return false
+	}
+	for i, p := range parts {
+		if p.ownEntry() != e.parts[i] {
+			return false
+		}
+	}
+	return true
 }
 
 // Lookup returns the cached payload for (stage, seq) without computing
 // on a miss: the golden payload a fault-free execution produces, for
-// tests and tools that check a stage output against it. Nil-memo safe.
+// tests and tools that check a stage output against it. Join digests
+// hold no payload and are not found. Nil-memo safe.
 func (m *PayloadMemo) Lookup(stage string, seq int64) ([]byte, bool) {
 	if m == nil {
 		return nil, false
 	}
-	v, ok := m.m.Load(memoKey{stage, seq})
-	if !ok {
+	t := m.find(stage)
+	if t == nil {
 		return nil, false
 	}
-	return v.(*memoEntry).payload, true
+	e := t.load(seq)
+	if e == nil || e.parts != nil {
+		return nil, false
+	}
+	return e.payload, true
 }
 
-// Stats reports cache hits and misses (for tests and benchmarks).
-func (m *PayloadMemo) Stats() (hits, misses int64) {
+// Stats returns the memo's counters (zero for a nil memo).
+func (m *PayloadMemo) Stats() MemoStats {
 	if m == nil {
-		return 0, 0
+		return MemoStats{}
 	}
-	return m.hits.Load(), m.misses.Load()
+	return MemoStats{
+		Hits:        m.hits.Load(),
+		Misses:      m.misses.Load(),
+		Hashed:      m.hashed.Load(),
+		JoinsReused: m.joinsReused.Load(),
+	}
 }
 
 // Gen wraps a producer payload generator with the memo, keyed by the
@@ -119,8 +315,9 @@ func (m *PayloadMemo) Gen(stage string, gen func(i int64) []byte) func(i int64) 
 	if m == nil || gen == nil {
 		return gen
 	}
+	t := m.table(stage)
 	return func(i int64) []byte {
-		return m.entry(stage, i, func() []byte { return gen(i) }).payload
+		return m.entry(t, i, func() []byte { return gen(i) }).payload
 	}
 }
 
@@ -137,11 +334,12 @@ func (m *PayloadMemo) Gen(stage string, gen func(i int64) []byte) func(i int64) 
 // entry), a nil memo disables caching. Package topo builds every
 // synthetic DSL stage on this behavior.
 func MemoStage(work WorkModel, seed int64, memo *PayloadMemo, stage string, f func(i int64, ins [][]byte) []byte) Behavior {
+	t := memo.table(stage)
 	return func(p *des.Proc, in []ReadPort, out []WritePort) {
 		if len(in) == 0 || len(out) == 0 {
 			panic(fmt.Sprintf("kpn: MemoStage %q needs at least 1 input and 1 output, got %d/%d", stage, len(in), len(out)))
 		}
-		rng := rand.New(rand.NewSource(seed))
+		rng := NewRand(seed)
 		toks := make([]Token, len(in))
 		for {
 			total := 0
@@ -156,7 +354,7 @@ func MemoStage(work WorkModel, seed int64, memo *PayloadMemo, stage string, f fu
 				tok = toks[0] // pass-through keeps the payload's memo entry
 				tok.Stamp = p.Now()
 			} else {
-				tok = memo.Token(stage, seq, p.Now(), func() []byte {
+				tok = memo.token(t, seq, p.Now(), func() []byte {
 					ins := make([][]byte, len(toks))
 					for i := range toks {
 						ins[i] = toks[i].Payload
@@ -182,15 +380,16 @@ func MemoTransform(work WorkModel, seed int64, memo *PayloadMemo, stage string, 
 	if f == nil || memo == nil {
 		return Transform(work, seed, f)
 	}
+	t := memo.table(stage)
 	return func(p *des.Proc, in []ReadPort, out []WritePort) {
 		if len(in) != 1 || len(out) != 1 {
 			panic(fmt.Sprintf("kpn: Transform needs 1 input and 1 output, got %d/%d", len(in), len(out)))
 		}
-		rng := rand.New(rand.NewSource(seed))
+		rng := NewRand(seed)
 		for {
 			tok := in[0].Read(p)
 			p.Delay(work.Duration(rng, tok.Size()))
-			out[0].Write(p, memo.Token(stage, tok.Seq, p.Now(), func() []byte { return f(tok.Seq, tok.Payload) }))
+			out[0].Write(p, memo.token(t, tok.Seq, p.Now(), func() []byte { return f(tok.Seq, tok.Payload) }))
 		}
 	}
 }

@@ -84,7 +84,7 @@ func TestPayloadMemoConcurrentMissConverges(t *testing.T) {
 	if &got[0] != &toks[0].Payload[0] {
 		t.Fatal("Lookup returned a different backing array than the callers got")
 	}
-	if _, misses := m.Stats(); misses != 2 {
+	if misses := m.Stats().Misses; misses != 2 {
 		t.Fatalf("misses = %d, want 2", misses)
 	}
 }
@@ -226,4 +226,215 @@ func BenchmarkTokenHash(b *testing.B) {
 			tok.Hash()
 		}
 	})
+}
+
+// TestPayloadMemoStats: Stats counts lookups that hit and miss, and
+// digests hashed from bytes, and is zero for a nil memo.
+func TestPayloadMemoStats(t *testing.T) {
+	m := NewPayloadMemo()
+	gen := m.Gen("g", func(i int64) []byte { return memoFrame(16 + int(i)) })
+	gen(1)
+	gen(1)
+	gen(2)
+	tok := m.Token("g", 1, 0, func() []byte { t.Fatal("hit recomputed"); return nil })
+	tok.Hash()
+	tok.Hash()
+	if got, want := m.Stats(), (MemoStats{Hits: 2, Misses: 2, Hashed: 1}); got != want {
+		t.Fatalf("Stats = %+v, want %+v", got, want)
+	}
+	var nilMemo *PayloadMemo
+	if got := nilMemo.Stats(); got != (MemoStats{}) {
+		t.Fatalf("nil memo Stats = %+v, want zero", got)
+	}
+}
+
+// TestPayloadMemoSeqRange: entries at negative, zero, sparse, large and
+// out-of-slice seqs are stored and found, whatever order the slice grows
+// in, and each stage keeps its own table.
+func TestPayloadMemoSeqRange(t *testing.T) {
+	m := NewPayloadMemo()
+	seqs := []int64{5, 0, -3, 1000, 63, 64, 65, maxDenseSeq - 1, maxDenseSeq, 1 << 40, -1 << 40, 7}
+	payload := func(seq int64) []byte { return []byte{byte(seq), byte(seq >> 8), byte(seq >> 40), 1} }
+	for _, seq := range seqs {
+		m.Token("s", seq, 0, func() []byte { return payload(seq) })
+	}
+	for _, seq := range seqs {
+		got, ok := m.Lookup("s", seq)
+		if !ok || !bytes.Equal(got, payload(seq)) {
+			t.Fatalf("Lookup(s, %d) = (%v, %v), want (%v, true)", seq, got, ok, payload(seq))
+		}
+		if _, ok := m.Lookup("other", seq); ok {
+			t.Fatalf("Lookup(other, %d) hit stage s's entry", seq)
+		}
+	}
+	for _, seq := range []int64{1, 62, 66, 999, 1001, maxDenseSeq + 1, -2} {
+		if _, ok := m.Lookup("s", seq); ok {
+			t.Fatalf("Lookup(s, %d) hit a seq never stored", seq)
+		}
+	}
+	if st := m.Stats(); st.Misses != int64(len(seqs)) || st.Hits != 0 {
+		t.Fatalf("Stats = %+v, want %d misses and no hits", st, len(seqs))
+	}
+}
+
+// joinParts returns n memo tokens of stage "part<k>" for seq, each with
+// a 100-byte payload.
+func joinParts(m *PayloadMemo, seq int64, n int) []Token {
+	parts := make([]Token, n)
+	for k := range parts {
+		stage := "part" + string(rune('0'+k))
+		parts[k] = m.Token(stage, seq, 0, func() []byte {
+			b := memoFrame(100)
+			b[0], b[1] = byte(seq), byte(k)
+			return b
+		})
+	}
+	return parts
+}
+
+// checkJoined fails unless tok is the concatenation of parts, stamped
+// and sequenced as asked, and hashes to the digest of its bytes.
+func checkJoined(t *testing.T, what string, tok Token, seq int64, parts []Token) {
+	t.Helper()
+	var want []byte
+	for _, p := range parts {
+		want = append(want, p.Payload...)
+	}
+	if tok.Seq != seq || !bytes.Equal(tok.Payload, want) {
+		t.Fatalf("%s: Join = {Seq %d, %d bytes}, want {Seq %d, the %d bytes of its parts}", what, tok.Seq, len(tok.Payload), seq, len(want))
+	}
+	if got, want := tok.Hash(), fnvSum(tok.Payload); got != want {
+		t.Fatalf("%s: Hash = %x, want %x (hash of its bytes)", what, got, want)
+	}
+}
+
+// TestJoinReusesDigest: a second Join of the same part entries builds a
+// fresh payload but reuses the digest the first one hashed.
+func TestJoinReusesDigest(t *testing.T) {
+	m := NewPayloadMemo()
+	parts := joinParts(m, 4, 3)
+	first := m.Join("join", 4, 10, parts)
+	if first.Stamp != 10 {
+		t.Fatalf("Stamp = %d, want 10", first.Stamp)
+	}
+	checkJoined(t, "first join", first, 4, parts)
+	second := m.Join("join", 4, 20, joinParts(m, 4, 3))
+	checkJoined(t, "second join", second, 4, parts)
+	if &first.Payload[0] == &second.Payload[0] {
+		t.Fatal("two joins share one payload: the merged frame must be built afresh")
+	}
+	if st := m.Stats(); st.Hashed != 1 || st.JoinsReused != 1 {
+		t.Fatalf("Stats = %+v, want 1 digest hashed and 1 reused", st)
+	}
+	if _, ok := m.Lookup("join", 4); ok {
+		t.Fatal("Lookup found a payload for a join digest")
+	}
+}
+
+// TestJoinCorruptedStripHashesBytes: a part that is a private corrupted
+// copy of its entry's payload (fault.Corrupt's way) keeps its entry
+// pointer but not the entry's slice, so the join hashes its bytes —
+// both before a digest was cached and after.
+func TestJoinCorruptedStripHashesBytes(t *testing.T) {
+	m := NewPayloadMemo()
+	corrupt := func(parts []Token) []Token {
+		out := append([]Token(nil), parts...)
+		c := append([]byte(nil), out[1].Payload...)
+		c[50] ^= 0xFF
+		out[1].Payload = c
+		return out
+	}
+	coldParts := corrupt(joinParts(m, 2, 3))
+	checkJoined(t, "corrupted, cold", m.Join("join", 2, 0, coldParts), 2, coldParts)
+	golden := m.Join("join", 2, 0, joinParts(m, 2, 3))
+	warmParts := corrupt(joinParts(m, 2, 3))
+	warm := m.Join("join", 2, 0, warmParts)
+	checkJoined(t, "corrupted, warm", warm, 2, warmParts)
+	if warm.Hash() == golden.Hash() {
+		t.Fatal("a corrupted join hashed to the golden digest")
+	}
+	if st := m.Stats(); st.JoinsReused != 0 || st.Hashed != 1 {
+		t.Fatalf("Stats = %+v, want 1 digest hashed (the golden join) and none reused", st)
+	}
+}
+
+// TestJoinMismatchedSeqsHashBytes: parts whose entries are not the ones
+// a digest was recorded from — strips of other stream indices — never
+// get that digest, and a misaligned join records none.
+func TestJoinMismatchedSeqsHashBytes(t *testing.T) {
+	m := NewPayloadMemo()
+	misaligned := joinParts(m, 7, 3)
+	misaligned[2] = joinParts(m, 8, 3)[2]
+	cold := m.Join("join", 7, 0, misaligned)
+	checkJoined(t, "misaligned, cold", cold, 7, misaligned)
+	if st := m.Stats(); st.Hashed != 0 {
+		t.Fatalf("a misaligned join recorded a digest: Stats = %+v", st)
+	}
+	golden := m.Join("join", 7, 0, joinParts(m, 7, 3))
+	checkJoined(t, "aligned", golden, 7, joinParts(m, 7, 3))
+	warm := m.Join("join", 7, 0, misaligned)
+	checkJoined(t, "misaligned, warm", warm, 7, misaligned)
+	other := m.Join("join", 7, 0, joinParts(m, 9, 3))
+	checkJoined(t, "all parts from another seq", other, 7, joinParts(m, 9, 3))
+	short := m.Join("join", 7, 0, joinParts(m, 7, 2))
+	checkJoined(t, "fewer parts", short, 7, joinParts(m, 7, 2))
+	if st := m.Stats(); st.JoinsReused != 0 {
+		t.Fatalf("a mismatched join reused a digest: Stats = %+v", st)
+	}
+}
+
+// TestJoinNilMemoAndUnmemoizedParts: with a nil memo, or parts that
+// carry no entry, Join concatenates and the token hashes its bytes.
+func TestJoinNilMemoAndUnmemoizedParts(t *testing.T) {
+	var nilMemo *PayloadMemo
+	plain := []Token{{Seq: 1, Payload: memoFrame(40)}, {Seq: 1, Payload: memoFrame(60)}}
+	checkJoined(t, "nil memo", nilMemo.Join("join", 1, 0, plain), 1, plain)
+	checkJoined(t, "nil memo, memo parts", nilMemo.Join("join", 1, 0, joinParts(NewPayloadMemo(), 1, 2)), 1, joinParts(NewPayloadMemo(), 1, 2))
+	m := NewPayloadMemo()
+	for i := 0; i < 2; i++ {
+		checkJoined(t, "unmemoized parts", m.Join("join", 1, 0, plain), 1, plain)
+	}
+	if st := m.Stats(); st != (MemoStats{}) {
+		t.Fatalf("unmemoized joins touched the memo: Stats = %+v", st)
+	}
+	empty := m.Join("join", 1, 0, nil)
+	if len(empty.Payload) != 0 || empty.Hash() != fnvSum(nil) {
+		t.Fatal("an empty join must hash as an empty payload")
+	}
+}
+
+// TestJoinConcurrent: joins of the same and different seqs on many
+// goroutines all hash to their bytes and converge on one digest per seq
+// (run under -race).
+func TestJoinConcurrent(t *testing.T) {
+	m := NewPayloadMemo()
+	const seqs, goroutines = 16, 8
+	var wg sync.WaitGroup
+	errs := make(chan string, goroutines)
+	for g := 0; g < goroutines; g++ {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			for i := 0; i < 4*seqs; i++ {
+				seq := int64((g + i) % seqs)
+				tok := m.Join("join", seq, 0, joinParts(m, seq, 3))
+				if tok.Hash() != fnvSum(tok.Payload) {
+					errs <- "join digest differs from the hash of its bytes"
+					return
+				}
+			}
+		}()
+	}
+	wg.Wait()
+	close(errs)
+	for e := range errs {
+		t.Fatal(e)
+	}
+	st := m.Stats()
+	if total := st.Hashed + st.JoinsReused; total != goroutines*4*seqs {
+		t.Fatalf("Stats = %+v: hashed + reused = %d, want %d joins", st, total, goroutines*4*seqs)
+	}
+	if st.Hashed < seqs {
+		t.Fatalf("Stats = %+v: fewer digests hashed than seqs joined", st)
+	}
 }

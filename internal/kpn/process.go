@@ -29,7 +29,7 @@ func NewPacer(model rtc.PJD, seed int64) *Pacer {
 	if err := model.Validate(); err != nil {
 		panic(fmt.Sprintf("kpn: invalid pacer model: %v", err))
 	}
-	return &Pacer{model: model, rng: rand.New(rand.NewSource(seed)), last: -1 << 62}
+	return &Pacer{model: model, rng: NewRand(seed), last: -1 << 62}
 }
 
 // Next returns the next activation instant (absolute virtual time).
@@ -118,7 +118,7 @@ func Transform(work WorkModel, seed int64, f func(i int64, payload []byte) []byt
 		if len(in) != 1 || len(out) != 1 {
 			panic(fmt.Sprintf("kpn: Transform needs 1 input and 1 output, got %d/%d", len(in), len(out)))
 		}
-		rng := rand.New(rand.NewSource(seed))
+		rng := NewRand(seed)
 		for i := int64(1); ; i++ {
 			tok := in[0].Read(p)
 			p.Delay(work.Duration(rng, tok.Size()))

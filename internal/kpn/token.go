@@ -38,10 +38,19 @@ type Token struct {
 // subslice, an empty slice — is hashed from its bytes, so a stale digest
 // can never hide a value fault.
 func (t Token) Hash() uint64 {
-	if e := t.memo; e != nil && len(t.Payload) > 0 && len(t.Payload) == len(e.payload) && &t.Payload[0] == &e.payload[0] {
+	if e := t.ownEntry(); e != nil {
 		return e.digest()
 	}
 	return hashBytes(t.Payload)
+}
+
+// ownEntry returns the token's memo entry while Payload is still that
+// entry's own slice, and nil otherwise.
+func (t Token) ownEntry() *memoEntry {
+	if e := t.memo; e != nil && len(t.Payload) > 0 && len(t.Payload) == len(e.payload) && &t.Payload[0] == &e.payload[0] {
+		return e
+	}
+	return nil
 }
 
 // hashBytes returns the FNV-1a digest of b.

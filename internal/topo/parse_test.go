@@ -52,6 +52,12 @@ func TestParseErrors(t *testing.T) {
 		{"json unknown field", `{"name": "x", "tokns": 3}`, "unknown field"},
 		{"json trailing garbage", `{"name": "x"} {"name": "y"}`, "trailing data"},
 		{"json wrong type", `{"name": 3}`, "parse spec"},
+		{"json repeated key", `{"name":"a","name":"b"}`, `key "name" repeated in the spec document`},
+		{"json repeated key, other case", `{"name":"a","tokens":3,"Name":"b"}`, `key "Name" repeated`},
+		{"json repeated key in proc", `{"name":"x","procs":[{"name":"p","role":"producer"},{"name":"q","role":"critical","role":"consumer"}]}`, `key "role" repeated in procs[1]`},
+		{"json repeated key in nested object", `{"name":"x","detection":{"kind":"mk","m":1,"m":2}}`, `key "m" repeated in detection`},
+		{"json repeated key in fault", `{"faults":[{"replica":1},{"replica":2,"replica":1}]}`, `key "replica" repeated in faults[1]`},
+		{"json object as key", `{{"a":1,"a":2}}`, "parse spec"},
 		// YAML and other non-JSON documents are refused before decoding,
 		// whatever their content.
 		{"yaml unknown field", "name: x\ntokns: 3\n", "must be JSON"},
@@ -116,6 +122,7 @@ func FuzzTopoParse(f *testing.F) {
 		`{"tokens":1e3}`, `{"tokens":-1}`, `{"tokens":1.5}`, `{"name":null}`,
 		`{"procs":[{"name":"p","role":"producer"}]}`, `{"faults":[{"replica":1}]}`,
 		`{"detection":{"kind":"mk","m":1,"k":4}}`, `{"name":"x"} {"name":"y"}`,
+		`{"name":"a","name":"b"}`, `{"procs":[{"name":"p","seed":1,"seed":2}]}`, `{{"a":1,"a":2}}`,
 		`{"procs":` + strings.Repeat("[", 300) + strings.Repeat("]", 300) + `}`,
 		strings.Repeat(`{"a":`, 300), "\xff\xfe",
 	} {
