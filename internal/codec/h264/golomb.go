@@ -1,6 +1,10 @@
 package h264
 
-import "fmt"
+import (
+	"encoding/binary"
+	"fmt"
+	"math/bits"
+)
 
 // Exp-Golomb coding, the entropy layer of H.264 headers and (in this
 // simplified encoder) of residual levels.
@@ -8,57 +12,53 @@ import "fmt"
 // errBitstream reports truncated or corrupt input.
 var errBitstream = fmt.Errorf("h264: truncated or corrupt bitstream")
 
-// bitWriter packs bits MSB-first.
+// bitWriter packs bits MSB-first. Pending bits collect in a 64-bit
+// accumulator and leave it eight bytes at a time.
 type bitWriter struct {
-	buf  []byte
-	cur  byte
-	nCur int
+	buf []byte
+	acc uint64 // the low n bits are pending; higher bits are stale
+	n   int    // pending bits, 0..63
 }
 
-func (w *bitWriter) writeBit(b uint32) {
-	w.cur = w.cur<<1 | byte(b&1)
-	w.nCur++
-	if w.nCur == 8 {
-		w.buf = append(w.buf, w.cur)
-		w.cur, w.nCur = 0, 0
+// writeBits appends the n-bit code v (0 < n < 64, v < 1<<n). When the
+// accumulator fills, its 64 bits, completed with v's top bits, are
+// appended and v's remaining low bits stay pending.
+func (w *bitWriter) writeBits(v uint64, n int) {
+	w.n += n
+	if w.n >= 64 {
+		w.n -= 64
+		w.buf = binary.BigEndian.AppendUint64(w.buf, w.acc<<(n-w.n)|v>>w.n)
 	}
+	w.acc = w.acc<<n | v
 }
 
-func (w *bitWriter) writeBits(v uint32, n int) {
-	for i := n - 1; i >= 0; i-- {
-		w.writeBit(v >> uint(i))
-	}
-}
-
-// writeUE writes an unsigned Exp-Golomb code ue(v).
+// writeUE writes an unsigned Exp-Golomb code ue(v): for x = v+1 of
+// n+1 significant bits, n zero bits and then x, so the whole code is x
+// in 2n+1 bits. v = 2^32-1 wraps x to 0 and writes a single 0 bit.
 func (w *bitWriter) writeUE(v uint32) {
 	x := v + 1
-	n := 0
-	for t := x; t > 1; t >>= 1 {
-		n++
-	}
-	for i := 0; i < n; i++ {
-		w.writeBit(0)
-	}
-	w.writeBits(x, n+1)
+	n := bits.Len32(x|1) - 1
+	w.writeBits(uint64(x), 2*n+1)
 }
 
 // writeSE writes a signed Exp-Golomb code se(v): v>0 → 2v-1, v<=0 → -2v.
 func (w *bitWriter) writeSE(v int32) {
+	u := uint32(-2 * v)
 	if v > 0 {
-		w.writeUE(uint32(2*v - 1))
-	} else {
-		w.writeUE(uint32(-2 * v))
+		u = uint32(2*v - 1)
 	}
+	w.writeUE(u)
 }
 
 // flush pads with zero bits to a byte boundary (rbsp-trailing style with
 // a stop bit first).
 func (w *bitWriter) flush() []byte {
-	w.writeBit(1) // stop bit
-	for w.nCur != 0 {
-		w.writeBit(0)
+	w.writeBits(1, 1) // stop bit
+	pad := -w.n & 7
+	for k := w.n + pad - 8; k >= 0; k -= 8 {
+		w.buf = append(w.buf, byte(w.acc<<pad>>k))
 	}
+	w.acc, w.n = 0, 0
 	return w.buf
 }
 

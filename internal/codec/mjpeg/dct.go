@@ -46,28 +46,51 @@ func fdct(block *[64]float64) {
 }
 
 // idct performs the inverse 8×8 DCT-III in place, the exact inverse of
-// fdct up to floating-point rounding.
+// fdct up to floating-point rounding. Each output is the sum over v
+// ascending of dctScale[v]·coef·cosTable[v][y], evaluated left to
+// right. The eight outputs of a column (then of a row) accumulate side
+// by side, and the left product dctScale[v]·coef, shared by all eight,
+// is formed once per v: every output sees the same operations in the
+// same order as when computed alone.
 func idct(block *[64]float64) {
 	var tmp [64]float64
 	// Columns.
 	for u := 0; u < 8; u++ {
-		for y := 0; y < 8; y++ {
-			var s float64
-			for v := 0; v < 8; v++ {
-				s += dctScale[v] * block[v*8+u] * cosTable[v][y]
-			}
-			tmp[y*8+u] = s
+		var s0, s1, s2, s3, s4, s5, s6, s7 float64
+		for v := 0; v < 8; v++ {
+			a := dctScale[v] * block[v*8+u]
+			c := &cosTable[v]
+			s0 += a * c[0]
+			s1 += a * c[1]
+			s2 += a * c[2]
+			s3 += a * c[3]
+			s4 += a * c[4]
+			s5 += a * c[5]
+			s6 += a * c[6]
+			s7 += a * c[7]
 		}
+		tmp[u], tmp[8+u], tmp[16+u], tmp[24+u] = s0, s1, s2, s3
+		tmp[32+u], tmp[40+u], tmp[48+u], tmp[56+u] = s4, s5, s6, s7
 	}
 	// Rows.
 	for y := 0; y < 8; y++ {
-		for x := 0; x < 8; x++ {
-			var s float64
-			for u := 0; u < 8; u++ {
-				s += dctScale[u] * tmp[y*8+u] * cosTable[u][x]
-			}
-			block[y*8+x] = s
+		row := (*[8]float64)(tmp[y*8 : y*8+8])
+		var s0, s1, s2, s3, s4, s5, s6, s7 float64
+		for u := 0; u < 8; u++ {
+			a := dctScale[u] * row[u]
+			c := &cosTable[u]
+			s0 += a * c[0]
+			s1 += a * c[1]
+			s2 += a * c[2]
+			s3 += a * c[3]
+			s4 += a * c[4]
+			s5 += a * c[5]
+			s6 += a * c[6]
+			s7 += a * c[7]
 		}
+		out := (*[8]float64)(block[y*8 : y*8+8])
+		out[0], out[1], out[2], out[3] = s0, s1, s2, s3
+		out[4], out[5], out[6], out[7] = s4, s5, s6, s7
 	}
 }
 

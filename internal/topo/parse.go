@@ -33,6 +33,16 @@ func Parse(data []byte) (*Spec, error) {
 	if dec.More() {
 		return nil, fmt.Errorf("topo: trailing data after spec document")
 	}
+	// Emit omits empty optional lists, so an empty one parses as nil and
+	// Parse(Emit(s)) reproduces s.
+	if len(spec.Faults) == 0 {
+		spec.Faults = nil
+	}
+	for i := range spec.Procs {
+		if len(spec.Procs[i].ReplicaJitterUs) == 0 {
+			spec.Procs[i].ReplicaJitterUs = nil
+		}
+	}
 	return &spec, nil
 }
 

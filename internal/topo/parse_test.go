@@ -90,6 +90,17 @@ func TestEmitParseRoundTrip(t *testing.T) {
 	for seed := int64(0); seed < 50; seed++ {
 		specs = append(specs, Generate(seed))
 	}
+	// Empty optional lists, which Emit omits.
+	for _, doc := range []string{
+		`{"proCs":[{},{},{}],"ChAns":[{},{},{},{}],"deteCtion":{},"fAults":[]}`,
+		`{"name":"x","procs":[{"name":"p","replica_jitter_us":[]}],"chans":[],"faults":[]}`,
+	} {
+		spec, err := Parse([]byte(doc))
+		if err != nil {
+			t.Fatalf("%s: %v", doc, err)
+		}
+		specs = append(specs, spec)
+	}
 	for _, spec := range specs {
 		data, err := Emit(spec)
 		if err != nil {
@@ -123,6 +134,7 @@ func FuzzTopoParse(f *testing.F) {
 		`{"procs":[{"name":"p","role":"producer"}]}`, `{"faults":[{"replica":1}]}`,
 		`{"detection":{"kind":"mk","m":1,"k":4}}`, `{"name":"x"} {"name":"y"}`,
 		`{"name":"a","name":"b"}`, `{"procs":[{"name":"p","seed":1,"seed":2}]}`, `{{"a":1,"a":2}}`,
+		`{"proCs":[{},{},{}],"ChAns":[{},{},{},{}],"deteCtion":{},"fAults":[]}`,
 		`{"procs":` + strings.Repeat("[", 300) + strings.Repeat("]", 300) + `}`,
 		strings.Repeat(`{"a":`, 300), "\xff\xfe",
 	} {
