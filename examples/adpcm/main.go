@@ -37,7 +37,7 @@ func main() {
 	})
 	check(err)
 	k1 := des.NewKernel()
-	_, err = refNet.Instantiate(k1, kpn.Options{})
+	_, err = refNet.Instantiate(k1)
 	check(err)
 	k1.Run(0)
 	k1.Shutdown()

@@ -310,8 +310,8 @@ func run(cfg config, sink io.Writer) error {
 	// Recovery supervisor: once replica 1 is convicted, wait out a
 	// repair delay (restart cost), re-arm its replicator queue from the
 	// healthy backlog, put its selector interface into resynchronization
-	// and respawn the goroutine — the crt mirror of ft's
-	// RepairAndReintegrateAt.
+	// and respawn the goroutine — the crt mirror of ft.System.Reintegrate
+	// as recover.Manager schedules it.
 	recovered := make(chan struct{})
 	if cfg.recover {
 		go func() {

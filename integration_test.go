@@ -201,7 +201,7 @@ func TestStrictReplicatorTheorem2(t *testing.T) {
 		t.Fatal(err)
 	}
 	k1 := des.NewKernel()
-	if _, err := refNet.Instantiate(k1, kpn.Options{}); err != nil {
+	if _, err := refNet.Instantiate(k1); err != nil {
 		t.Fatal(err)
 	}
 	k1.Run(0)

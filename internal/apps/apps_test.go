@@ -56,8 +56,8 @@ func TestMJPEGConfigValidation(t *testing.T) {
 	if bad.Validate() == nil {
 		t.Error("zero cache should fail")
 	}
-	if PaperScaleMJPEG().DecodedBytes() != 76800 {
-		t.Errorf("paper-scale decoded frame = %d bytes, want 76800 (76.8 KB)", PaperScaleMJPEG().DecodedBytes())
+	if paperScaleMJPEG().DecodedBytes() != 76800 {
+		t.Errorf("paper-scale decoded frame = %d bytes, want 76800 (76.8 KB)", paperScaleMJPEG().DecodedBytes())
 	}
 }
 
@@ -74,7 +74,7 @@ func TestMJPEGReferenceEndToEnd(t *testing.T) {
 		t.Fatal(err)
 	}
 	k := des.NewKernel()
-	if _, err := net.Instantiate(k, kpn.Options{}); err != nil {
+	if _, err := net.Instantiate(k); err != nil {
 		t.Fatal(err)
 	}
 	k.Run(0)
@@ -102,7 +102,7 @@ func TestADPCMReferenceEndToEnd(t *testing.T) {
 		t.Fatal(err)
 	}
 	k := des.NewKernel()
-	if _, err := net.Instantiate(k, kpn.Options{}); err != nil {
+	if _, err := net.Instantiate(k); err != nil {
 		t.Fatal(err)
 	}
 	k.Run(0)
@@ -155,7 +155,7 @@ func TestH264ReferenceEndToEnd(t *testing.T) {
 		t.Fatal(err)
 	}
 	k := des.NewKernel()
-	if _, err := net.Instantiate(k, kpn.Options{}); err != nil {
+	if _, err := net.Instantiate(k); err != nil {
 		t.Fatal(err)
 	}
 	k.Run(0)
@@ -198,7 +198,7 @@ func runRefAndDup(t *testing.T, build func(sink Sink) (*kpn.Network, error), cfg
 		t.Fatal(err)
 	}
 	k1 := des.NewKernel()
-	if _, err := refNet.Instantiate(k1, kpn.Options{}); err != nil {
+	if _, err := refNet.Instantiate(k1); err != nil {
 		t.Fatal(err)
 	}
 	k1.Run(0)
@@ -333,7 +333,7 @@ func TestMJPEGWarmRunHashesNothing(t *testing.T) {
 			t.Fatal(err)
 		}
 		k := des.NewKernel()
-		if _, err := net.Instantiate(k, kpn.Options{}); err != nil {
+		if _, err := net.Instantiate(k); err != nil {
 			t.Fatal(err)
 		}
 		k.Run(0)
@@ -359,4 +359,12 @@ func TestMJPEGWarmRunHashesNothing(t *testing.T) {
 	if reused := warm.JoinsReused - cold.JoinsReused; reused != cold.Hashed {
 		t.Fatalf("warm run reused %d join digests, want one per merged frame (%d)", reused, cold.Hashed)
 	}
+}
+
+// paperScaleMJPEG returns the full-scale geometry of the paper: 320×240
+// frames (~10 KB encoded, 76.8 KB decoded).
+func paperScaleMJPEG() MJPEGConfig {
+	cfg := DefaultMJPEGConfig()
+	cfg.Width, cfg.Height = 320, 240
+	return cfg
 }

@@ -48,7 +48,7 @@ type MJPEGConfig struct {
 // 30 ms jitter, and a consumer at the same frame rate. The default
 // frame geometry is scaled down from 320×240 so that simulations stay
 // fast; virtual-time results are unaffected by pixel count (see
-// EXPERIMENTS.md). Use PaperScaleMJPEG for full 320×240 tokens.
+// EXPERIMENTS.md). Set Width, Height = 320, 240 for full-scale tokens.
 func DefaultMJPEGConfig() MJPEGConfig {
 	return MJPEGConfig{
 		Width: 64, Height: 48, Strips: 3, Quality: 70, Frames: 600, FrameCache: 24,
@@ -59,14 +59,6 @@ func DefaultMJPEGConfig() MJPEGConfig {
 		Merge:    StageTiming{BaseUs: 300, JitterUs: [3]des.Time{500, 1_300, 6_000}},
 		InCap:    4, MidCap: 4, OutCap: 8, OutInit: 3,
 	}
-}
-
-// PaperScaleMJPEG returns the full-scale geometry of the paper: 320×240
-// frames (~10 KB encoded, 76.8 KB decoded).
-func PaperScaleMJPEG() MJPEGConfig {
-	cfg := DefaultMJPEGConfig()
-	cfg.Width, cfg.Height = 320, 240
-	return cfg
 }
 
 // Validate reports whether the configuration is usable.

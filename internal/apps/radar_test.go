@@ -38,7 +38,7 @@ func TestRadarReferenceDetectsTargets(t *testing.T) {
 		t.Fatal(err)
 	}
 	k := des.NewKernel()
-	if _, err := net.Instantiate(k, kpn.Options{}); err != nil {
+	if _, err := net.Instantiate(k); err != nil {
 		t.Fatal(err)
 	}
 	k.Run(0)

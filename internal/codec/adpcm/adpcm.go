@@ -156,24 +156,3 @@ func DecodeBlock(block []byte) ([]int16, error) {
 // CompressedSize returns the block size EncodeBlock produces for n
 // samples.
 func CompressedSize(n int) int { return HeaderBytes + n/2 }
-
-// MaxReconstructionError returns the worst absolute error between the
-// original and decoded samples; used by tests and the application's
-// self-check.
-func MaxReconstructionError(orig, decoded []int16) int {
-	n := len(orig)
-	if len(decoded) < n {
-		n = len(decoded)
-	}
-	maxErr := 0
-	for i := 0; i < n; i++ {
-		e := int(orig[i]) - int(decoded[i])
-		if e < 0 {
-			e = -e
-		}
-		if e > maxErr {
-			maxErr = e
-		}
-	}
-	return maxErr
-}

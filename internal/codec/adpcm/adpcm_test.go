@@ -30,7 +30,7 @@ func TestRoundTripSine(t *testing.T) {
 	}
 	// ADPCM is lossy but must track a smooth signal closely after the
 	// adaptation transient.
-	if e := MaxReconstructionError(orig[256:], dec[256:]); e > 2500 {
+	if e := maxReconstructionError(orig[256:], dec[256:]); e > 2500 {
 		t.Errorf("steady-state error %d too high", e)
 	}
 }
@@ -91,7 +91,7 @@ func TestSilenceEncodesCleanly(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if e := MaxReconstructionError(orig, dec); e > 16 {
+	if e := maxReconstructionError(orig, dec); e > 16 {
 		t.Errorf("silence error %d, want near zero", e)
 	}
 }
@@ -154,10 +154,30 @@ func TestRoundTripProperty(t *testing.T) {
 }
 
 func TestMaxReconstructionErrorHelper(t *testing.T) {
-	if e := MaxReconstructionError([]int16{10, -5}, []int16{7, -9}); e != 4 {
+	if e := maxReconstructionError([]int16{10, -5}, []int16{7, -9}); e != 4 {
 		t.Errorf("error = %d, want 4", e)
 	}
-	if e := MaxReconstructionError([]int16{1, 2, 3}, []int16{1}); e != 0 {
+	if e := maxReconstructionError([]int16{1, 2, 3}, []int16{1}); e != 0 {
 		t.Errorf("length-mismatch error = %d, want 0", e)
 	}
+}
+
+// maxReconstructionError returns the worst absolute error between the
+// original and decoded samples.
+func maxReconstructionError(orig, decoded []int16) int {
+	n := len(orig)
+	if len(decoded) < n {
+		n = len(decoded)
+	}
+	maxErr := 0
+	for i := 0; i < n; i++ {
+		e := int(orig[i]) - int(decoded[i])
+		if e < 0 {
+			e = -e
+		}
+		if e > maxErr {
+			maxErr = e
+		}
+	}
+	return maxErr
 }

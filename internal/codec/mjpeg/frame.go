@@ -11,10 +11,7 @@
 // MJPEG process network is built from.
 package mjpeg
 
-import (
-	"fmt"
-	"math"
-)
+import "fmt"
 
 // Frame is an 8-bit grayscale image.
 type Frame struct {
@@ -72,22 +69,4 @@ func TestFrame(w, h int, i int64) *Frame {
 		}
 	}
 	return f
-}
-
-// PSNR returns the peak signal-to-noise ratio between two equally sized
-// frames in dB (+Inf for identical frames).
-func PSNR(a, b *Frame) (float64, error) {
-	if a.W != b.W || a.H != b.H {
-		return 0, fmt.Errorf("mjpeg: PSNR size mismatch %dx%d vs %dx%d", a.W, a.H, b.W, b.H)
-	}
-	var sum float64
-	for i := range a.Pix {
-		d := float64(int(a.Pix[i]) - int(b.Pix[i]))
-		sum += d * d
-	}
-	if sum == 0 {
-		return math.Inf(1), nil
-	}
-	mse := sum / float64(len(a.Pix))
-	return 10 * math.Log10(255*255/mse), nil
 }

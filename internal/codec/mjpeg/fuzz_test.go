@@ -12,20 +12,10 @@ func FuzzDecode(f *testing.F) {
 	f.Add(good)
 	f.Add([]byte{})
 	f.Add(good[:len(good)/2])
-	color, err := EncodeColor(testColorFrame(16, 16, 1), 50)
-	if err != nil {
-		f.Fatal(err)
-	}
-	f.Add(color)
 	f.Fuzz(func(t *testing.T, data []byte) {
 		if frame, err := Decode(data); err == nil {
 			if frame.W*frame.H != len(frame.Pix) {
 				t.Fatalf("inconsistent decoded frame %dx%d with %d pixels", frame.W, frame.H, len(frame.Pix))
-			}
-		}
-		if cf, err := DecodeColor(data); err == nil {
-			if len(cf.Y) != cf.W*cf.H {
-				t.Fatalf("inconsistent color frame")
 			}
 		}
 	})

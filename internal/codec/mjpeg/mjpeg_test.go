@@ -1,6 +1,7 @@
 package mjpeg
 
 import (
+	"fmt"
 	"math"
 	"testing"
 	"testing/quick"
@@ -190,7 +191,7 @@ func TestEncodeDecodeQuality(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	psnr, err := PSNR(f, dec)
+	psnr, err := psnr(f, dec)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -233,8 +234,8 @@ func TestQualityMonotonicity(t *testing.T) {
 	}
 	decLo, _ := Decode(lo)
 	decHi, _ := Decode(hi)
-	pLo, _ := PSNR(f, decLo)
-	pHi, _ := PSNR(f, decHi)
+	pLo, _ := psnr(f, decLo)
+	pHi, _ := psnr(f, decHi)
 	if pHi <= pLo {
 		t.Errorf("higher quality should have higher PSNR: %.1f vs %.1f", pHi, pLo)
 	}
@@ -306,12 +307,12 @@ func TestFrameAccessors(t *testing.T) {
 
 func TestPSNRIdentical(t *testing.T) {
 	f := TestFrame(16, 16, 0)
-	p, err := PSNR(f, f)
+	p, err := psnr(f, f)
 	if err != nil || !math.IsInf(p, 1) {
-		t.Errorf("PSNR(f,f) = %v, %v; want +Inf", p, err)
+		t.Errorf("psnr(f,f) = %v, %v; want +Inf", p, err)
 	}
 	g := TestFrame(8, 8, 0)
-	if _, err := PSNR(f, g); err == nil {
+	if _, err := psnr(f, g); err == nil {
 		t.Error("size mismatch should fail")
 	}
 }
@@ -396,4 +397,22 @@ func BenchmarkDCTFastAAN(b *testing.B) {
 		blk := block
 		fdctFast(&blk)
 	}
+}
+
+// psnr returns the peak signal-to-noise ratio between two equally sized
+// frames in dB (+Inf for identical frames).
+func psnr(a, b *Frame) (float64, error) {
+	if a.W != b.W || a.H != b.H {
+		return 0, fmt.Errorf("mjpeg: PSNR size mismatch %dx%d vs %dx%d", a.W, a.H, b.W, b.H)
+	}
+	var sum float64
+	for i := range a.Pix {
+		d := float64(int(a.Pix[i]) - int(b.Pix[i]))
+		sum += d * d
+	}
+	if sum == 0 {
+		return math.Inf(1), nil
+	}
+	mse := sum / float64(len(a.Pix))
+	return 10 * math.Log10(255*255/mse), nil
 }

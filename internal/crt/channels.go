@@ -98,16 +98,7 @@ func (r *Replicator) SetPolicy(p ft.Policy) {
 	r.mu.Unlock()
 }
 
-// SetProbe installs the channel's probe (nil disables). Probe events
-// are stamped in wall-clock ns, and the probe runs with the channel
-// lock held: it must be cheap and must not call back into the channel.
-func (r *Replicator) SetProbe(p ft.Probe) {
-	r.mu.Lock()
-	r.core.SetProbe(p)
-	r.mu.Unlock()
-}
-
-// RecordFlight mirrors the channel's probe events and convictions into
+// RecordFlight mirrors the channel's events and convictions into
 // st (nil disarms) through the emitter ft.InstrumentFlight arms on the
 // simulated channels, stamped in wall-clock µs; a conviction's fill and
 // divergence are sampled under the channel lock.
@@ -225,14 +216,6 @@ func (s *Selector) cond(w ft.WaitOn, port int) *sync.Cond {
 func (s *Selector) SetPolicy(p ft.Policy) {
 	s.mu.Lock()
 	s.core.SetPolicy(p)
-	s.mu.Unlock()
-}
-
-// SetProbe installs the channel's probe (nil disables), as
-// Replicator.SetProbe does.
-func (s *Selector) SetProbe(p ft.Probe) {
-	s.mu.Lock()
-	s.core.SetProbe(p)
 	s.mu.Unlock()
 }
 

@@ -3,6 +3,7 @@ package crt
 import (
 	"fmt"
 	"reflect"
+	"strings"
 	"testing"
 
 	"ftpn/internal/des"
@@ -15,10 +16,9 @@ import (
 // never-blocking operation script through the DES channels (driven by
 // one zero-delay process) and through the wall-clock channels (driven
 // by the test goroutine on a fakeClock). Both runtimes share one
-// arbitration core and one flight emitter, so the (kind, replica, fill)
-// probe sequences, the flight events (kind, replica, fill, aux, reason),
-// the tokens read and the (replica, reason) fault lists must be
-// identical.
+// arbitration core and one flight emitter, so the flight events (kind,
+// replica, fill, aux, reason), the tokens read and the (replica, reason)
+// fault lists must be identical.
 
 type crossOpKind uint8
 
@@ -129,7 +129,6 @@ var crossScripts = []crossScript{
 
 // crossTrace is what both runtimes must agree on.
 type crossTrace struct {
-	events []string // "channel kind Rreplica fill"
 	flight []string // "channel kind Rreplica fill aux reason"
 	tokens []int64  // seqs returned by reads, in order
 	faults []string // "channel Rreplica reason"
@@ -142,10 +141,6 @@ func flightLog(fr *obs.FlightRecorder) (out []string) {
 		out = append(out, fmt.Sprintf("%s %s R%d fill=%d aux=%d %s", e.Channel, e.Kind, e.Replica, e.Fill, e.Aux, e.Reason))
 	}
 	return out
-}
-
-func (tr *crossTrace) event(channel, kind string, replica, fill int) {
-	tr.events = append(tr.events, fmt.Sprintf("%s %s R%d %d", channel, kind, replica, fill))
 }
 
 func (tr *crossTrace) fault(channel string, replica int, reason string) {
@@ -169,9 +164,6 @@ func runCrossDES(t *testing.T, sc crossScript) crossTrace {
 	onFault := func(f ft.Fault) { tr.fault(f.Channel, f.Replica, string(f.Reason)) }
 	rep := ft.NewReplicator(k, "R", sc.repCaps, onFault)
 	sel := ft.NewSelector(k, "S", sc.selCaps, sc.selInits, sc.d, nil, onFault)
-	probe := func(e ft.ProbeEvent) { tr.event(e.Channel, e.Kind.String(), e.Replica, e.Fill) }
-	rep.SetProbe(probe)
-	sel.SetProbe(probe)
 	fr := obs.NewFlightRecorder(0)
 	st := fr.Stream(0)
 	rep.RecordFlight(st, 1)
@@ -210,9 +202,6 @@ func runCrossCRT(t *testing.T, sc crossScript) crossTrace {
 	onFault := func(f Fault) { tr.fault(f.Channel, f.Replica, f.Reason) }
 	rep := NewReplicator(clock, "R", sc.repCaps, onFault)
 	sel := NewSelector(clock, "S", sc.selCaps, sc.selInits, sc.d, onFault)
-	probe := func(e ft.ProbeEvent) { tr.event(e.Channel, e.Kind.String(), e.Replica, e.Fill) }
-	rep.SetProbe(probe)
-	sel.SetProbe(probe)
 	fr := obs.NewFlightRecorder(0)
 	st := fr.Stream(0)
 	rep.RecordFlight(st)
@@ -250,9 +239,6 @@ func TestCrossRuntimeChannelsAgree(t *testing.T) {
 	for _, sc := range crossScripts {
 		t.Run(sc.name, func(t *testing.T) {
 			d, c := runCrossDES(t, sc), runCrossCRT(t, sc)
-			if !reflect.DeepEqual(d.events, c.events) {
-				t.Errorf("probe events differ\nDES: %q\ncrt: %q", d.events, c.events)
-			}
 			if !reflect.DeepEqual(d.flight, c.flight) {
 				t.Errorf("flight events differ\nDES: %q\ncrt: %q", d.flight, c.flight)
 			}
@@ -262,12 +248,17 @@ func TestCrossRuntimeChannelsAgree(t *testing.T) {
 			if !reflect.DeepEqual(d.faults, c.faults) {
 				t.Errorf("faults differ\nDES: %q\ncrt: %q", d.faults, c.faults)
 			}
-			if len(d.events) == 0 {
-				t.Error("script produced no probe events")
+			if len(d.flight) == len(d.faults) {
+				t.Error("script produced no channel events")
 			}
-			if len(d.flight) != len(d.events)+len(d.faults) {
-				t.Errorf("flight events = %d, want one per probe event and conviction (%d + %d)",
-					len(d.flight), len(d.events), len(d.faults))
+			convicts := 0
+			for _, e := range d.flight {
+				if strings.Contains(e, " "+obs.FlightConvict+" ") {
+					convicts++
+				}
+			}
+			if convicts != len(d.faults) {
+				t.Errorf("convict events = %d, want one per fault (%d)", convicts, len(d.faults))
 			}
 		})
 	}

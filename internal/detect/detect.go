@@ -1,18 +1,18 @@
 // Package detect implements the state-of-the-art baseline fault
 // detectors the paper compares against (§4.3): the distance-function
 // monitor of Neukirchner et al. (RTSS 2012), restricted to l-repetitive
-// distance functions and modified for the fail-silent fault model, and a
-// simple watchdog. Unlike the paper's counter-based framework, both
-// baselines need runtime timekeeping: they poll a timer and compare the
-// current time against observed event timestamps.
+// distance functions and modified for the fail-silent fault model. With a
+// single bound it is the simple watchdog: one timeout since the last
+// event. Unlike the paper's counter-based framework, the baseline needs
+// runtime timekeeping: it polls a timer and compares the current time
+// against observed event timestamps. Callers feed it events through
+// OnEvent (Table 3 hooks a replicator's reads, ft.Replicator.SetReadHook).
 package detect
 
 import (
 	"fmt"
 
 	"ftpn/internal/des"
-	"ftpn/internal/kpn"
-	"ftpn/internal/rtc"
 )
 
 // Handler receives a fault-detection event.
@@ -59,20 +59,6 @@ func NewDistanceMonitor(k *des.Kernel, name string, pollUs des.Time, bounds []de
 		bounds:  append([]des.Time(nil), bounds...),
 		handler: handler,
 	}
-}
-
-// BoundsFromPJD derives the l-repetitive maximum-distance bounds implied
-// by a PJD event model: n consecutive inter-event gaps span at most
-// n*period + jitter.
-func BoundsFromPJD(m rtc.PJD, l int) []des.Time {
-	if l < 1 {
-		l = 1
-	}
-	bounds := make([]des.Time, l)
-	for n := 1; n <= l; n++ {
-		bounds[n-1] = des.Time(n)*m.Period + m.Jitter
-	}
-	return bounds
 }
 
 // Start arms the polling timer. The monitor treats its own start instant
@@ -125,37 +111,3 @@ func (m *DistanceMonitor) Faulty() (bool, des.Time) { return m.faulty, m.faultAt
 
 // Events returns how many stream events the monitor has observed.
 func (m *DistanceMonitor) Events() int64 { return m.events }
-
-// Watchdog is the simplest baseline: a single timeout since the last
-// event, checked on a polling timer. Only appropriate for strictly
-// periodic streams (§1: "simple approaches are not effective for ...
-// bursty timing characteristics") — it is here to quantify exactly that.
-type Watchdog struct {
-	*DistanceMonitor
-}
-
-// NewWatchdog builds a watchdog with the given timeout and poll period.
-func NewWatchdog(k *des.Kernel, name string, timeoutUs, pollUs des.Time, handler Handler) *Watchdog {
-	return &Watchdog{NewDistanceMonitor(k, name, pollUs, []des.Time{timeoutUs}, handler)}
-}
-
-// readTap adapts a monitor to kpn.Observer, counting read events.
-type readTap struct{ m *DistanceMonitor }
-
-func (t readTap) OnWrite(now des.Time, tok kpn.Token, fill int) {}
-func (t readTap) OnRead(now des.Time, tok kpn.Token, fill int)  { t.m.OnEvent(now) }
-
-// writeTap adapts a monitor to kpn.Observer, counting write events.
-type writeTap struct{ m *DistanceMonitor }
-
-func (t writeTap) OnWrite(now des.Time, tok kpn.Token, fill int) { t.m.OnEvent(now) }
-func (t writeTap) OnRead(now des.Time, tok kpn.Token, fill int)  {}
-
-// ObserveReads attaches the monitor to a FIFO's read events (e.g. a
-// replica's consumption from its input queue, the replicator-side
-// monitoring point of Table 3).
-func ObserveReads(f *kpn.FIFO, m *DistanceMonitor) { f.Observe(readTap{m}) }
-
-// ObserveWrites attaches the monitor to a FIFO's write events (e.g. a
-// replica's production into the consumer-side queue).
-func ObserveWrites(f *kpn.FIFO, m *DistanceMonitor) { f.Observe(writeTap{m}) }

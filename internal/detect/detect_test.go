@@ -8,24 +8,11 @@ import (
 	"ftpn/internal/rtc"
 )
 
-func TestBoundsFromPJD(t *testing.T) {
-	m := rtc.PJD{Period: 30, Jitter: 5}
-	b := BoundsFromPJD(m, 3)
-	want := []des.Time{35, 65, 95}
-	for i := range want {
-		if b[i] != want[i] {
-			t.Errorf("bounds[%d] = %d, want %d", i, b[i], want[i])
-		}
-	}
-	if got := BoundsFromPJD(m, 0); len(got) != 1 {
-		t.Errorf("l<1 should clamp to 1, got %d bounds", len(got))
-	}
-}
-
 func TestDistanceMonitorHealthyStreamSilent(t *testing.T) {
 	k := des.NewKernel()
 	var fired bool
-	mon := NewDistanceMonitor(k, "m", 1000, BoundsFromPJD(rtc.PJD{Period: 5000, Jitter: 500}, 1),
+	// One gap of a PJD stream spans at most period + jitter.
+	mon := NewDistanceMonitor(k, "m", 1000, []des.Time{5000 + 500},
 		func(string, des.Time) { fired = true })
 	mon.Start()
 	k.Spawn("stream", 0, func(p *des.Proc) {
@@ -163,7 +150,9 @@ func TestDistanceMonitorStartIdempotent(t *testing.T) {
 func TestWatchdog(t *testing.T) {
 	k := des.NewKernel()
 	var at des.Time = -1
-	wd := NewWatchdog(k, "wd", 3000, 1000, func(_ string, t des.Time) { at = t; k.Stop() })
+	// A watchdog is the one-bound monitor: a single timeout since the
+	// last event.
+	wd := NewDistanceMonitor(k, "wd", 1000, []des.Time{3000}, func(_ string, t des.Time) { at = t; k.Stop() })
 	wd.Start()
 	k.Spawn("stream", 0, func(p *des.Proc) {
 		for i := 0; i < 3; i++ {
@@ -176,24 +165,6 @@ func TestWatchdog(t *testing.T) {
 	// Last event t=4000; timeout 3000 exceeded after 7000; poll at 8000.
 	if at != 8000 {
 		t.Errorf("watchdog fired at %d, want 8000", at)
-	}
-}
-
-func TestObserveTaps(t *testing.T) {
-	k := des.NewKernel()
-	f := kpn.NewFIFO(k, "c", 4)
-	mr := NewDistanceMonitor(k, "reads", 1000, []des.Time{100_000}, nil)
-	mw := NewDistanceMonitor(k, "writes", 1000, []des.Time{100_000}, nil)
-	ObserveReads(f, mr)
-	ObserveWrites(f, mw)
-	k.Spawn("d", 0, func(p *des.Proc) {
-		f.Write(p, kpn.Token{Seq: 1})
-		f.Write(p, kpn.Token{Seq: 2})
-		f.Read(p)
-	})
-	k.Run(0)
-	if mw.Events() != 2 || mr.Events() != 1 {
-		t.Errorf("taps saw %d writes, %d reads; want 2/1", mw.Events(), mr.Events())
 	}
 }
 
@@ -223,7 +194,7 @@ func TestWatchdogFalsePositiveOnBurstyStream(t *testing.T) {
 	// Mean period is 1000; a watchdog at 1.5x mean rate misfires on the
 	// legal 1800 gap.
 	fired, _ := run(func(k *des.Kernel) func() (bool, des.Time) {
-		wd := NewWatchdog(k, "wd", 1500, 100, nil)
+		wd := NewDistanceMonitor(k, "wd", 100, []des.Time{1500}, nil)
 		wd.Start()
 		k.Spawn("tap", 0, func(p *des.Proc) {
 			for i := 0; i < 20; i++ {

@@ -207,17 +207,6 @@ func CACFAR(x []float64, guard, train int, factor float64) ([]Detection, error) 
 // cfarBlock is how many interior CFAR cells sum side by side.
 const cfarBlock = 4
 
-// PeakCell returns the index of the largest sample.
-func PeakCell(x []float64) int {
-	best, bi := math.Inf(-1), -1
-	for i, v := range x {
-		if v > best {
-			best, bi = v, i
-		}
-	}
-	return bi
-}
-
 // AddEchoes returns a noisy return signal: scaled copies of the pulse
 // at the given delays plus deterministic pseudo-noise of the given
 // amplitude (seeded, so process networks stay determinate).

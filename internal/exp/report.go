@@ -15,12 +15,6 @@ type ReportConfig struct {
 	Parallel int      // worker goroutines for independent runs, 0 = GOMAXPROCS
 }
 
-// DefaultReportConfig mirrors the paper's 20-run methodology with a
-// 1 ms poll.
-func DefaultReportConfig() ReportConfig {
-	return ReportConfig{Runs: 20, PollUs: 1000}
-}
-
 // WriteReport regenerates the complete evaluation — Table 1, all Table 2
 // blocks, Table 3 and a fill profile — as one plain-text report, the
 // programmatic equivalent of running every ftpnsim experiment.

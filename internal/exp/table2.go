@@ -168,7 +168,7 @@ func runReference(app App, arr *trace.Arrivals) error {
 		return err
 	}
 	k := des.NewKernel()
-	if _, err := net.Instantiate(k, kpn.Options{}); err != nil {
+	if _, err := net.Instantiate(k); err != nil {
 		return err
 	}
 	k.Run(0)

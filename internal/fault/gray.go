@@ -2,16 +2,13 @@ package fault
 
 // Gray-failure fault library: faults that are neither fail-silent nor
 // cleanly degraded — slow jitter drift, duty-cycled stalls, intermittent
-// token loss, silent payload corruption, and correlated multi-replica
-// episodes. These are the fault classes an (m,k) weakly-hard detection
+// token loss and silent payload corruption. These are the fault classes an (m,k) weakly-hard detection
 // policy must ride out (short, within-budget episodes) or a value
 // cross-check must catch (corruption with clean timing); the binary
 // first-violation policy either convicts on the first excursion or
 // never notices.
 
 import (
-	"math/rand"
-
 	"ftpn/internal/des"
 	"ftpn/internal/kpn"
 )
@@ -136,43 +133,4 @@ func (s *Switch) Drops() int64 {
 		return s.ops
 	}
 	return (s.ops + n - 1) / n
-}
-
-// Episode is one correlated stop episode scheduled by CorrelatedBursts.
-type Episode struct {
-	Replica int // 0-based switch index
-	StartUs des.Time
-	EndUs   des.Time
-}
-
-// CorrelatedBursts schedules n correlated stop-all episodes across the
-// switches from one seeded schedule — the multi-replica gray-failure
-// class where both replicas degrade from a shared cause (a power rail,
-// a shared interconnect). Episode j starts at a deterministic random
-// instant inside the j-th equal slice of [startUs, startUs+spanUs) and
-// stalls switch i for onUs beginning at start+i·skewUs, so the replicas
-// stall together but not perfectly in phase. The schedule is returned
-// for auditing. Episodes never overlap within one switch as long as
-// onUs + (len(switches)-1)·skewUs < spanUs/n.
-func CorrelatedBursts(switches []*Switch, seed int64, n int, startUs, spanUs, onUs, skewUs des.Time) []Episode {
-	if n < 1 || len(switches) == 0 || spanUs <= 0 {
-		return nil
-	}
-	rng := rand.New(rand.NewSource(seed))
-	slot := spanUs / des.Time(n)
-	width := slot - onUs - des.Time(len(switches)-1)*skewUs
-	if width < 1 {
-		width = 1
-	}
-	var eps []Episode
-	for j := 0; j < n; j++ {
-		base := startUs + des.Time(j)*slot + des.Time(rng.Int63n(int64(width)))
-		for i, sw := range switches {
-			at := base + des.Time(i)*skewUs
-			sw.InjectAt(at, StopAll, 0)
-			sw.RepairAt(at + onUs)
-			eps = append(eps, Episode{Replica: i, StartUs: at, EndUs: at + onUs})
-		}
-	}
-	return eps
 }

@@ -261,50 +261,3 @@ func TestRepairClearsGray(t *testing.T) {
 		t.Errorf("Drops() = %d after repair, want 0", d)
 	}
 }
-
-// TestCorrelatedBursts: the schedule is deterministic per seed, has
-// n episodes per switch, keeps each episode inside the span with the
-// configured skew, and actually stalls the switches.
-func TestCorrelatedBursts(t *testing.T) {
-	k := des.NewKernel()
-	s0, s1 := NewSwitch(k), NewSwitch(k)
-	eps := CorrelatedBursts([]*Switch{s0, s1}, 99, 3, 1000, 9000, 200, 50)
-	if len(eps) != 6 {
-		t.Fatalf("got %d episodes, want 6", len(eps))
-	}
-	for _, e := range eps {
-		if e.StartUs < 1000 || e.EndUs > 1000+9000+200+50 {
-			t.Errorf("episode %+v outside span", e)
-		}
-		if e.EndUs-e.StartUs != 200 {
-			t.Errorf("episode %+v has wrong duration", e)
-		}
-	}
-	// Pairs are skewed by skewUs.
-	for i := 0; i+1 < len(eps); i += 2 {
-		if eps[i+1].StartUs-eps[i].StartUs != 50 {
-			t.Errorf("pair %d not skewed by 50: %+v %+v", i/2, eps[i], eps[i+1])
-		}
-	}
-	// Same seed reproduces the schedule on fresh switches.
-	k2 := des.NewKernel()
-	eps2 := CorrelatedBursts([]*Switch{NewSwitch(k2), NewSwitch(k2)}, 99, 3, 1000, 9000, 200, 50)
-	for i := range eps {
-		if eps[i] != eps2[i] {
-			t.Fatalf("schedule not deterministic: %+v vs %+v", eps[i], eps2[i])
-		}
-	}
-	// The injections fire: sample each switch mid-episode.
-	probe := eps[0].StartUs + 100
-	var m0 Mode
-	k.At(probe, func() { m0 = s0.Mode() })
-	var healedAll bool
-	k.At(eps[len(eps)-1].EndUs+1, func() { healedAll = s0.Mode() == None && s1.Mode() == None })
-	k.Run(0)
-	if m0 != StopAll {
-		t.Errorf("switch 0 mode mid-episode = %s, want stop-all", m0)
-	}
-	if !healedAll {
-		t.Error("switches not repaired after the last episode")
-	}
-}

@@ -41,8 +41,8 @@ type verdict struct {
 }
 
 // detector is the detection bookkeeping both cores share: per-replica
-// verdicts, the policy, the event outputs (probe and flight stream) and
-// the shell's callbacks.
+// verdicts, the policy, the flight-stream output and the shell's
+// callbacks.
 type detector struct {
 	name    string
 	now     func() int64
@@ -54,7 +54,6 @@ type detector struct {
 	// inline first-violation conviction (see policy.go). Per-channel
 	// instance; it is called only inside core operations.
 	policy Policy
-	probe  Probe
 	flight flightTap
 }
 
@@ -87,30 +86,26 @@ func (d *detector) index(replica int) int {
 	return replica - 1
 }
 
-// emit delivers one probe event to the probe and the flight stream,
-// timestamped by the shell's clock. The nil checks stay inlinable so an
-// unobserved channel pays no call.
+// emit records one channel event on the flight stream, timestamped by
+// the shell's clock. The nil check stays inlinable so an unobserved
+// channel pays no call.
 func (d *detector) emit(kind ProbeKind, replica, fill int, lead int64) {
-	if d.probe != nil || d.flight.st != nil {
+	if d.flight.st != nil {
 		d.send(kind, replica, fill, lead)
 	}
 }
 
 func (d *detector) send(kind ProbeKind, replica, fill int, lead int64) {
-	now := d.now()
-	if d.probe != nil {
-		d.probe(ProbeEvent{At: now, Channel: d.name, Kind: kind, Replica: replica, Fill: fill, Lead: lead})
-	}
-	d.record(now, kind.String(), "", replica, fill, lead)
+	d.record(d.now(), kind.String(), "", replica, fill, lead)
 }
 
-// record is the one place a core event — a probe event or a conviction,
+// record is the one place a core event — a channel event or a conviction,
 // under either runtime — becomes a flight-log record, stamped in µs.
+// Callers check that the output is armed.
 func (d *detector) record(at int64, kind string, reason Reason, replica, fill int, aux int64) {
-	if t := &d.flight; t.st != nil {
-		t.st.Record(obs.FlightEvent{At: at / t.perUs, Channel: d.name, Kind: kind,
-			Reason: string(reason), Replica: replica, Fill: fill, Aux: aux})
-	}
+	t := &d.flight
+	t.st.Record(obs.FlightEvent{At: at / t.perUs, Channel: d.name, Kind: kind,
+		Reason: string(reason), Replica: replica, Fill: fill, Aux: aux})
 }
 
 // recordFlight arms the flight output, declaring the channel's event
@@ -180,9 +175,6 @@ func (d *detector) reinstate(r int) {
 // SetPolicy installs the channel's detection policy before the channel
 // runs; nil keeps the paper's inline first-violation path.
 func (d *detector) SetPolicy(p Policy) { d.policy = p }
-
-// SetProbe installs the channel's probe (nil disables).
-func (d *detector) SetProbe(p Probe) { d.probe = p }
 
 // PolicyInfo reports the installed policy's name and replica r's
 // (1-based) current window state for the reason, rendered

@@ -30,9 +30,6 @@ type BuildConfig struct {
 	// SelectorD gives the divergence threshold D of eq. 5; 0 or missing
 	// disables divergence detection on that selector.
 	SelectorD map[string]int64
-	// SelectorPreload optionally generates real payloads for the
-	// initially queued tokens.
-	SelectorPreload map[string]func(i int) kpn.Token
 
 	// Policy selects the detection policy instantiated on every
 	// arbitration channel (one stateful instance per channel). The zero
@@ -183,7 +180,7 @@ func Build(k *des.Kernel, net *kpn.Network, cfg BuildConfig) (*System, error) {
 			if !ok {
 				inits = [2]int{c.InitialTokens, c.InitialTokens}
 			}
-			s := NewSelector(k, c.Name, caps, inits, cfg.SelectorD[c.Name], cfg.SelectorPreload[c.Name], record)
+			s := NewSelector(k, c.Name, caps, inits, cfg.SelectorD[c.Name], nil, record)
 			s.SetPolicy(newPolicy())
 			if vc := cfg.ValueCheck[c.Name]; vc != nil {
 				s.SetValueCheck(vc)

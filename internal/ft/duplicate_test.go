@@ -103,7 +103,7 @@ func runReference(t *testing.T, tokens int64) []kpn.Token {
 	t.Helper()
 	var sink []kpn.Token
 	k := des.NewKernel()
-	if _, err := pipelineNet(tokens, &sink).Instantiate(k, kpn.Options{}); err != nil {
+	if _, err := pipelineNet(tokens, &sink).Instantiate(k); err != nil {
 		t.Fatal(err)
 	}
 	k.Run(0)

@@ -3,7 +3,7 @@ package ft
 import "ftpn/internal/obs"
 
 // InstrumentFlight arms the flight-recorder output of every arbitration
-// channel of the system: each probe event and each conviction becomes
+// channel of the system: each channel event and each conviction becomes
 // one obs.FlightEvent in st, stamped in virtual µs, a conviction with
 // the fill and divergence sampled at conviction time (see
 // RecordFlight). The record is one struct copied into a preallocated

@@ -32,13 +32,14 @@ func buildObserved(t *testing.T, instrument func(*System)) *System {
 	return sys
 }
 
-// driveChannels pushes n tokens through a bare replicator and selector,
-// reading everything back. Returns the channels for counter assertions.
-func driveChannels(k *des.Kernel, probeRep, probeSel Probe, n int64) (*Replicator, *Selector) {
+// driveChannels pushes n tokens through a bare replicator and selector
+// recording on one flight stream, reading everything back. Returns the
+// channels for counter assertions.
+func driveChannels(k *des.Kernel, st *obs.FlightStream, n int64) (*Replicator, *Selector) {
 	r := NewReplicator(k, "R", [2]int{8, 8}, nil)
 	s := NewSelector(k, "S", [2]int{8, 8}, [2]int{0, 0}, 4, nil, nil)
-	r.SetProbe(probeRep)
-	s.SetProbe(probeSel)
+	r.RecordFlight(st, 1)
+	s.RecordFlight(st, 1)
 	k.Spawn("d", 0, func(p *des.Proc) {
 		for i := int64(1); i <= n; i++ {
 			r.WriterPort().Write(p, kpn.Token{Seq: i})
@@ -54,34 +55,37 @@ func driveChannels(k *des.Kernel, probeRep, probeSel Probe, n int64) (*Replicato
 }
 
 // TestProbeEventsMatchCounters drives both channel types and checks the
-// probe event stream is exactly consistent with the channels' own
+// flight event stream is exactly consistent with the channels' own
 // counters: enqueues = writes per replica, reads match, and the
 // selector's duplicate drops equal one per pair.
 func TestProbeEventsMatchCounters(t *testing.T) {
-	counts := map[string]map[ProbeKind]int64{"R": {}, "S": {}}
-	probe := func(e ProbeEvent) { counts[e.Channel][e.Kind]++ }
-	r, s := driveChannels(des.NewKernel(), probe, probe, 50)
+	fr := obs.NewFlightRecorder(0)
+	r, s := driveChannels(des.NewKernel(), fr.Stream(0), 50)
+	counts := map[string]map[string]int64{"R": {}, "S": {}}
+	for _, e := range fr.Events() {
+		counts[e.Channel][e.Kind]++
+	}
 
 	rc, sc := counts["R"], counts["S"]
-	if rc[ProbeWrite] != r.Writes() {
-		t.Errorf("rep write events = %d, Writes() = %d", rc[ProbeWrite], r.Writes())
+	write, enqueue, read, dup := ProbeWrite.String(), ProbeEnqueue.String(), ProbeRead.String(), ProbeDropDuplicate.String()
+	if rc[write] != r.Writes() {
+		t.Errorf("rep write events = %d, Writes() = %d", rc[write], r.Writes())
 	}
-	if want := r.Reads(1) + r.Reads(2); rc[ProbeRead] != want {
-		t.Errorf("rep read events = %d, Reads sum = %d", rc[ProbeRead], want)
+	if want := r.Reads(1) + r.Reads(2); rc[read] != want {
+		t.Errorf("rep read events = %d, Reads sum = %d", rc[read], want)
 	}
-	if want := 2 * r.Writes(); rc[ProbeEnqueue] != want {
-		t.Errorf("rep enqueue events = %d, want %d (both replicas healthy)", rc[ProbeEnqueue], want)
+	if want := 2 * r.Writes(); rc[enqueue] != want {
+		t.Errorf("rep enqueue events = %d, want %d (both replicas healthy)", rc[enqueue], want)
 	}
 	// Selector: each pair's first write enqueues, the second drops.
-	if want := s.Writes(1) + s.Writes(2); sc[ProbeEnqueue]+sc[ProbeDropDuplicate] != want {
-		t.Errorf("sel enqueue+dup events = %d, Writes sum = %d",
-			sc[ProbeEnqueue]+sc[ProbeDropDuplicate], want)
+	if want := s.Writes(1) + s.Writes(2); sc[enqueue]+sc[dup] != want {
+		t.Errorf("sel enqueue+dup events = %d, Writes sum = %d", sc[enqueue]+sc[dup], want)
 	}
-	if want := s.Drops(1) + s.Drops(2); sc[ProbeDropDuplicate] != want {
-		t.Errorf("sel dup events = %d, Drops sum = %d", sc[ProbeDropDuplicate], want)
+	if want := s.Drops(1) + s.Drops(2); sc[dup] != want {
+		t.Errorf("sel dup events = %d, Drops sum = %d", sc[dup], want)
 	}
-	if sc[ProbeRead] != s.Reads() {
-		t.Errorf("sel read events = %d, Reads() = %d", sc[ProbeRead], s.Reads())
+	if sc[read] != s.Reads() {
+		t.Errorf("sel read events = %d, Reads() = %d", sc[read], s.Reads())
 	}
 }
 

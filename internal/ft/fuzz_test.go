@@ -2,7 +2,6 @@ package ft
 
 import (
 	"fmt"
-	"hash"
 	"hash/fnv"
 	"os"
 	"path/filepath"
@@ -13,6 +12,7 @@ import (
 
 	"ftpn/internal/des"
 	"ftpn/internal/kpn"
+	"ftpn/internal/obs"
 )
 
 // The fuzz targets interpret the input bytes as a schedule — queue
@@ -66,21 +66,31 @@ var replicatorSeeds = [][]byte{
 	{2, 6, 6, 6, 10, 0, 0, 3, 3, 3, 3}, // re-arm with empty fill
 }
 
-// streamDigest hashes a channel's probe-event stream and its fault
-// list; the golden test pins the digests of every fuzz seed.
-type streamDigest struct{ h hash.Hash64 }
+// streamDigest hashes a channel's flight-event stream (convictions
+// aside) and its fault list; the golden test pins the digests of every
+// fuzz seed.
+type streamDigest struct{ fr *obs.FlightRecorder }
 
-func newStreamDigest() *streamDigest { return &streamDigest{h: fnv.New64a()} }
+// digestCap bounds a schedule's flight log: fuzzTokens tokens produce a
+// few hundred events at most.
+const digestCap = 1 << 12
 
-func (d *streamDigest) probe(e ProbeEvent) {
-	fmt.Fprintf(d.h, "%d %s %s %d %d %d\n", e.At, e.Channel, e.Kind, e.Replica, e.Fill, e.Lead)
-}
+func newStreamDigest() *streamDigest { return &streamDigest{fr: obs.NewFlightRecorder(digestCap)} }
 
-func (d *streamDigest) sum(faults []Fault) uint64 {
-	for _, f := range faults {
-		fmt.Fprintf(d.h, "fault %s %d %d %s %s\n", f.Channel, f.Replica, f.At, f.Reason, f.Kind)
+func (d *streamDigest) sum(t testing.TB, faults []Fault) uint64 {
+	if n := d.fr.Dropped(); n > 0 {
+		t.Fatalf("flight ring overwrote %d events; raise digestCap", n)
 	}
-	return d.h.Sum64()
+	h := fnv.New64a()
+	for _, e := range d.fr.Events() {
+		if e.Kind != obs.FlightConvict {
+			fmt.Fprintf(h, "%d %s %s %d %d %d\n", e.At, e.Channel, e.Kind, e.Replica, e.Fill, e.Aux)
+		}
+	}
+	for _, f := range faults {
+		fmt.Fprintf(h, "fault %s %d %d %s %s\n", f.Channel, f.Replica, f.At, f.Reason, f.Kind)
+	}
+	return h.Sum64()
 }
 
 func FuzzSelectorInterleavings(f *testing.F) {
@@ -91,7 +101,7 @@ func FuzzSelectorInterleavings(f *testing.F) {
 }
 
 // selectorSchedule runs one selector schedule, checks its properties and
-// returns the digest of its probe stream and faults.
+// returns the digest of its flight stream and faults.
 func selectorSchedule(t testing.TB, data []byte) uint64 {
 	sc := &fuzzScript{data: data}
 	mode := sc.next() % 3 // 0 symmetric, 1 asymmetric, 2 outage+reintegrate
@@ -139,7 +149,7 @@ func selectorSchedule(t testing.TB, data []byte) uint64 {
 		faults = append(faults, f)
 	})
 	digest := newStreamDigest()
-	s.SetProbe(digest.probe)
+	s.RecordFlight(digest.fr.Stream(0), 1)
 	reintegrated := false
 	k.Spawn("w1", 0, func(p *des.Proc) {
 		w := s.WriterPort(1)
@@ -196,7 +206,7 @@ func selectorSchedule(t testing.TB, data []byte) uint64 {
 			t.Fatalf("re-aligned interface still convicted: %v at %d", reason, at)
 		}
 	}
-	return digest.sum(faults)
+	return digest.sum(t, faults)
 }
 
 func FuzzReplicatorInterleavings(f *testing.F) {
@@ -207,7 +217,7 @@ func FuzzReplicatorInterleavings(f *testing.F) {
 }
 
 // replicatorSchedule runs one replicator schedule, checks its properties
-// and returns the digest of its probe stream and faults.
+// and returns the digest of its flight stream and faults.
 func replicatorSchedule(t testing.TB, data []byte) uint64 {
 	sc := &fuzzScript{data: data}
 	mode := sc.next() % 3 // 0 symmetric, 1 asymmetric, 2 outage+reintegrate
@@ -242,7 +252,7 @@ func replicatorSchedule(t testing.TB, data []byte) uint64 {
 		faults = append(faults, f)
 	})
 	digest := newStreamDigest()
-	r.SetProbe(digest.probe)
+	r.RecordFlight(digest.fr.Stream(0), 1)
 	r.DReads = dReads
 	var reintegratedAt des.Time = -1
 	var firstReadAfter des.Time = -1
@@ -334,10 +344,10 @@ func replicatorSchedule(t testing.TB, data []byte) uint64 {
 			}
 		}
 	}
-	return digest.sum(faults)
+	return digest.sum(t, faults)
 }
 
-// streamGolden holds the probe-stream digest of every channel fuzz seed
+// streamGolden holds the flight-stream digest of every channel fuzz seed
 // (the built-in seeds and the checked-in corpus), recorded from the
 // original per-runtime channel implementations. It pins re-integration
 // edge cases the frozen reports reach only by chance: park-ahead, stale
@@ -387,7 +397,7 @@ func TestFuzzSeedStreamsGolden(t *testing.T) {
 	sort.Strings(got)
 	sort.Strings(want)
 	if strings.Join(got, "\n") != strings.Join(want, "\n") {
-		t.Fatalf("probe-stream digests differ from %s\ngot:\n%s\nwant:\n%s",
+		t.Fatalf("flight-stream digests differ from %s\ngot:\n%s\nwant:\n%s",
 			streamGolden, strings.Join(got, "\n"), strings.Join(want, "\n"))
 	}
 }

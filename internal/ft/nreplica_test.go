@@ -5,6 +5,7 @@ import (
 
 	"ftpn/internal/des"
 	"ftpn/internal/kpn"
+	"ftpn/internal/obs"
 )
 
 func TestNReplicatorFansOutToAll(t *testing.T) {
@@ -298,12 +299,8 @@ func TestNSelectorMKPolicyThirdReplica(t *testing.T) {
 		t.Fatal(err)
 	}
 	s.SetPolicy(mk)
-	forgiven := 0
-	s.SetProbe(func(e ProbeEvent) {
-		if e.Kind == ProbeForgiven && e.Replica == 3 {
-			forgiven++
-		}
-	})
+	fr := obs.NewFlightRecorder(0)
+	s.RecordFlight(fr.Stream(0), 1)
 	k.Spawn("d", 0, func(p *des.Proc) {
 		// Replica 3 is silent: from pair 3 on, every write by replica 1
 		// or 2 leads it by at least D = 3.
@@ -314,6 +311,12 @@ func TestNSelectorMKPolicyThirdReplica(t *testing.T) {
 	})
 	k.Run(0)
 	k.Shutdown()
+	forgiven := 0
+	for _, e := range fr.Events() {
+		if e.Kind == ProbeForgiven.String() && e.Replica == 3 {
+			forgiven++
+		}
+	}
 	if forgiven != 2 {
 		t.Errorf("forgiven violations of replica 3 = %d, want 2", forgiven)
 	}

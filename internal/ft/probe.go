@@ -1,9 +1,7 @@
 package ft
 
-import "ftpn/internal/des"
-
-// ProbeKind discriminates the channel-level events a probe can observe;
-// its String is the event's kind in the flight log.
+// ProbeKind discriminates the channel-level events a channel records on
+// its flight stream; its String is the event's kind in the flight log.
 type ProbeKind uint8
 
 const (
@@ -60,23 +58,3 @@ func (k ProbeKind) String() string {
 	}
 	return "unknown"
 }
-
-// ProbeEvent is one channel-level event delivered to a probe. Events
-// carry plain values only — a probe must not call back into the channel.
-// At is the shell clock's timestamp: virtual µs on the simulator,
-// wall-clock ns in package crt.
-type ProbeEvent struct {
-	At      des.Time
-	Channel string
-	Kind    ProbeKind
-	Replica int   // 1-based replica/interface; 0 = channel-wide
-	Fill    int   // queue fill after the event (where meaningful)
-	Lead    int64 // selector writes: pair-index lead over the other side
-}
-
-// Probe observes channel events. Probes run synchronously inside the
-// channel operation on the simulation's hot path: they must be cheap,
-// must not block, and must not touch the channel that fired them. A nil
-// probe costs one predicted branch per event site (see internal/obs for
-// the same contract on metric updates).
-type Probe func(ProbeEvent)

@@ -30,7 +30,7 @@ func runRecoveryScenario(t *testing.T, tokens int64, replica int, mode fault.Mod
 		t.Fatal(err)
 	}
 	sys.InjectFault(replica, injectUs, mode, extraUs)
-	sys.RepairAndReintegrateAt(replica, repairUs, ReintegrationPlan{})
+	k.At(repairUs, func() { sys.Reintegrate(replica) })
 	if secondUs > 0 {
 		sys.InjectFault(replica, secondUs, fault.StopAll, 0)
 	}
@@ -222,4 +222,74 @@ func TestReplicatorReintegrateMirrorsHealthyQueue(t *testing.T) {
 		t.Errorf("bookkeeping invariant violated: %v", err)
 	}
 	k.Shutdown()
+}
+
+// TestSystemReintegrateDefaultRearm pins the re-arm System.Reintegrate
+// applies to every replicator: the repaired replica's queue holds the
+// newest min(capacity-1, healthy fill) tokens of the healthy queue,
+// with a read-divergence grace of capacity + DReads, and its fault
+// switch is repaired in the same call.
+func TestSystemReintegrateDefaultRearm(t *testing.T) {
+	k := des.NewKernel()
+	sys := &System{K: k, Replicators: map[string]*Replicator{}, Selectors: map[string]*Selector{}}
+	for i := range sys.Switches {
+		sys.Switches[i] = fault.NewSwitch(k)
+	}
+	// healthy is replica 1's fill when replica 2 is re-admitted: "trim"
+	// keeps more tokens than replica 2's capacity-1, "mirror" fewer.
+	for _, c := range []struct {
+		name    string
+		caps    [2]int
+		dReads  int64
+		healthy int
+	}{
+		{"trim", [2]int{6, 4}, 3, 5},
+		{"mirror", [2]int{4, 5}, 0, 2},
+		{"empty", [2]int{3, 3}, 2, 0},
+	} {
+		r := NewReplicator(k, c.name, c.caps, nil)
+		r.DReads = c.dReads
+		// Replica 2 never reads: its queue fills and the next write
+		// convicts it. Replica 1 reads all but the last healthy tokens.
+		writes := c.caps[1] + 1 + c.healthy
+		for seq := 1; seq <= writes; seq++ {
+			r.TryWrite(kpn.Token{Seq: int64(seq)})
+			if seq <= writes-c.healthy {
+				r.TryRead(1)
+			}
+		}
+		if f, _, _ := r.Faulty(2); !f {
+			t.Fatalf("%s: replica 2 not convicted", c.name)
+		}
+		sys.Replicators[c.name] = r
+	}
+	sys.Switches[1].Inject(fault.StopAll, 0)
+
+	healthy := map[string][]kpn.Token{}
+	for name, r := range sys.Replicators {
+		healthy[name] = append([]kpn.Token(nil), r.q[0].toks...)
+	}
+	if !sys.Reintegrate(2) {
+		t.Fatal("Reintegrate refused despite healthy replica 1")
+	}
+	if sw := sys.Switches[1]; sw.Mode() != fault.None || !sw.Repaired() {
+		t.Errorf("switch 2 = %v (repaired %v), want repaired", sw.Mode(), sw.Repaired())
+	}
+	for name, r := range sys.Replicators {
+		src := healthy[name]
+		want := src[len(src)-min(r.Capacity(2)-1, len(src)):]
+		q := r.q[1]
+		if fmt.Sprint(q.toks) != fmt.Sprint(want) {
+			t.Errorf("%s: re-armed queue %v, want newest %d of healthy %v", name, q.toks, len(want), src)
+		}
+		if g := int64(r.Capacity(2)) + r.DReads; q.grace != g {
+			t.Errorf("%s: grace %d, want capacity + DReads = %d", name, q.grace, g)
+		}
+		if f, _, _ := r.Faulty(2); f {
+			t.Errorf("%s: replica 2 still convicted", name)
+		}
+		if err := r.CheckInvariants(); err != nil {
+			t.Errorf("%s: %v", name, err)
+		}
+	}
 }

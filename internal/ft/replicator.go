@@ -65,7 +65,7 @@ type repQueue struct {
 }
 
 // NewReplicatorState builds a replicator core with one queue per entry
-// of caps (at least two). now timestamps probe events and faults,
+// of caps (at least two). now timestamps channel events and faults,
 // onFault receives convictions and wake is called whenever a parked
 // party may proceed.
 func NewReplicatorState(name string, caps []int, now func() int64, onFault FaultHandler, wake func(WaitOn, int)) *ReplicatorState {
@@ -80,7 +80,7 @@ func NewReplicatorState(name string, caps []int, now func() int64, onFault Fault
 // Fill returns the fill level of replica queue i (1-based).
 func (r *ReplicatorState) Fill(replica int) int { return len(r.q[replica-1].toks) }
 
-// RecordFlight mirrors every probe event and conviction of the channel
+// RecordFlight mirrors every channel event and conviction of the channel
 // into st (nil disarms), stamped in µs of a shell clock that ticks perUs
 // times per µs. A conviction carries the convicted queue's fill and its
 // read divergence.

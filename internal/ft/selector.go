@@ -132,7 +132,7 @@ func NewSelectorState(name string, caps, inits []int, d int64, preload func(i in
 // Fill returns the number of tokens currently queued.
 func (s *SelectorState) Fill() int { return len(s.fifo) - s.head }
 
-// RecordFlight mirrors every probe event and conviction of the channel
+// RecordFlight mirrors every channel event and conviction of the channel
 // into st (nil disarms), as ReplicatorState.RecordFlight does. A
 // conviction carries the shared FIFO's fill and the replica's divergence.
 func (s *SelectorState) RecordFlight(st *obs.FlightStream, perUs int64) {

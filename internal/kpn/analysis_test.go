@@ -120,7 +120,7 @@ func TestTwoDistinctCyclesCountedOnce(t *testing.T) {
 func TestDeadlockRiskIsReal(t *testing.T) {
 	n := feedbackNet(0)
 	k := des.NewKernel()
-	if _, err := n.Instantiate(k, Options{}); err != nil {
+	if _, err := n.Instantiate(k); err != nil {
 		t.Fatal(err)
 	}
 	end := k.Run(0)
@@ -143,7 +143,7 @@ func TestDeadlockRiskIsReal(t *testing.T) {
 		}
 	}
 	k2 := des.NewKernel()
-	if _, err := n2.Instantiate(k2, Options{}); err != nil {
+	if _, err := n2.Instantiate(k2); err != nil {
 		t.Fatal(err)
 	}
 	k2.Run(0)

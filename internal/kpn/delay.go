@@ -34,7 +34,6 @@ type DelayedFIFO struct {
 	recs     []delayedRec
 	head     int
 	notEmpty des.Signal
-	obs      []Observer
 
 	reads, writes int64
 	maxFill       int
@@ -91,10 +90,6 @@ func (f *DelayedFIFO) MaxFill() int { return f.maxFill }
 func (f *DelayedFIFO) Reads() int64  { return f.reads }
 func (f *DelayedFIFO) Writes() int64 { return f.writes }
 
-// Observe registers an observer. OnWrite fires at the token's maturity
-// instant (when it becomes visible), OnRead at the read.
-func (f *DelayedFIFO) Observe(o Observer) { f.obs = append(f.obs, o) }
-
 // Preload inserts tokens visible from time 0, implementing the initial
 // fill F_{C,0} of eq. 4.
 func (f *DelayedFIFO) Preload(toks []Token) {
@@ -113,17 +108,14 @@ func (f *DelayedFIFO) Write(p *des.Proc, tok Token) {
 	at := p.Now() + f.delay
 	f.recs = append(f.recs, delayedRec{at: at, tok: tok})
 	f.writes++
-	f.k.At(at, func() { f.mature(tok) })
+	f.k.At(at, f.mature)
 }
 
-// mature runs at a record's maturity instant: bookkeeping, observers,
-// and the reader wakeup. Token visibility does NOT depend on it.
-func (f *DelayedFIFO) mature(tok Token) {
+// mature runs at a record's maturity instant: bookkeeping and the
+// reader wakeup. Token visibility does NOT depend on it.
+func (f *DelayedFIFO) mature() {
 	if fill := f.Fill(); fill > f.maxFill {
 		f.maxFill = fill
-	}
-	for _, o := range f.obs {
-		o.OnWrite(f.k.Now(), tok, f.Fill())
 	}
 	f.k.Broadcast(&f.notEmpty)
 }
@@ -143,9 +135,6 @@ func (f *DelayedFIFO) Read(p *des.Proc) Token {
 	} else if f.head > 1024 && f.head*2 > len(f.recs) {
 		f.recs = append(f.recs[:0], f.recs[f.head:]...)
 		f.head = 0
-	}
-	for _, o := range f.obs {
-		o.OnRead(f.k.Now(), tok, f.Fill())
 	}
 	return tok
 }

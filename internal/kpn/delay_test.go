@@ -107,18 +107,9 @@ func TestDelayedFIFOConstructorValidation(t *testing.T) {
 	}
 }
 
-type fillObs struct {
-	writes, reads []int // fill levels observed
-}
-
-func (o *fillObs) OnWrite(now des.Time, tok Token, fill int) { o.writes = append(o.writes, fill) }
-func (o *fillObs) OnRead(now des.Time, tok Token, fill int)  { o.reads = append(o.reads, fill) }
-
-func TestDelayedFIFOObserversAndMaxFill(t *testing.T) {
+func TestDelayedFIFOMaxFill(t *testing.T) {
 	k := des.NewKernel()
 	f := NewDelayedFIFO(k, "D", 8, 2)
-	obs := &fillObs{}
-	f.Observe(obs)
 
 	k.Spawn("writer", 0, func(p *des.Proc) {
 		f.Write(p, Token{Seq: 1})
@@ -137,8 +128,8 @@ func TestDelayedFIFOObserversAndMaxFill(t *testing.T) {
 	if f.MaxFill() != 2 {
 		t.Fatalf("MaxFill %d, want 2", f.MaxFill())
 	}
-	if len(obs.writes) != 3 || len(obs.reads) != 3 {
-		t.Fatalf("observer saw %d writes / %d reads, want 3/3", len(obs.writes), len(obs.reads))
+	if f.Writes() != 3 || f.Reads() != 3 {
+		t.Fatalf("%d writes / %d reads, want 3/3", f.Writes(), f.Reads())
 	}
 	k.Shutdown()
 }

@@ -18,7 +18,6 @@ type FIFO struct {
 	head     int
 	notEmpty des.Signal
 	notFull  des.Signal
-	obs      []Observer
 
 	reads, writes int64
 	maxFill       int
@@ -49,9 +48,6 @@ func (f *FIFO) MaxFill() int { return f.maxFill }
 func (f *FIFO) Reads() int64  { return f.reads }
 func (f *FIFO) Writes() int64 { return f.writes }
 
-// Observe registers an observer for write/read events.
-func (f *FIFO) Observe(o Observer) { f.obs = append(f.obs, o) }
-
 // Preload inserts tokens before the simulation starts, implementing the
 // initial fill F_{C,0} of eq. 4. It must not overflow the capacity.
 func (f *FIFO) Preload(toks []Token) {
@@ -76,9 +72,6 @@ func (f *FIFO) Write(p *des.Proc, tok Token) {
 		f.maxFill = fill
 	}
 	f.k.Broadcast(&f.notEmpty)
-	for _, o := range f.obs {
-		o.OnWrite(f.k.Now(), tok, f.Fill())
-	}
 }
 
 // Read implements ReadPort: blocks while the queue is empty.
@@ -98,9 +91,6 @@ func (f *FIFO) Read(p *des.Proc) Token {
 		f.head = 0
 	}
 	f.k.Broadcast(&f.notFull)
-	for _, o := range f.obs {
-		o.OnRead(f.k.Now(), tok, f.Fill())
-	}
 	return tok
 }
 

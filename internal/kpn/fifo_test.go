@@ -129,39 +129,6 @@ func TestFIFOBadCapacityPanics(t *testing.T) {
 	NewFIFO(des.NewKernel(), "c", 0)
 }
 
-type recordingObserver struct {
-	writes, reads int
-	lastFill      int
-}
-
-func (r *recordingObserver) OnWrite(now des.Time, tok Token, fill int) {
-	r.writes++
-	r.lastFill = fill
-}
-func (r *recordingObserver) OnRead(now des.Time, tok Token, fill int) {
-	r.reads++
-	r.lastFill = fill
-}
-
-func TestFIFOObserver(t *testing.T) {
-	k := des.NewKernel()
-	f := NewFIFO(k, "c", 4)
-	obs := &recordingObserver{}
-	f.Observe(obs)
-	k.Spawn("w", 0, func(p *des.Proc) {
-		f.Write(p, Token{Seq: 1})
-		f.Write(p, Token{Seq: 2})
-		f.Read(p)
-	})
-	k.Run(0)
-	if obs.writes != 2 || obs.reads != 1 {
-		t.Errorf("observer saw %d writes %d reads, want 2/1", obs.writes, obs.reads)
-	}
-	if obs.lastFill != 1 {
-		t.Errorf("lastFill = %d, want 1", obs.lastFill)
-	}
-}
-
 // Property: under any deterministic interleaving, a FIFO preserves order
 // and never exceeds its capacity.
 func TestFIFOOrderAndBoundProperty(t *testing.T) {

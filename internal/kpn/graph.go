@@ -6,7 +6,6 @@ import (
 	"strings"
 
 	"ftpn/internal/des"
-	"ftpn/internal/scc"
 )
 
 // Role classifies a process for the fault-tolerance transform: producers
@@ -156,19 +155,6 @@ func (n *Network) Outputs(name string) []ChannelSpec {
 	return out
 }
 
-// Options configures instantiation.
-type Options struct {
-	// Chip, when non-nil, places processes on SCC cores so channel
-	// writes pay message-passing latency. Placement maps process names
-	// to cores; when nil, processes are auto-placed one per tile in
-	// serpentine order (low-contention pipeline mapping).
-	Chip      *scc.Chip
-	Placement map[string]*scc.Core
-	// Replica selects the behavior variant passed to each ProcessSpec's
-	// factory; 0 is the reference.
-	Replica int
-}
-
 // Instance is an instantiated network: live FIFOs and spawned processes
 // on a kernel. Channels with a positive DelayUs live in Delayed, the
 // rest in FIFOs.
@@ -177,7 +163,6 @@ type Instance struct {
 	K       *des.Kernel
 	FIFOs   map[string]*FIFO
 	Delayed map[string]*DelayedFIFO
-	Cores   map[string]*scc.Core
 }
 
 // port returns the named channel's endpoint, whichever kind it is.
@@ -191,10 +176,9 @@ func (inst *Instance) port(name string) interface {
 	return inst.Delayed[name]
 }
 
-// Instantiate builds the network's FIFOs, binds ports (wrapping writes
-// with SCC transfer latency when placed), and spawns all processes at
-// time 0.
-func (n *Network) Instantiate(k *des.Kernel, opt Options) (*Instance, error) {
+// Instantiate builds the network's FIFOs, binds ports and spawns every
+// process's reference behavior (replica 0) at time 0.
+func (n *Network) Instantiate(k *des.Kernel) (*Instance, error) {
 	if err := n.Validate(); err != nil {
 		return nil, err
 	}
@@ -202,27 +186,6 @@ func (n *Network) Instantiate(k *des.Kernel, opt Options) (*Instance, error) {
 		Net: n, K: k,
 		FIFOs:   make(map[string]*FIFO),
 		Delayed: make(map[string]*DelayedFIFO),
-		Cores:   make(map[string]*scc.Core),
-	}
-
-	if opt.Chip != nil {
-		if opt.Placement != nil {
-			for _, p := range n.Procs {
-				core, ok := opt.Placement[p.Name]
-				if !ok {
-					return nil, fmt.Errorf("kpn: placement missing process %q", p.Name)
-				}
-				inst.Cores[p.Name] = core
-			}
-		} else {
-			cores, err := opt.Chip.MapPipeline(len(n.Procs))
-			if err != nil {
-				return nil, err
-			}
-			for i, p := range n.Procs {
-				inst.Cores[p.Name] = cores[i]
-			}
-		}
 	}
 
 	for _, c := range n.Chans {
@@ -245,18 +208,14 @@ func (n *Network) Instantiate(k *des.Kernel, opt Options) (*Instance, error) {
 	}
 
 	for _, ps := range n.Procs {
-		behavior := ps.New(opt.Replica)
+		behavior := ps.New(0)
 		var ins []ReadPort
 		for _, c := range n.Inputs(ps.Name) {
 			ins = append(ins, inst.port(c.Name))
 		}
 		var outs []WritePort
 		for _, c := range n.Outputs(ps.Name) {
-			var port WritePort = inst.port(c.Name)
-			if opt.Chip != nil {
-				port = WithTransfer(port, opt.Chip, inst.Cores[c.From], inst.Cores[c.To], c.TokenBytes)
-			}
-			outs = append(outs, port)
+			outs = append(outs, inst.port(c.Name))
 		}
 		k.Spawn(ps.Name, 0, func(p *des.Proc) { behavior(p, ins, outs) })
 	}

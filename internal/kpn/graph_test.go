@@ -84,7 +84,7 @@ func TestInstantiateRunsEndToEnd(t *testing.T) {
 		lastSeq = tok.Seq
 	})
 	k := des.NewKernel()
-	inst, err := n.Instantiate(k, Options{})
+	inst, err := n.Instantiate(k)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -102,69 +102,10 @@ func TestInstantiateRunsEndToEnd(t *testing.T) {
 	}
 }
 
-func TestInstantiateOnSCC(t *testing.T) {
-	chip, err := scc.New(scc.DefaultConfig())
-	if err != nil {
-		t.Fatal(err)
-	}
-	var arrivals []des.Time
-	n := testNet(func(now des.Time, tok Token) { arrivals = append(arrivals, now) })
-	k := des.NewKernel()
-	inst, err := n.Instantiate(k, Options{Chip: chip})
-	if err != nil {
-		t.Fatal(err)
-	}
-	k.Run(0)
-	k.Shutdown()
-	if len(inst.Cores) != 3 {
-		t.Fatalf("placed %d processes, want 3", len(inst.Cores))
-	}
-	// One process per tile.
-	tiles := map[int]bool{}
-	for _, c := range inst.Cores {
-		if tiles[c.Tile().ID] {
-			t.Error("two processes share a tile")
-		}
-		tiles[c.Tile().ID] = true
-	}
-	if len(arrivals) == 0 {
-		t.Fatal("no tokens arrived on the SCC instance")
-	}
-}
-
-func TestInstantiatePlacementExplicit(t *testing.T) {
-	chip, _ := scc.New(scc.DefaultConfig())
-	n := testNet(nil)
-	k := des.NewKernel()
-	_, err := n.Instantiate(k, Options{
-		Chip: chip,
-		Placement: map[string]*scc.Core{
-			"P": chip.Core(0), "W": chip.Core(2), "C": chip.Core(4),
-		},
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	k.Run(0)
-	k.Shutdown()
-}
-
-func TestInstantiatePlacementMissingProcess(t *testing.T) {
-	chip, _ := scc.New(scc.DefaultConfig())
-	n := testNet(nil)
-	_, err := n.Instantiate(des.NewKernel(), Options{
-		Chip:      chip,
-		Placement: map[string]*scc.Core{"P": chip.Core(0)},
-	})
-	if err == nil {
-		t.Error("incomplete placement should fail")
-	}
-}
-
 func TestInstantiateInvalidNetwork(t *testing.T) {
 	bad := testNet(nil)
 	bad.Chans[0].Capacity = 0
-	if _, err := bad.Instantiate(des.NewKernel(), Options{}); err == nil {
+	if _, err := bad.Instantiate(des.NewKernel()); err == nil {
 		t.Error("instantiating an invalid network should fail")
 	}
 }

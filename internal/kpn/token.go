@@ -5,9 +5,10 @@
 // (Section 2 of the paper).
 //
 // Networks are described as graphs (Network) and instantiated onto a
-// discrete-event kernel (package des), optionally placed onto cores of
-// the SCC platform model (package scc) so that channel writes pay
-// realistic message-passing latency.
+// discrete-event kernel (package des). WithTransfer wraps a write port
+// so that writes pay the SCC platform model's (package scc) realistic
+// message-passing latency; the duplication transform (package ft)
+// places processes on cores with it.
 package kpn
 
 import (
@@ -82,15 +83,4 @@ type WritePort interface {
 	// token, then enqueues it.
 	Write(p *des.Proc, tok Token)
 	PortName() string
-}
-
-// Observer receives channel events; used by measurement (package trace)
-// and by external fault monitors (package detect) that watch token
-// arrivals without disturbing the stream.
-type Observer interface {
-	// OnWrite fires after a token is enqueued. fill is the queue fill
-	// level after the operation.
-	OnWrite(now des.Time, tok Token, fill int)
-	// OnRead fires after a token is dequeued.
-	OnRead(now des.Time, tok Token, fill int)
 }

@@ -2,7 +2,6 @@ package obs
 
 import (
 	"bufio"
-	"encoding/json"
 	"fmt"
 	"io"
 	"runtime"
@@ -72,63 +71,4 @@ func withLE(m *metric, le string) string {
 		return fmt.Sprintf("{le=%q}", le)
 	}
 	return fmt.Sprintf("%s,le=%q}", m.lstr[:len(m.lstr)-1], le)
-}
-
-// JSONMetric is one series in the JSON encoding.
-type JSONMetric struct {
-	Name   string            `json:"name"`
-	Type   string            `json:"type"`
-	Labels map[string]string `json:"labels,omitempty"`
-	Value  int64             `json:"value,omitempty"` // counter/gauge
-	// Histogram fields.
-	Buckets []JSONBucket `json:"buckets,omitempty"`
-	Sum     int64        `json:"sum,omitempty"`
-	Count   int64        `json:"count,omitempty"`
-}
-
-// JSONBucket is one cumulative histogram bucket; LE "" means +Inf.
-type JSONBucket struct {
-	LE    string `json:"le"`
-	Count int64  `json:"count"`
-}
-
-// WriteJSON renders every registered series as an indented JSON array in
-// the same deterministic order as WritePrometheus. A nil registry
-// writes an empty array.
-func (r *Registry) WriteJSON(w io.Writer) error {
-	var out []JSONMetric
-	if r != nil {
-		for _, m := range r.snapshot() {
-			jm := JSONMetric{Name: m.name, Type: m.kind.String()}
-			if len(m.labels) > 0 {
-				jm.Labels = make(map[string]string, len(m.labels))
-				for _, kv := range m.labels {
-					jm.Labels[kv[0]] = kv[1]
-				}
-			}
-			switch m.kind {
-			case kindCounter:
-				jm.Value = m.counter.Value()
-			case kindGauge:
-				jm.Value = m.gauge.Value()
-			case kindHistogram:
-				h := m.hist
-				cum := int64(0)
-				for i, b := range h.bounds {
-					cum += h.counts[i].Load()
-					jm.Buckets = append(jm.Buckets, JSONBucket{LE: fmt.Sprintf("%d", b), Count: cum})
-				}
-				cum += h.counts[len(h.bounds)].Load()
-				jm.Buckets = append(jm.Buckets, JSONBucket{LE: "+Inf", Count: cum})
-				jm.Sum, jm.Count = h.Sum(), h.Count()
-			}
-			out = append(out, jm)
-		}
-	}
-	enc := json.NewEncoder(w)
-	enc.SetIndent("", "  ")
-	if out == nil {
-		out = []JSONMetric{}
-	}
-	return enc.Encode(out)
 }

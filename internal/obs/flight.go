@@ -1,19 +1,14 @@
 package obs
 
 import (
-	"bufio"
 	"bytes"
-	"encoding/json"
 	"fmt"
-	"io"
 	"slices"
 	"sync"
-
-	"ftpn/internal/des"
 )
 
-// Flight-recorder event kinds recorded by layers above the channel
-// probes. Probe-sourced events reuse the ft.ProbeKind strings verbatim
+// Flight-recorder event kinds recorded by layers above the channels.
+// Channel events use the ft.ProbeKind strings verbatim
 // ("write", "read", "drop-duplicate", "forgiven", "drop-value", ...);
 // the constants below are the extra lifecycle kinds the harnesses and
 // the recovery manager add around them.
@@ -40,7 +35,7 @@ const (
 // captured (transport metadata — excluded from the canonical
 // serialization, see Bytes). Channel names the
 // arbitration channel (or the process, for kernel-sourced events), and
-// Aux carries a kind-specific payload: selector lead for probe events,
+// Aux carries a kind-specific payload: selector lead for channel events,
 // divergence for convictions, recovery latency for recover events.
 type FlightEvent struct {
 	At      int64  `json:"at_us"`
@@ -55,7 +50,7 @@ type FlightEvent struct {
 }
 
 // FlightStream is one bounded single-writer-ordered event ring inside a
-// FlightRecorder. Each emitter (a probe set, a kernel tracer) records
+// FlightRecorder. Each emitter (a system's channels, a harness) records
 // into its own stream; Record is mutex-guarded so wall-clock
 // (crt) emitters may also share one stream across goroutines.
 //
@@ -182,8 +177,8 @@ func NewFlightRecorder(capPerStream int) *FlightRecorder {
 }
 
 // Stream allocates a new event stream whose events carry the emitter
-// tag in FlightEvent.Shard. Call once per emitter (per probe set, per
-// kernel tracer); returns nil on a nil recorder, so the disabled path
+// tag in FlightEvent.Shard. Call once per emitter (per instrumented
+// system, per harness); returns nil on a nil recorder, so the disabled path
 // stays a single branch at every Record site.
 func (fr *FlightRecorder) Stream(emitter int) *FlightStream {
 	if fr == nil {
@@ -194,26 +189,6 @@ func (fr *FlightRecorder) Stream(emitter int) *FlightStream {
 	fr.streams = append(fr.streams, s)
 	fr.mu.Unlock()
 	return s
-}
-
-// AttachKernel installs a tracer on k recording scheduler events
-// (spawn/resume/block/end/stop) into a new stream, with the process
-// name as the event channel and emitter as the stream tag. Kernel
-// callbacks (Proc == "") are excluded: they name no process, and the
-// channel events they cause reach the log through the probes. Note des
-// kernels hold a single tracer slot, so this replaces any tracer
-// already installed.
-func (fr *FlightRecorder) AttachKernel(k *des.Kernel, emitter int) {
-	if fr == nil || k == nil {
-		return
-	}
-	st := fr.Stream(emitter)
-	k.Trace(func(e des.TraceEvent) {
-		if e.Proc == "" {
-			return
-		}
-		st.Record(FlightEvent{At: int64(e.At), Channel: e.Proc, Kind: e.Kind})
-	})
 }
 
 // flightRec pairs an event with its per-(stream, channel) arrival
@@ -333,20 +308,4 @@ func orDash(s string) string {
 		return "-"
 	}
 	return s
-}
-
-// WriteJSON writes every retained event (canonical order, full fields
-// including emitter and seq) as an indented JSON array.
-func (fr *FlightRecorder) WriteJSON(w io.Writer) error {
-	evs := fr.Events()
-	if evs == nil {
-		evs = []FlightEvent{}
-	}
-	bw := bufio.NewWriter(w)
-	enc := json.NewEncoder(bw)
-	enc.SetIndent("", "  ")
-	if err := enc.Encode(evs); err != nil {
-		return err
-	}
-	return bw.Flush()
 }

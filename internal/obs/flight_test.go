@@ -2,13 +2,10 @@ package obs
 
 import (
 	"bytes"
-	"encoding/json"
 	"fmt"
 	"math/rand"
 	"sync"
 	"testing"
-
-	"ftpn/internal/des"
 )
 
 func TestFlightNilSafety(t *testing.T) {
@@ -18,20 +15,11 @@ func TestFlightNilSafety(t *testing.T) {
 	}
 	var st *FlightStream
 	st.Record(FlightEvent{At: 1, Kind: "write"}) // must not panic
-	fr.AttachKernel(des.NewKernel(), 0)          // must not panic
 	if fr.Len() != 0 || fr.Dropped() != 0 || len(fr.Events()) != 0 || len(fr.Tail(5)) != 0 {
 		t.Fatal("nil recorder must read as empty")
 	}
 	if got := fr.Bytes(); len(got) != 0 {
 		t.Fatalf("nil recorder Bytes = %q, want empty", got)
-	}
-	var buf bytes.Buffer
-	if err := fr.WriteJSON(&buf); err != nil {
-		t.Fatalf("nil recorder WriteJSON: %v", err)
-	}
-	var evs []FlightEvent
-	if err := json.Unmarshal(buf.Bytes(), &evs); err != nil || len(evs) != 0 {
-		t.Fatalf("nil recorder must encode an empty array, got %q (err %v)", buf.String(), err)
 	}
 }
 
@@ -154,53 +142,6 @@ func TestFlightTail(t *testing.T) {
 	}
 	if got := fr.Tail(100); len(got) != 10 {
 		t.Fatalf("Tail(100) = %d events, want all 10", len(got))
-	}
-}
-
-func TestFlightWriteJSON(t *testing.T) {
-	fr := NewFlightRecorder(0)
-	st := fr.Stream(2)
-	st.Record(FlightEvent{At: 5, Channel: "F_in", Kind: FlightConvict, Reason: "queue-full", Replica: 1, Fill: 4, Aux: 7})
-	var buf bytes.Buffer
-	if err := fr.WriteJSON(&buf); err != nil {
-		t.Fatal(err)
-	}
-	var evs []FlightEvent
-	if err := json.Unmarshal(buf.Bytes(), &evs); err != nil {
-		t.Fatalf("invalid JSON: %v\n%s", err, buf.String())
-	}
-	want := FlightEvent{At: 5, Shard: 2, Seq: 0, Channel: "F_in", Kind: FlightConvict,
-		Reason: "queue-full", Replica: 1, Fill: 4, Aux: 7}
-	if len(evs) != 1 || evs[0] != want {
-		t.Fatalf("round-trip = %+v, want %+v", evs, want)
-	}
-}
-
-func TestFlightAttachKernel(t *testing.T) {
-	fr := NewFlightRecorder(0)
-	k := des.NewKernel()
-	fr.AttachKernel(k, 0)
-	k.Spawn("worker", 0, func(p *des.Proc) {
-		p.Delay(10)
-		p.Delay(10)
-	})
-	k.Run(0)
-	k.Shutdown()
-	evs := fr.Events()
-	if len(evs) == 0 {
-		t.Fatal("no scheduler events recorded")
-	}
-	kinds := map[string]int{}
-	for _, ev := range evs {
-		if ev.Channel != "worker" {
-			t.Fatalf("kernel event channel = %q, want process name (callbacks must be excluded)", ev.Channel)
-		}
-		kinds[ev.Kind]++
-	}
-	for _, k := range []string{"spawn", "end"} {
-		if kinds[k] == 0 {
-			t.Errorf("missing %q scheduler event; kinds = %v", k, kinds)
-		}
 	}
 }
 

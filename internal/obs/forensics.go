@@ -27,8 +27,8 @@ type Explanation struct {
 	LatencyUs int64 `json:"latency_us"`
 
 	// Forgiven counts the (m,k) window fills before conviction;
-	// WindowFills holds the probe-reported fill at each of them.
-	// ValueDrops counts replay value-check evidence (drop-value probes)
+	// WindowFills holds the channel-reported fill at each of them.
+	// ValueDrops counts replay value-check evidence (drop-value events)
 	// in the same window.
 	Forgiven    int   `json:"forgiven"`
 	WindowFills []int `json:"window_fills,omitempty"`

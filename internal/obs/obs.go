@@ -1,9 +1,8 @@
 // Package obs is the runtime observability substrate. Its one input is
 // the flight recorder's structured event stream (flight.go), which both
 // runtimes' channels emit; every view derives from it: a typed metrics
-// registry (counters, gauges, fixed-bucket histograms) with
-// Prometheus-text and JSON encoders, fed live by a stream's metrics
-// sink; Perfetto-loadable Chrome traces rendered from a finished log;
+// registry (counters, gauges, fixed-bucket histograms) with a
+// Prometheus-text encoder, fed live by a stream's metrics sink; Perfetto-loadable Chrome traces rendered from a finished log;
 // and forensic explanations of convictions.
 //
 // Design constraints, in order:
@@ -152,30 +151,6 @@ func (h *Histogram) Sum() int64 {
 	return h.sum.Load()
 }
 
-// Merge folds other's observations into h bucket-wise. Because buckets
-// are exact counts (no sampling), Merge is exact, associative and
-// order-independent: merging in any order yields identical state to
-// observing the pooled samples directly. Both histograms must share
-// the same bucket bounds; nil operands are no-ops.
-func (h *Histogram) Merge(other *Histogram) {
-	if h == nil || other == nil {
-		return
-	}
-	if len(h.bounds) != len(other.bounds) {
-		panic("obs: Merge of histograms with different bucket bounds")
-	}
-	for i, b := range other.bounds {
-		if h.bounds[i] != b {
-			panic("obs: Merge of histograms with different bucket bounds")
-		}
-	}
-	for i := range other.counts {
-		h.counts[i].Add(other.counts[i].Load())
-	}
-	h.sum.Add(other.sum.Load())
-	h.n.Add(other.n.Load())
-}
-
 // ExpBuckets returns n bucket bounds start, start*factor, ... — the
 // stock shape for fill and latency histograms.
 func ExpBuckets(start, factor int64, n int) []int64 {
@@ -193,11 +168,10 @@ func ExpBuckets(start, factor int64, n int) []int64 {
 
 // metric is one registered series.
 type metric struct {
-	name   string
-	help   string
-	kind   kind
-	labels [][2]string // sorted key/value pairs
-	lstr   string      // canonical {k="v",...} rendering ("" when unlabeled)
+	name string
+	help string
+	kind kind
+	lstr string // canonical {k="v",...} rendering ("" when unlabeled)
 
 	counter *Counter
 	gauge   *Gauge
@@ -218,32 +192,30 @@ func NewRegistry() *Registry {
 }
 
 // canonical renders labels sorted as {a="x",b="y"}; "" for none.
-func canonical(labels Labels) (pairs [][2]string, lstr string) {
+func canonical(labels Labels) string {
 	if len(labels) == 0 {
-		return nil, ""
+		return ""
 	}
 	keys := make([]string, 0, len(labels))
 	for k := range labels {
 		keys = append(keys, k)
 	}
 	sort.Strings(keys)
-	pairs = make([][2]string, len(keys))
 	s := "{"
 	for i, k := range keys {
-		pairs[i] = [2]string{k, labels[k]}
 		if i > 0 {
 			s += ","
 		}
 		s += fmt.Sprintf("%s=%q", k, labels[k])
 	}
-	return pairs, s + "}"
+	return s + "}"
 }
 
 // register returns the series (name, labels), creating it on first use.
 // Re-registering with a different kind panics — that is a programming
 // error, not a runtime condition.
 func (r *Registry) register(name, help string, k kind, labels Labels, mk func(m *metric)) *metric {
-	pairs, lstr := canonical(labels)
+	lstr := canonical(labels)
 	key := name + lstr
 	r.mu.Lock()
 	defer r.mu.Unlock()
@@ -253,7 +225,7 @@ func (r *Registry) register(name, help string, k kind, labels Labels, mk func(m 
 		}
 		return m
 	}
-	m := &metric{name: name, help: help, kind: k, labels: pairs, lstr: lstr}
+	m := &metric{name: name, help: help, kind: k, lstr: lstr}
 	mk(m)
 	r.metrics[key] = m
 	return m

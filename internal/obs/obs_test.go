@@ -30,9 +30,6 @@ func TestNilSafety(t *testing.T) {
 	if err := r.WritePrometheus(&buf); err != nil || buf.Len() != 0 {
 		t.Errorf("nil registry WritePrometheus: err=%v len=%d", err, buf.Len())
 	}
-	if err := r.WriteJSON(&buf); err != nil {
-		t.Errorf("nil registry WriteJSON: %v", err)
-	}
 	var tr *TraceRecorder
 	if tr.Events() != 0 {
 		t.Error("nil recorder must hold nothing")
@@ -176,101 +173,6 @@ func TestBuildInfoDefaultsAndNil(t *testing.T) {
 	var nilReg *Registry
 	if g := RegisterBuildInfo(nilReg, "x"); g != nil {
 		t.Error("nil registry must yield a nil uptime gauge")
-	}
-}
-
-func TestHistogramMerge(t *testing.T) {
-	bounds := []int64{1, 4, 16}
-	r := NewRegistry()
-	a := r.Histogram("merge_a", "h", bounds, nil)
-	b := r.Histogram("merge_b", "h", bounds, nil)
-	pooled := r.Histogram("merge_pool", "h", bounds, nil)
-	samplesA := []int64{0, 2, 5, 100}
-	samplesB := []int64{1, 1, 17}
-	for _, v := range samplesA {
-		a.Observe(v)
-		pooled.Observe(v)
-	}
-	for _, v := range samplesB {
-		b.Observe(v)
-		pooled.Observe(v)
-	}
-	a.Merge(b)
-	if a.Count() != pooled.Count() || a.Sum() != pooled.Sum() {
-		t.Fatalf("merged count/sum = %d/%d, want %d/%d", a.Count(), a.Sum(), pooled.Count(), pooled.Sum())
-	}
-	for i := range bounds {
-		if got, want := a.counts[i].Load(), pooled.counts[i].Load(); got != want {
-			t.Fatalf("bucket %d = %d, want %d", i, got, want)
-		}
-	}
-	// Merge is nil-safe in both directions.
-	a.Merge(nil)
-	var nilH *Histogram
-	nilH.Merge(a)
-	if a.Count() != pooled.Count() {
-		t.Fatal("nil merge changed the receiver")
-	}
-}
-
-// TestHistogramMergeOrderIndependent: merging shard-local histograms in
-// any order yields identical buckets — counts are exact, so the merge
-// is associative and commutative.
-func TestHistogramMergeOrderIndependent(t *testing.T) {
-	bounds := ExpBuckets(1, 2, 8)
-	build := func(order []int) *Histogram {
-		r := NewRegistry()
-		parts := make([]*Histogram, 4)
-		for i := range parts {
-			parts[i] = r.Histogram(fmt.Sprintf("p%d", i), "h", bounds, nil)
-			for j := 0; j < 100; j++ {
-				parts[i].Observe(int64((i*37 + j*j) % 300))
-			}
-		}
-		acc := r.Histogram("acc", "h", bounds, nil)
-		for _, i := range order {
-			acc.Merge(parts[i])
-		}
-		return acc
-	}
-	fwd := build([]int{0, 1, 2, 3})
-	rev := build([]int{3, 1, 0, 2})
-	if fwd.Count() != rev.Count() || fwd.Sum() != rev.Sum() {
-		t.Fatalf("order changed count/sum: %d/%d vs %d/%d", fwd.Count(), fwd.Sum(), rev.Count(), rev.Sum())
-	}
-	for i := range fwd.counts {
-		if fwd.counts[i].Load() != rev.counts[i].Load() {
-			t.Fatalf("bucket %d differs across merge orders", i)
-		}
-	}
-}
-
-func TestHistogramMergeBoundsMismatchPanics(t *testing.T) {
-	r := NewRegistry()
-	a := r.Histogram("mm_a", "h", []int64{1, 2}, nil)
-	b := r.Histogram("mm_b", "h", []int64{1, 3}, nil)
-	defer func() {
-		if recover() == nil {
-			t.Error("merging histograms with different bounds must panic")
-		}
-	}()
-	a.Merge(b)
-}
-
-func TestWriteJSON(t *testing.T) {
-	r := NewRegistry()
-	r.Counter("c_total", "h", Labels{"k": "v"}).Add(2)
-	r.Histogram("h", "h", []int64{10}, nil).Observe(5)
-	var buf bytes.Buffer
-	if err := r.WriteJSON(&buf); err != nil {
-		t.Fatal(err)
-	}
-	var out []JSONMetric
-	if err := json.Unmarshal(buf.Bytes(), &out); err != nil {
-		t.Fatalf("invalid JSON: %v\n%s", err, buf.String())
-	}
-	if len(out) != 2 || out[0].Name != "c_total" || out[0].Value != 2 || out[1].Count != 1 {
-		t.Errorf("unexpected JSON: %+v", out)
 	}
 }
 

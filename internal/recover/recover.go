@@ -5,11 +5,12 @@
 // duplicated system's detection events and, after a configurable repair
 // delay (modelling replica restart or migration to a spare core),
 // repairs the replica's fault switch and re-integrates it on every
-// arbitration channel: stale tokens are drained, the replicator queue
-// is re-armed at a safe fill derived from the rtc initial-fill solver
-// (eq. 4), and the selector interface re-synchronizes its pair index
-// and virtual space counter at the healthy write front. Full redundancy
-// is restored and the next fault is tolerated again.
+// arbitration channel (ft.System.Reintegrate): stale tokens are
+// drained, each replicator queue is re-armed with the newest
+// min(capacity-1, healthy fill) tokens of the healthy replica's queue,
+// and the selector interface re-synchronizes its pair index and
+// virtual space counter at the healthy write front. Full redundancy is
+// restored and the next fault is tolerated again.
 package recover
 
 import (
@@ -18,7 +19,6 @@ import (
 	"ftpn/internal/des"
 	"ftpn/internal/ft"
 	"ftpn/internal/obs"
-	"ftpn/internal/rtc"
 )
 
 // Plan parameterizes recoveries issued by a Manager.
@@ -26,37 +26,10 @@ type Plan struct {
 	// Delay is the virtual time between a replica's first conviction
 	// and its repair + re-integration (restart/relocation cost).
 	Delay des.Time
-	// Channels carries the per-channel re-arm parameters, normally
-	// built with PlanFor; its zero value uses safe defaults (full
-	// mirror of the healthy queue, capacity-sized divergence grace).
-	Channels ft.ReintegrationPlan
 	// MaxRecoveries bounds how many recoveries the manager performs per
 	// replica; 0 means unlimited. Campaign runs use 1 so a second
 	// injected fault stays convicted and measurable.
 	MaxRecoveries int
-}
-
-// PlanFor derives the re-arm fill for one replicator channel from the
-// producer and per-replica consumption envelopes via
-// rtc.ReintegrationFill (eq. 4 analogue) and returns a channel plan for
-// it. caps are the replicator's per-replica queue capacities; the
-// per-replica fill is the minimum over both, so whichever replica
-// recovers is re-armed safely.
-func PlanFor(channel string, producer rtc.PJD, inModels [2]rtc.PJD, caps [2]int) (ft.ReintegrationPlan, error) {
-	h := rtc.Horizon(producer, inModels[0], inModels[1])
-	fill := -1
-	for i, m := range inModels {
-		f, err := rtc.ReintegrationFill(producer.Lower(), m.Upper(), rtc.Count(caps[i]), h)
-		if err != nil {
-			return ft.ReintegrationPlan{}, fmt.Errorf("recover: re-arm fill for %q replica %d: %w", channel, i+1, err)
-		}
-		if fill < 0 || int(f) < fill {
-			fill = int(f)
-		}
-	}
-	return ft.ReintegrationPlan{
-		RepFill: map[string]int{channel: fill},
-	}, nil
 }
 
 // Conviction is one detection event enriched with the channel state
@@ -182,15 +155,12 @@ func (m *Manager) onFault(f ft.Fault) {
 	m.sys.K.At(f.At+m.plan.Delay, func() { m.recover(conv) })
 }
 
-// recover re-integrates the replica on all channels, then clears its
-// fault switch — in that order, so the replica resumes against
-// already-consistent channel state within one kernel event.
+// recover repairs the replica and re-integrates it on all channels
+// within one kernel event (ft.System.Reintegrate).
 func (m *Manager) recover(conv Conviction) {
 	det := conv.Fault
-	i := det.Replica - 1
-	complete := m.sys.Reintegrate(det.Replica, m.plan.Channels)
-	m.sys.Switches[i].Repair()
-	m.pending[i] = false
+	complete := m.sys.Reintegrate(det.Replica)
+	m.pending[det.Replica-1] = false
 	ev := Event{
 		Replica:     det.Replica,
 		DetectedAt:  det.At,

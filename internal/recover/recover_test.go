@@ -103,6 +103,35 @@ func TestManagerRecoversAndSecondFaultStaysConvicted(t *testing.T) {
 	}
 }
 
+// TestManagerRearmsWithSystemDefault: a manager recovery re-arms through
+// ft.System.Reintegrate — the recovered replica's replicator queue
+// mirrors min(capacity-1, healthy fill) tokens and its switch is
+// repaired before OnRecovered runs.
+func TestManagerRearmsWithSystemDefault(t *testing.T) {
+	k, sys := buildSys(t, 300, nil)
+	m := NewManager(sys, Plan{Delay: 20_000, MaxRecoveries: 1})
+	r := sys.Replicators["F_in"]
+	recovered := 0
+	m.OnRecovered = func(ev Event) {
+		recovered++
+		if got, want := r.Fill(2), min(r.Capacity(2)-1, r.Fill(1)); got != want {
+			t.Errorf("re-armed fill = %d, want min(capacity-1, healthy fill) = %d", got, want)
+		}
+		if faulty, _, _ := r.Faulty(2); faulty {
+			t.Error("replica 2 still convicted on F_in after recovery")
+		}
+		if sw := sys.Switches[1]; sw.Mode() != fault.None || !sw.Repaired() {
+			t.Errorf("switch 2 = %v, want repaired", sw.Mode())
+		}
+	}
+	sys.InjectFault(2, 40_000, fault.StopAll, 0)
+	k.Run(0)
+	k.Shutdown()
+	if recovered != 1 {
+		t.Fatalf("recoveries = %d, want 1", recovered)
+	}
+}
+
 func TestManagerCollapsesMultiChannelConvictions(t *testing.T) {
 	var sink []kpn.Token
 	k, sys := buildSys(t, 200, &sink)
@@ -118,25 +147,6 @@ func TestManagerCollapsesMultiChannelConvictions(t *testing.T) {
 	}
 	if err := sys.CheckInvariants(); err != nil {
 		t.Errorf("invariants violated after recovery: %v", err)
-	}
-}
-
-func TestPlanForDerivesBoundedFill(t *testing.T) {
-	producer := rtc.PJD{Period: 1000, Jitter: 200}
-	in := [2]rtc.PJD{
-		{Period: 1000, Jitter: 2000},
-		{Period: 1000, Jitter: 3000},
-	}
-	plan, err := PlanFor("F_in", producer, in, [2]int{4, 4})
-	if err != nil {
-		t.Fatal(err)
-	}
-	fill, ok := plan.RepFill["F_in"]
-	if !ok {
-		t.Fatal("plan has no fill for F_in")
-	}
-	if fill < 0 || fill > 3 {
-		t.Errorf("re-arm fill = %d, want within [0, cap-1] = [0, 3]", fill)
 	}
 }
 

@@ -32,30 +32,6 @@ func InitialFill(outLower, consUpper Curve, horizon Time) (Count, error) {
 	return supDiff(consUpper, outLower, horizon)
 }
 
-// ReintegrationFill computes the safe fill at which a repaired
-// replica's input queue is re-armed during re-integration — the eq. 4
-// analogue on the replicator side: enough pre-queued tokens that the
-// recovering replica consuming at its upper envelope does not starve on
-// the producer's lower envelope,
-//
-//	F_re = sup_Δ { α_C^u(Δ) - α_P^l(Δ) },
-//
-// clamped into [0, cap-1] so that re-admission can never itself trip
-// the queue-full detector.
-func ReintegrationFill(prodLower, consUpper Curve, cap Count, horizon Time) (Count, error) {
-	f, err := supDiff(consUpper, prodLower, horizon)
-	if err != nil {
-		return 0, err
-	}
-	if f > cap-1 {
-		f = cap - 1
-	}
-	if f < 0 {
-		f = 0
-	}
-	return f, nil
-}
-
 // DivergenceThreshold computes the smallest integer D that can never be
 // reached by the difference in total tokens received from two fault-free
 // replicas (eq. 5):

@@ -25,25 +25,3 @@ func (ch *Chip) MapPipeline(n int) ([]*Core, error) {
 	}
 	return cores, nil
 }
-
-// RouteContention counts how many tile routers are shared between the
-// XY routes of distinct (src, dst) core pairs in the given placement's
-// consecutive stages. A serpentine pipeline placement scores zero for
-// interior routers; higher scores mean more cross-traffic.
-func (ch *Chip) RouteContention(stages []*Core) int {
-	use := make(map[int]int)
-	for i := 0; i+1 < len(stages); i++ {
-		route := ch.Route(stages[i], stages[i+1])
-		// Interior routers only: endpoints legitimately serve their tiles.
-		for _, t := range route[1:max(1, len(route)-1)] {
-			use[t]++
-		}
-	}
-	contention := 0
-	for _, n := range use {
-		if n > 1 {
-			contention += n - 1
-		}
-	}
-	return contention
-}

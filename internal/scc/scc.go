@@ -4,25 +4,22 @@
 // platform the experiments depend on:
 //
 //   - the 6×4 mesh of 24 tiles with two IA-32 cores per tile,
-//   - XY dimension-ordered routing between tile routers,
+//   - XY dimension-ordered routing between tile routers, priced by hop
+//     count,
 //   - per-tile 16 KB message-passing buffers (MPBs) and the iRCCE-style
 //     chunked transfer discipline (chunks of at most 3 KB so messages are
 //     routed exclusively via the MPBs, never via DDR3 — paper §4.1),
-//   - per-core time-stamp counters (TSC) at the tile clock frequency,
-//     synchronized at application boot,
 //   - the paper's baremetal boot parameters: 533 MHz tiles, 800 MHz
 //     routers, 800 MHz DDR3, L2 caches off, interrupts off.
 //
-// Timing is virtual (package des); the transfer-cost model is documented
+// Timing is virtual (package des): every core reads the one simulated
+// clock, which stands in for the per-core time-stamp counters the paper
+// synchronizes at boot. The transfer-cost model is documented
 // on CostModel and calibrated to published SCC measurements (~1 µs/KB
 // effective MPB bandwidth plus per-chunk synchronization overhead).
 package scc
 
-import (
-	"fmt"
-
-	"ftpn/internal/des"
-)
+import "fmt"
 
 // Mesh geometry and per-tile resources of the physical SCC.
 const (
@@ -31,8 +28,6 @@ const (
 	NumTiles     = MeshWidth * MeshHeight
 	CoresPerTile = 2
 	NumCores     = NumTiles * CoresPerTile
-	MPBBytesTile = 16 * 1024 // message-passing buffer per tile
-	MPBBytesCore = MPBBytesTile / CoresPerTile
 
 	// MaxChunkBytes is the largest message fragment the iRCCE-style layer
 	// sends at once; the paper keeps chunks at or below 3 KB so that all
@@ -43,7 +38,7 @@ const (
 // Config holds the chip boot parameters. The zero value is invalid; use
 // DefaultConfig for the paper's settings.
 type Config struct {
-	TileFreqMHz   int  // core/tile clock (TSC frequency)
+	TileFreqMHz   int  // core/tile clock
 	RouterFreqMHz int  // mesh router clock
 	MemFreqMHz    int  // DDR3 clock
 	L2Enabled     bool // the paper boots with all L2 caches off
@@ -82,9 +77,8 @@ type Tile struct {
 
 // Core is one of the 48 IA-32 cores.
 type Core struct {
-	ID        int // 0..47; cores 2t and 2t+1 live on tile t
-	tile      *Tile
-	tscOffset int64 // residual clock skew after boot-time sync, in cycles
+	ID   int // 0..47; cores 2t and 2t+1 live on tile t
+	tile *Tile
 }
 
 // Tile returns the tile the core resides on.
@@ -131,18 +125,6 @@ func (ch *Chip) Tile(id int) *Tile {
 	return ch.tiles[id]
 }
 
-// TSC returns the core's time-stamp counter reading at virtual time now:
-// cycles elapsed at the tile frequency, plus the core's residual offset.
-// With the default zero offsets this models the paper's boot-time clock
-// synchronization.
-func (ch *Chip) TSC(c *Core, now des.Time) int64 {
-	return now*int64(ch.cfg.TileFreqMHz) + c.tscOffset
-}
-
-// SetTSCOffset sets a residual per-core clock skew in cycles, for
-// experiments that study imperfect synchronization.
-func (ch *Chip) SetTSCOffset(c *Core, cycles int64) { c.tscOffset = cycles }
-
 // Hops returns the XY-routed hop count between the tiles of two cores.
 // Cores on the same tile communicate through the local MPB with zero
 // router hops.
@@ -156,29 +138,4 @@ func (ch *Chip) Hops(from, to *Core) int {
 		dy = -dy
 	}
 	return dx + dy
-}
-
-// Route returns the sequence of tile IDs an XY-routed message visits,
-// including source and destination tiles. X is routed first, then Y,
-// matching the SCC mesh.
-func (ch *Chip) Route(from, to *Core) []int {
-	path := []int{from.tile.ID}
-	x, y := from.tile.X, from.tile.Y
-	for x != to.tile.X {
-		if x < to.tile.X {
-			x++
-		} else {
-			x--
-		}
-		path = append(path, y*MeshWidth+x)
-	}
-	for y != to.tile.Y {
-		if y < to.tile.Y {
-			y++
-		} else {
-			y--
-		}
-		path = append(path, y*MeshWidth+x)
-	}
-	return path
 }

@@ -81,7 +81,7 @@ func TestCoreTileBoundsPanic(t *testing.T) {
 	}
 }
 
-func TestHopsAndRoute(t *testing.T) {
+func TestHops(t *testing.T) {
 	ch, _ := New(DefaultConfig())
 	sameTile := ch.Hops(ch.Core(0), ch.Core(1))
 	if sameTile != 0 {
@@ -91,17 +91,6 @@ func TestHopsAndRoute(t *testing.T) {
 	if h := ch.Hops(ch.Core(0), ch.Core(47)); h != 8 {
 		t.Errorf("corner-to-corner hops = %d, want 8", h)
 	}
-	// XY routing goes X first.
-	route := ch.Route(ch.Core(0), ch.Core(2*(MeshWidth+1))) // tile 0 -> tile 7 (1,1)
-	want := []int{0, 1, 7}
-	if len(route) != len(want) {
-		t.Fatalf("route = %v, want %v", route, want)
-	}
-	for i := range want {
-		if route[i] != want[i] {
-			t.Fatalf("route = %v, want %v", route, want)
-		}
-	}
 }
 
 func TestHopsSymmetricProperty(t *testing.T) {
@@ -109,28 +98,10 @@ func TestHopsSymmetricProperty(t *testing.T) {
 	prop := func(a, b uint8) bool {
 		ca, cb := ch.Core(int(a)%NumCores), ch.Core(int(b)%NumCores)
 		h := ch.Hops(ca, cb)
-		return h == ch.Hops(cb, ca) && h >= 0 && h <= MeshWidth-1+MeshHeight-1 &&
-			len(ch.Route(ca, cb)) == h+1
+		return h == ch.Hops(cb, ca) && h >= 0 && h <= MeshWidth-1+MeshHeight-1
 	}
 	if err := quick.Check(prop, &quick.Config{MaxCount: 500}); err != nil {
 		t.Error(err)
-	}
-}
-
-func TestTSC(t *testing.T) {
-	ch, _ := New(DefaultConfig())
-	c := ch.Core(5)
-	// After 1000 µs at 533 MHz: 533000 cycles.
-	if got := ch.TSC(c, 1000); got != 533000 {
-		t.Errorf("TSC(1000µs) = %d, want 533000", got)
-	}
-	ch.SetTSCOffset(c, 7)
-	if got := ch.TSC(c, 0); got != 7 {
-		t.Errorf("TSC with offset = %d, want 7", got)
-	}
-	// Synchronized cores agree.
-	if ch.TSC(ch.Core(1), 500) != ch.TSC(ch.Core(40), 500) {
-		t.Error("synchronized cores must read equal TSCs")
 	}
 }
 
@@ -199,10 +170,6 @@ func TestMapPipeline(t *testing.T) {
 			t.Errorf("stages %d-%d are %d hops apart, want 1", i, i+1, h)
 		}
 	}
-	// Serpentine placement has zero interior-router contention.
-	if c := ch.RouteContention(cores); c != 0 {
-		t.Errorf("pipeline contention = %d, want 0", c)
-	}
 }
 
 func TestMapPipelineBounds(t *testing.T) {
@@ -215,15 +182,6 @@ func TestMapPipelineBounds(t *testing.T) {
 	}
 	if cores, err := ch.MapPipeline(NumTiles); err != nil || len(cores) != NumTiles {
 		t.Errorf("full-chip mapping failed: %v", err)
-	}
-}
-
-func TestRouteContentionDetectsCrossing(t *testing.T) {
-	ch, _ := New(DefaultConfig())
-	// A deliberately bad placement: two long routes crossing the middle.
-	bad := []*Core{ch.Core(0), ch.Core(10), ch.Core(2), ch.Core(8)}
-	if c := ch.RouteContention(bad); c == 0 {
-		t.Skip("placement happens not to conflict under XY routing")
 	}
 }
 

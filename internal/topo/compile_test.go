@@ -20,7 +20,7 @@ func runOnce(t *testing.T, model *Model) []kpn.Token {
 	}
 	k := des.NewKernel()
 	defer k.Shutdown()
-	if _, err := net.Instantiate(k, kpn.Options{}); err != nil {
+	if _, err := net.Instantiate(k); err != nil {
 		t.Fatal(err)
 	}
 	k.Run(0)

@@ -1,7 +1,7 @@
 // Package trace collects the measurements the paper's evaluation
 // reports: min/max/mean statistics (fault-detection latencies, decoded
-// inter-frame timings), arrival-time recordings, and FIFO fill tracking
-// via the kpn.Observer interface.
+// inter-frame timings) and arrival-time recordings. FIFO fills come from
+// the channels' own MaxFill counters and the flight log.
 package trace
 
 import (
@@ -10,7 +10,6 @@ import (
 	"sort"
 
 	"ftpn/internal/des"
-	"ftpn/internal/kpn"
 )
 
 // Stats accumulates int64 samples and reports min/max/mean (the summary
@@ -108,56 +107,6 @@ func (s *Stats) Percentile(p float64) int64 {
 	return sorted[rank-1]
 }
 
-// Merge folds other's samples into s. Count/min/max/sum merge exactly.
-// When the combined retained sets fit under maxRetained they are
-// concatenated (so merging never-truncated Stats stays exact);
-// otherwise each side contributes reservoir slots in proportion to the
-// number of underlying samples it represents, chosen by a deterministic
-// partial Fisher-Yates shuffle, keeping retention approximately uniform
-// over the combined stream.
-func (s *Stats) Merge(other *Stats) {
-	if other.n == 0 {
-		return
-	}
-	if s.n == 0 || other.min < s.min {
-		s.min = other.min
-	}
-	if s.n == 0 || other.max > s.max {
-		s.max = other.max
-	}
-	nS, nO := s.n, other.n
-	s.n += other.n
-	s.sum += other.sum
-	if len(s.samples)+len(other.samples) <= maxRetained {
-		s.samples = append(s.samples, other.samples...)
-		return
-	}
-	kS := int(int64(maxRetained) * nS / (nS + nO))
-	kO := maxRetained - kS
-	if kO > len(other.samples) {
-		kO = len(other.samples)
-	}
-	if kS > len(s.samples) || kS+kO < maxRetained {
-		kS = maxRetained - kO
-		if kS > len(s.samples) {
-			kS = len(s.samples)
-		}
-	}
-	s.samples = s.subsample(s.samples, kS)
-	s.samples = append(s.samples, s.subsample(append([]int64(nil), other.samples...), kO)...)
-}
-
-// subsample returns k elements of v chosen uniformly without
-// replacement (partial Fisher-Yates driven by s's generator). v is
-// permuted in place.
-func (s *Stats) subsample(v []int64, k int) []int64 {
-	for i := 0; i < k; i++ {
-		j := i + int(s.rand64()%uint64(len(v)-i))
-		v[i], v[j] = v[j], v[i]
-	}
-	return v[:k]
-}
-
 // String renders "min/max/mean" in the unit of the samples.
 func (s *Stats) String() string {
 	return fmt.Sprintf("min=%d max=%d mean=%d (n=%d)", s.Min(), s.Max(), s.Mean(), s.Count())
@@ -187,46 +136,3 @@ func (a *Arrivals) Inter(skip int) *Stats {
 	}
 	return s
 }
-
-// FillTracker observes a FIFO and records its maximum fill plus a
-// bounded history of (time, fill) samples for plotting.
-type FillTracker struct {
-	Name    string
-	MaxFill int
-	history []FillSample
-	maxKeep int
-}
-
-// FillSample is one observed fill level.
-type FillSample struct {
-	At   des.Time
-	Fill int
-}
-
-// NewFillTracker creates a tracker that keeps at most keep history
-// samples (0 disables history).
-func NewFillTracker(name string, keep int) *FillTracker {
-	return &FillTracker{Name: name, maxKeep: keep}
-}
-
-// OnWrite implements kpn.Observer.
-func (f *FillTracker) OnWrite(now des.Time, tok kpn.Token, fill int) { f.observe(now, fill) }
-
-// OnRead implements kpn.Observer.
-func (f *FillTracker) OnRead(now des.Time, tok kpn.Token, fill int) { f.observe(now, fill) }
-
-func (f *FillTracker) observe(now des.Time, fill int) {
-	if fill > f.MaxFill {
-		f.MaxFill = fill
-	}
-	if f.maxKeep > 0 {
-		if len(f.history) < f.maxKeep {
-			f.history = append(f.history, FillSample{At: now, Fill: fill})
-		}
-	}
-}
-
-// History returns the recorded samples.
-func (f *FillTracker) History() []FillSample { return f.history }
-
-var _ kpn.Observer = (*FillTracker)(nil)

@@ -1,13 +1,9 @@
 package trace
 
 import (
-	"math"
-	"math/rand"
 	"testing"
-	"testing/quick"
 
 	"ftpn/internal/des"
-	"ftpn/internal/kpn"
 )
 
 func TestStatsBasics(t *testing.T) {
@@ -32,51 +28,6 @@ func TestStatsMeanRounds(t *testing.T) {
 	s.Add(2) // mean 1.5 -> rounds to 2
 	if s.Mean() != 2 {
 		t.Errorf("mean = %d, want 2 (rounded)", s.Mean())
-	}
-}
-
-func TestStatsMerge(t *testing.T) {
-	var a, b, c Stats
-	a.Add(10)
-	a.Add(20)
-	b.Add(5)
-	b.Add(25)
-	a.Merge(&b)
-	if a.Min() != 5 || a.Max() != 25 || a.Count() != 4 || a.Mean() != 15 {
-		t.Errorf("merged = %s", a.String())
-	}
-	a.Merge(&c) // merging empty is a no-op
-	if a.Count() != 4 {
-		t.Error("merging empty changed count")
-	}
-	c.Merge(&a) // merging into empty adopts
-	if c.Min() != 5 || c.Max() != 25 {
-		t.Errorf("empty.Merge = %s", c.String())
-	}
-}
-
-func TestStatsMergeEqualsBulkAdd(t *testing.T) {
-	prop := func(xs []int16, split uint8) bool {
-		if len(xs) == 0 {
-			return true
-		}
-		cut := int(split) % len(xs)
-		var all, a, b Stats
-		for _, x := range xs {
-			all.Add(int64(x))
-		}
-		for _, x := range xs[:cut] {
-			a.Add(int64(x))
-		}
-		for _, x := range xs[cut:] {
-			b.Add(int64(x))
-		}
-		a.Merge(&b)
-		return a.Min() == all.Min() && a.Max() == all.Max() &&
-			a.Mean() == all.Mean() && a.Count() == all.Count()
-	}
-	if err := quick.Check(prop, &quick.Config{MaxCount: 300}); err != nil {
-		t.Error(err)
 	}
 }
 
@@ -113,41 +64,6 @@ func TestStatsReservoirPercentiles(t *testing.T) {
 	}
 }
 
-func TestStatsMergeOverflowedReservoirs(t *testing.T) {
-	// a represents 3x as many samples as b and draws them from a
-	// disjoint, higher range; the merged reservoir must reflect the 3:1
-	// weighting (p50 falls in a's range, p10 in b's).
-	var a, b Stats
-	for v := int64(1); v <= 3*maxRetained; v++ {
-		a.Add(1_000_000 + v)
-	}
-	for v := int64(1); v <= maxRetained; v++ {
-		b.Add(v)
-	}
-	a.Merge(&b)
-	if a.Count() != 4*maxRetained {
-		t.Fatalf("count = %d", a.Count())
-	}
-	if got := a.Percentile(10); got > maxRetained {
-		t.Errorf("p10 = %d, want within b's range (<= %d)", got, maxRetained)
-	}
-	if got := a.Percentile(50); got < 1_000_000 {
-		t.Errorf("p50 = %d, want within a's range (>= 1000000)", got)
-	}
-	// The b-side share of the reservoir tracks its 25% share of the
-	// underlying stream.
-	low := 0
-	for _, v := range a.samples {
-		if v <= maxRetained {
-			low++
-		}
-	}
-	frac := float64(low) / float64(len(a.samples))
-	if frac < 0.20 || frac > 0.30 {
-		t.Errorf("b's reservoir share = %.3f, want ~0.25", frac)
-	}
-}
-
 func TestArrivals(t *testing.T) {
 	var a Arrivals
 	for _, at := range []des.Time{0, 100, 230, 330} {
@@ -167,33 +83,6 @@ func TestArrivals(t *testing.T) {
 	}
 }
 
-func TestFillTracker(t *testing.T) {
-	k := des.NewKernel()
-	f := kpn.NewFIFO(k, "c", 8)
-	tr := NewFillTracker("c", 4)
-	f.Observe(tr)
-	k.Spawn("d", 0, func(p *des.Proc) {
-		for i := int64(1); i <= 6; i++ {
-			f.Write(p, kpn.Token{Seq: i})
-		}
-		f.Read(p)
-	})
-	k.Run(0)
-	if tr.MaxFill != 6 {
-		t.Errorf("MaxFill = %d, want 6", tr.MaxFill)
-	}
-	if len(tr.History()) != 4 {
-		t.Errorf("history kept %d samples, want cap 4", len(tr.History()))
-	}
-	// History disabled.
-	tr2 := NewFillTracker("c", 0)
-	tr2.OnWrite(0, kpn.Token{}, 3)
-	tr2.OnRead(1, kpn.Token{}, 2)
-	if tr2.MaxFill != 3 || len(tr2.History()) != 0 {
-		t.Errorf("no-history tracker: max=%d len=%d", tr2.MaxFill, len(tr2.History()))
-	}
-}
-
 func TestStatsPercentiles(t *testing.T) {
 	var s Stats
 	if s.Percentile(50) != 0 {
@@ -209,108 +98,6 @@ func TestStatsPercentiles(t *testing.T) {
 	for _, c := range cases {
 		if got := s.Percentile(c.p); got != c.want {
 			t.Errorf("p%.0f = %d, want %d", c.p, got, c.want)
-		}
-	}
-	// Percentiles survive a merge.
-	var a, b Stats
-	for v := int64(1); v <= 50; v++ {
-		a.Add(v)
-	}
-	for v := int64(51); v <= 100; v++ {
-		b.Add(v)
-	}
-	a.Merge(&b)
-	if got := a.Percentile(90); got != 90 {
-		t.Errorf("merged p90 = %d, want 90", got)
-	}
-}
-
-// TestStatsMergePooledPercentileProperty is the property test behind
-// the campaign aggregators: for shard-partitioned sample sets that fit
-// the reservoir, merging per-shard Stats in ANY order yields exactly
-// the percentiles of the pooled stream, across many seeded partitions.
-func TestStatsMergePooledPercentileProperty(t *testing.T) {
-	quantiles := []float64{1, 10, 25, 50, 75, 90, 95, 99, 100}
-	for seed := int64(1); seed <= 8; seed++ {
-		rng := rand.New(rand.NewSource(seed))
-		nParts := 2 + rng.Intn(5)
-		var pooled Stats
-		parts := make([]Stats, nParts)
-		total := 500 + rng.Intn(4000)
-		for i := 0; i < total; i++ {
-			v := int64(rng.Intn(1_000_000)) - 500_000
-			pooled.Add(v)
-			parts[rng.Intn(nParts)].Add(v)
-		}
-
-		mergeIn := func(order []int) *Stats {
-			var acc Stats
-			for _, i := range order {
-				// Merge a copy: campaign workers own their shard Stats.
-				p := parts[i]
-				p.samples = append([]int64(nil), parts[i].samples...)
-				acc.Merge(&p)
-			}
-			return &acc
-		}
-		fwd := make([]int, nParts)
-		rev := make([]int, nParts)
-		for i := range fwd {
-			fwd[i] = i
-			rev[i] = nParts - 1 - i
-		}
-		a, b := mergeIn(fwd), mergeIn(rev)
-
-		for _, m := range []*Stats{a, b} {
-			if m.Count() != pooled.Count() || m.Min() != pooled.Min() ||
-				m.Max() != pooled.Max() || m.Mean() != pooled.Mean() {
-				t.Fatalf("seed %d: merged moments diverge: %v vs pooled %v", seed, m, &pooled)
-			}
-		}
-		for _, q := range quantiles {
-			want := pooled.Percentile(q)
-			if got := a.Percentile(q); got != want {
-				t.Fatalf("seed %d: p%.0f forward-merge = %d, pooled = %d", seed, q, got, want)
-			}
-			if got := b.Percentile(q); got != want {
-				t.Fatalf("seed %d: p%.0f reverse-merge = %d, pooled = %d", seed, q, got, want)
-			}
-		}
-	}
-}
-
-// TestStatsMergeOverflowPercentileTolerance: once the pooled stream
-// exceeds the reservoir, merged percentiles are estimates — check they
-// stay within a small relative band of the exact pooled value on a
-// uniform stream, for several seeds.
-func TestStatsMergeOverflowPercentileTolerance(t *testing.T) {
-	const span = 1_000_000
-	for seed := int64(1); seed <= 3; seed++ {
-		rng := rand.New(rand.NewSource(seed))
-		var a, b Stats
-		total := maxRetained + maxRetained/2
-		for i := 0; i < total; i++ {
-			v := int64(rng.Intn(span))
-			if i%2 == 0 {
-				a.Add(v)
-			} else {
-				b.Add(v)
-			}
-		}
-		a.Merge(&b)
-		if a.Count() != int64(total) {
-			t.Fatalf("seed %d: merged count = %d, want %d", seed, a.Count(), total)
-		}
-		if len(a.samples) > maxRetained {
-			t.Fatalf("seed %d: reservoir overflowed cap: %d", seed, len(a.samples))
-		}
-		for _, q := range []float64{25, 50, 75, 90, 99} {
-			got := float64(a.Percentile(q))
-			want := q / 100 * span // exact quantile of U[0,span)
-			if diff := math.Abs(got - want); diff > 0.02*span {
-				t.Fatalf("seed %d: p%.0f = %.0f, want ~%.0f (|diff| %.0f > 2%% of span)",
-					seed, q, got, want, diff)
-			}
 		}
 	}
 }
