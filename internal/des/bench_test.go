@@ -4,10 +4,11 @@ import "testing"
 
 // BenchmarkKernelChurn measures the event-scheduling hot path: two
 // processes ping-ponging through Delay plus a periodic callback, the mix
-// Table2 simulations exercise. With the event freelist, steady-state
-// scheduling performs zero heap allocations per event (run with
-// -benchmem; the small constant per op is the kernel and each process's
-// iter.Pull coroutine set-up, priced alone by BenchmarkProcSpawn).
+// Table2 simulations exercise. Events live by value in the queue, so
+// steady-state scheduling performs zero heap allocations per event (run
+// with -benchmem; the small constant per op is the kernel and each
+// process's iter.Pull coroutine set-up, priced alone by
+// BenchmarkProcSpawn).
 func BenchmarkKernelChurn(b *testing.B) {
 	b.ReportAllocs()
 	for i := 0; i < b.N; i++ {
@@ -78,8 +79,8 @@ func BenchmarkProcSelfResume(b *testing.B) {
 }
 
 // BenchmarkEventSchedule isolates push/pop of pure callback events with
-// no process machinery at all: the per-event cost of the heap plus the
-// freelist, and zero allocs/op after warm-up.
+// no process machinery at all: the per-event cost of the heap, and zero
+// allocs/op after warm-up.
 func BenchmarkEventSchedule(b *testing.B) {
 	k := NewKernel()
 	var n int
@@ -90,7 +91,7 @@ func BenchmarkEventSchedule(b *testing.B) {
 			k.After(1, tick)
 		}
 	}
-	// Warm the freelist and the heap backing array.
+	// Warm the heap's backing array.
 	n = 16
 	k.After(1, tick)
 	k.Run(0)
@@ -100,30 +101,4 @@ func BenchmarkEventSchedule(b *testing.B) {
 	n = b.N
 	k.After(1, tick)
 	k.Run(0)
-}
-
-// TestFreelistReuse pins the zero-allocation property: once warm, the
-// kernel schedules events without allocating.
-func TestFreelistReuse(t *testing.T) {
-	k := NewKernel()
-	var n int
-	var tick func()
-	tick = func() {
-		if n > 0 {
-			n--
-			k.After(1, tick)
-		}
-	}
-	n = 64
-	k.After(1, tick)
-	k.Run(0)
-
-	allocs := testing.AllocsPerRun(100, func() {
-		n = 50
-		k.After(1, tick)
-		k.Run(0)
-	})
-	if allocs > 0 {
-		t.Fatalf("warm kernel allocated %.1f times per 50-event run, want 0", allocs)
-	}
 }

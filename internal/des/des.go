@@ -25,14 +25,12 @@ import (
 type Time = int64
 
 // event is a scheduled kernel action: resume a process or run a callback.
-// Events are kernel-owned and recycled through a freelist once consumed,
-// so steady-state scheduling does not allocate.
+// Events live by value in the kernel's eventQueue.
 type event struct {
 	at   Time
 	seq  uint64 // tie-breaker: FIFO among events at the same instant
 	proc *Proc  // non-nil: resume this process
 	fn   func() // non-nil: run this callback in kernel context
-	next *event // freelist link while the event is recycled
 }
 
 // Kernel is a discrete-event simulator. The zero value is not usable;
@@ -42,7 +40,6 @@ type Kernel struct {
 	seq        uint64
 	events     eventQueue
 	procs      []*Proc
-	free       *event // freelist of consumed events, reused by push
 	stopped    bool
 	panicV     any    // panic to re-throw from Run
 	dispatched uint64 // events consumed across all Run calls
@@ -84,18 +81,11 @@ func (k *Kernel) emit(kind, proc string) {
 	}
 }
 
-// NewKernel returns an empty simulator at virtual time 0, scheduling
-// through the default event queue (the bucket queue unless the des_heap
-// build tag selects the reference heap).
+// NewKernel returns an empty simulator at virtual time 0. The event
+// queue starts with room for 32 pending events: the paper apps, the
+// campaign and the generated topologies keep at most 20 pending.
 func NewKernel() *Kernel {
-	return NewKernelWithQueue(defaultQueueKind)
-}
-
-// NewKernelWithQueue returns an empty simulator using an explicit event
-// queue implementation. Both kinds dequeue in identical (time, FIFO)
-// order; the choice affects host performance only.
-func NewKernelWithQueue(kind QueueKind) *Kernel {
-	return &Kernel{events: newQueue(kind)}
+	return &Kernel{events: make(eventQueue, 0, 32)}
 }
 
 // Now returns the current virtual time.
@@ -142,26 +132,10 @@ func (k *Kernel) Stop() {
 // Stopped reports whether Stop has been called.
 func (k *Kernel) Stopped() bool { return k.stopped }
 
-// push schedules an event, reusing a recycled one when available.
+// push schedules an event behind every one already pending at its time.
 func (k *Kernel) push(at Time, proc *Proc, fn func()) {
-	e := k.free
-	if e != nil {
-		k.free = e.next
-		e.next = nil
-	} else {
-		e = new(event)
-	}
-	e.at, e.proc, e.fn = at, proc, fn
-	e.seq = k.seq
+	k.events.push(event{at: at, seq: k.seq, proc: proc, fn: fn})
 	k.seq++
-	k.events.push(e)
-}
-
-// recycle returns a consumed (popped) event to the freelist.
-func (k *Kernel) recycle(e *event) {
-	e.proc, e.fn = nil, nil
-	e.next = k.free
-	k.free = e
 }
 
 // Run executes the simulation until no events remain, the virtual clock
@@ -189,15 +163,15 @@ func (k *Kernel) Run(until Time) Time {
 // nextProc is the dispatch loop. It pops events in (time, FIFO) order,
 // running callbacks inline, and returns the first process to resume,
 // marked running, or nil when the run is over. A run that ends at its
-// time limit leaves the clock at the limit; one that empties the queue
-// leaves it at the last dispatched instant.
+// time limit leaves the clock at the limit, or where it was if that is
+// later; one that empties the queue leaves it at the last dispatched
+// instant.
 func (k *Kernel) nextProc() *Proc {
-	for !k.stopped && k.events.len() > 0 {
-		// Probe first: an event past the limit stays queued untouched, so
-		// a later Run call resumes with the original FIFO order intact.
-		// Without a limit the probe is exact and always succeeds here.
-		if _, ok := k.events.next(k.until); !ok {
-			k.now = k.until
+	for !k.stopped && len(k.events) > 0 {
+		// An event past the limit stays queued untouched, so a later Run
+		// call resumes with the original FIFO order intact.
+		if k.until > 0 && k.events[0].at > k.until {
+			k.now = max(k.now, k.until)
 			return nil
 		}
 		e := k.events.pop()
@@ -209,11 +183,9 @@ func (k *Kernel) nextProc() *Proc {
 			e.fn()
 		} else if p := e.proc; p != nil && p.state != stateDone {
 			k.emit("resume", p.name)
-			k.recycle(e)
 			p.state = stateRunning
 			return p
 		}
-		k.recycle(e)
 	}
 	return nil
 }

@@ -104,6 +104,23 @@ func TestRunUntil(t *testing.T) {
 	k.Shutdown()
 }
 
+func TestRunUntilNeverRewindsClock(t *testing.T) {
+	k := NewKernel()
+	var fired []Time
+	k.At(200, func() { fired = append(fired, k.Now()) })
+	if end := k.Run(100); end != 100 {
+		t.Fatalf("Run(100) returned %d, want 100", end)
+	}
+	if end := k.Run(50); end != 100 {
+		t.Fatalf("Run(50) after Run(100) returned %d, want 100", end)
+	}
+	k.After(5, func() { fired = append(fired, k.Now()) })
+	k.Run(0)
+	if want := []Time{105, 200}; !slices.Equal(fired, want) {
+		t.Errorf("callbacks ran at %v, want %v", fired, want)
+	}
+}
+
 func TestAtAndAfter(t *testing.T) {
 	k := NewKernel()
 	var fired []Time
@@ -415,8 +432,8 @@ func TestCallbackPanicWhileProcessDispatchesIsRaw(t *testing.T) {
 func TestRunUntilThenRunKeepsFIFO(t *testing.T) {
 	// Unlike TestRunUntilKeepsQueueOrder, the limit is hit by a process
 	// goroutine's dispatch loop, which must hand control back mid-run.
-	run := func(kind QueueKind, firstUntil Time) string {
-		k := NewKernelWithQueue(kind)
+	run := func(firstUntil Time) string {
+		k := NewKernel()
 		var log []string
 		k.At(10, func() { log = append(log, fmt.Sprintf("cb@%d", k.Now())) })
 		for _, name := range []string{"a", "b", "c"} {
@@ -439,11 +456,9 @@ func TestRunUntilThenRunKeepsFIFO(t *testing.T) {
 		return strings.Join(log, ",")
 	}
 	const want = "a@0,b@0,c@0,cb@10,cb2@10,a@10,b@10,c@10,a@20,b@20,c@20"
-	for _, kind := range []QueueKind{QueueBucket, QueueHeap} {
-		for _, until := range []Time{0, 5, 9, 15} {
-			if got := run(kind, until); got != want {
-				t.Errorf("queue %d, Run(%d) then Run(0): %s, want %s", kind, until, got, want)
-			}
+	for _, until := range []Time{0, 5, 9, 15} {
+		if got := run(until); got != want {
+			t.Errorf("Run(%d) then Run(0): %s, want %s", until, got, want)
 		}
 	}
 }
@@ -589,7 +604,7 @@ func TestProcSwitchZeroAllocs(t *testing.T) {
 		k.Run(0)
 	}
 	before := k.Stats().Switches
-	run() // also warms the event freelist and the waiter slices
+	run() // also grows the event queue and the waiter slices
 	if got := k.Stats().Switches - before; got < switches {
 		t.Fatalf("%d switches per run, want at least %d", got, switches)
 	}

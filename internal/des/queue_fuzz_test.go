@@ -5,89 +5,40 @@ import (
 	"testing"
 )
 
-// FuzzBucketQueueOrder feeds a byte-driven op stream (pushes with
-// arbitrary deltas including overflow range, pops, peeks) to the bucket
-// queue and the heap oracle and requires identical dequeue order. Wired
-// into the CI fuzz smoke alongside the detector interleaving fuzzers.
-func FuzzBucketQueueOrder(f *testing.F) {
+// FuzzEventQueueOrder feeds a byte-driven op stream (pushes with
+// arbitrary deltas, pops, peeks) to the heap and the stable-sort oracle
+// and requires identical dequeue order. Wired into the CI fuzz smoke
+// alongside the detector interleaving fuzzers.
+func FuzzEventQueueOrder(f *testing.F) {
 	f.Add([]byte{0x00, 0x10, 0x00, 0x20, 0xFF, 0x01, 0x02, 0x03})
 	f.Add([]byte{0x40, 0x00, 0x40, 0x00, 0x80, 0x80, 0x80})
 	f.Add([]byte{0x20, 0xFF, 0xFF, 0xFF, 0x30, 0x00, 0x00, 0x80, 0x80})
 	f.Fuzz(func(t *testing.T, data []byte) {
-		bq, hq := newBucketQueue(), &heapQueue{}
-		var seq uint64
+		c := &queueCheck{t: t}
 		now := Time(0)
 		for len(data) > 0 {
 			op := data[0]
 			data = data[1:]
 			switch {
-			case op < 0xC0: // push: delta from the next bytes, shifted to reach any level
+			case op < 0xC0: // push: a delta from the next bytes, shifted
 				var raw uint64
 				if len(data) >= 2 {
 					raw = uint64(binary.LittleEndian.Uint16(data))
 					data = data[2:]
 				}
-				shift := uint(op&0x3F) % 45
-				at := now + Time(raw<<shift)
+				at := now + Time(raw<<(uint(op&0x3F)%45))
 				if at < now || at > 1<<62 { // clamp accumulated overflow
 					at = 1 << 62
 				}
-				bq.push(&event{at: at, seq: seq})
-				hq.push(&event{at: at, seq: seq})
-				seq++
-			case op < 0xE0: // pop
-				be, he := bq.pop(), hq.pop()
-				if (be == nil) != (he == nil) {
-					t.Fatalf("pop: bucket %v vs heap %v", be, he)
+				c.push(at)
+			case op < 0xE0:
+				if at, ok := c.pop(); ok {
+					now = at
 				}
-				if be != nil {
-					if be.at != he.at || be.seq != he.seq {
-						t.Fatalf("pop: bucket (at=%d seq=%d) vs heap (at=%d seq=%d)",
-							be.at, be.seq, he.at, he.seq)
-					}
-					now = be.at
-				}
-			default: // bounded probe (the Run(until) path: must not perturb order)
-				var raw uint64
-				if len(data) >= 2 {
-					raw = uint64(binary.LittleEndian.Uint16(data))
-					data = data[2:]
-				}
-				limit := now + 1 + Time(raw)<<(uint(op&0x1F)%30)
-				if limit < now || limit > 1<<62 { // clamp accumulated overflow
-					limit = 1 << 62
-				}
-				bAt, bOK := bq.next(limit)
-				hAt, hOK := hq.next(limit)
-				if bOK != hOK || (bOK && bAt != hAt) {
-					t.Fatalf("probe(%d): bucket (%d,%v) vs heap (%d,%v)", limit, bAt, bOK, hAt, hOK)
-				}
-				// After an empty probe the kernel resumes at the limit, after
-				// a hit it dispatches the event; later pushes land at or
-				// above either point — mirror that push floor.
-				if !bOK && limit > now {
-					now = limit
-				} else if bOK && bAt > now {
-					now = bAt
-				}
-			}
-			if bq.len() != hq.len() {
-				t.Fatalf("len: bucket %d vs heap %d", bq.len(), hq.len())
+			default:
+				c.peek()
 			}
 		}
-		// Drain.
-		for {
-			be, he := bq.pop(), hq.pop()
-			if (be == nil) != (he == nil) {
-				t.Fatalf("drain: bucket %v vs heap %v", be, he)
-			}
-			if be == nil {
-				return
-			}
-			if be.at != he.at || be.seq != he.seq {
-				t.Fatalf("drain: bucket (at=%d seq=%d) vs heap (at=%d seq=%d)",
-					be.at, be.seq, he.at, he.seq)
-			}
-		}
+		c.drain()
 	})
 }

@@ -2,256 +2,206 @@ package des
 
 import (
 	"math/rand"
+	"slices"
 	"testing"
 )
 
-// drainCompare pops both queues to exhaustion and fails on the first
-// divergence in dequeue order (compared by event identity).
-func drainCompare(t *testing.T, bq, hq eventQueue, ctx string) {
-	t.Helper()
-	for i := 0; ; i++ {
-		bAt, bOK := bq.next(0)
-		hAt, hOK := hq.next(0)
-		if bOK != hOK || (bOK && bAt != hAt) {
-			t.Fatalf("%s: peek %d: bucket (%d,%v) vs heap (%d,%v)", ctx, i, bAt, bOK, hAt, hOK)
+// orderOracle is the reference for eventQueue's order: events kept in
+// push order and popped as a stable sort by time would order them.
+type orderOracle []event
+
+// first returns the index of the earliest event, the first pushed among
+// equals.
+func (o orderOracle) first() int {
+	m := 0
+	for i := range o {
+		if o[i].at < o[m].at {
+			m = i
 		}
-		be, he := bq.pop(), hq.pop()
-		if be == nil && he == nil {
-			return
+	}
+	return m
+}
+
+// queueCheck drives an eventQueue and the oracle through the same ops
+// and fails on the first divergence.
+type queueCheck struct {
+	t   testing.TB
+	q   eventQueue
+	o   orderOracle
+	seq uint64
+}
+
+func (c *queueCheck) push(at Time) {
+	e := event{at: at, seq: c.seq, fn: func() {}}
+	c.seq++
+	c.q.push(e)
+	c.o = append(c.o, e)
+}
+
+// pop pops both and returns the popped time, or ok=false when both are
+// empty.
+func (c *queueCheck) pop() (at Time, ok bool) {
+	c.t.Helper()
+	if len(c.q) != len(c.o) {
+		c.t.Fatalf("len %d, oracle %d", len(c.q), len(c.o))
+	}
+	if len(c.o) == 0 {
+		return 0, false
+	}
+	m := c.o.first()
+	want := c.o[m]
+	c.o = slices.Delete(c.o, m, m+1)
+	if got := c.q.pop(); got.at != want.at || got.seq != want.seq {
+		c.t.Fatalf("pop (at=%d seq=%d), oracle (at=%d seq=%d)", got.at, got.seq, want.at, want.seq)
+	}
+	return want.at, true
+}
+
+// peek checks the head the kernel's run-limit probe reads: q[0] must be
+// the oracle's next event.
+func (c *queueCheck) peek() {
+	c.t.Helper()
+	if len(c.o) == 0 {
+		if len(c.q) != 0 {
+			c.t.Fatalf("len %d, oracle empty", len(c.q))
 		}
-		if be == nil || he == nil {
-			t.Fatalf("%s: pop %d: bucket %v vs heap %v", ctx, i, be, he)
-		}
-		if be.at != he.at || be.seq != he.seq {
-			t.Fatalf("%s: pop %d: bucket (at=%d seq=%d) vs heap (at=%d seq=%d)",
-				ctx, i, be.at, be.seq, he.at, he.seq)
-		}
-		if bq.len() != hq.len() {
-			t.Fatalf("%s: pop %d: len %d vs %d", ctx, i, bq.len(), hq.len())
+		return
+	}
+	if got, want := c.q[0], c.o[c.o.first()]; got.at != want.at || got.seq != want.seq {
+		c.t.Fatalf("peek (at=%d seq=%d), oracle (at=%d seq=%d)", got.at, got.seq, want.at, want.seq)
+	}
+}
+
+// drain pops both to exhaustion, then requires the heap's backing array
+// to hold no callback a popped event left behind.
+func (c *queueCheck) drain() {
+	c.t.Helper()
+	for _, ok := c.pop(); ok; _, ok = c.pop() {
+	}
+	for i, e := range c.q[:cap(c.q)] {
+		if e.fn != nil || e.proc != nil {
+			c.t.Fatalf("drained queue still references slot %d's event", i)
 		}
 	}
 }
 
-// queuePair pushes the same (at, seq) schedule into a bucket queue and a
-// heap queue. Separate event structs per queue: the bucket queue chains
-// through event.next.
-func queuePair(ats []Time) (eventQueue, eventQueue) {
-	bq, hq := newBucketQueue(), &heapQueue{}
-	for i, at := range ats {
-		bq.push(&event{at: at, seq: uint64(i)})
-		hq.push(&event{at: at, seq: uint64(i)})
-	}
-	return bq, hq
-}
-
-// TestBucketQueueMatchesHeapOracle drives both queues with randomized
-// push/pop streams — same-tick bursts, long jumps, overflow-range
-// deltas — and requires identical dequeue order, the property that keeps
-// every determinism regression bit-identical on the new scheduler.
-func TestBucketQueueMatchesHeapOracle(t *testing.T) {
+// TestEventQueueMatchesOracle drives the heap and the oracle with
+// randomized push/peek/pop streams (same-tick bursts, long jumps and
+// pushes behind the last pop) and requires identical dequeue order, the
+// property that keeps every simulation bit-identical.
+func TestEventQueueMatchesOracle(t *testing.T) {
 	for trial := 0; trial < 200; trial++ {
 		rng := rand.New(rand.NewSource(int64(trial) + 7))
-		bq, hq := newBucketQueue(), &heapQueue{}
-		var seq uint64
+		c := &queueCheck{t: t}
 		now := Time(0)
-		push := func(at Time) {
-			bq.push(&event{at: at, seq: seq})
-			hq.push(&event{at: at, seq: seq})
-			seq++
-		}
 		steps := 200 + rng.Intn(400)
 		for s := 0; s < steps; s++ {
 			switch op := rng.Intn(10); {
-			case op < 5: // push a short-range event
-				push(now + Time(rng.Intn(200)))
-			case op < 6: // same-tick burst, mixed with a couple of later ones
-				at := now + Time(rng.Intn(50))
+			case op < 5: // a short delay
+				c.push(now + Time(rng.Intn(20)))
+			case op < 7: // a same-tick burst, mixed with a few later events
+				at := now + Time(rng.Intn(5))
 				for b := 0; b < 2+rng.Intn(6); b++ {
-					push(at)
+					c.push(at)
 					if rng.Intn(3) == 0 {
-						push(at + Time(rng.Intn(100000)))
+						c.push(at + Time(rng.Intn(100000)))
 					}
 				}
-			case op < 7: // long-range: exercise higher wheel levels
-				push(now + Time(rng.Int63n(1<<30)))
-			case op < 8: // overflow-range: beyond the wheel span
-				push(now + farDelta + Time(rng.Int63n(1<<40)))
-			case op < 9: // alias-window: delta just under the next level's
-				// span, where the level-l slot index lands a full wheel
-				// turn ahead of the clock (the hang fixed in wheelLevel)
-				l := 1 + rng.Intn(wheelLevels-1)
-				push(now + 63<<(wheelBits*l) + Time(rng.Int63n(1<<(wheelBits*l))))
+			case op < 8: // far ahead, or behind the last pop
+				c.push(now + Time(rng.Int63n(1<<40)) - 1<<39)
 			default: // pop a few, advancing the virtual clock
 				for p := 0; p < 1+rng.Intn(4); p++ {
-					be, he := bq.pop(), hq.pop()
-					if (be == nil) != (he == nil) {
-						t.Fatalf("trial %d: pop mismatch: %v vs %v", trial, be, he)
+					if at, ok := c.pop(); ok {
+						now = at
 					}
-					if be == nil {
-						break
-					}
-					if be.at != he.at || be.seq != he.seq {
-						t.Fatalf("trial %d: pop (at=%d seq=%d) vs (at=%d seq=%d)",
-							trial, be.at, be.seq, he.at, he.seq)
-					}
-					now = be.at
 				}
 			}
-			// Probes between ops must never perturb the order. A bounded
-			// probe (the Run(until) path) licenses pushes only above its
-			// limit; an exact probe, only at or above its answer — mirror
-			// the kernel by advancing the push floor accordingly.
-			if rng.Intn(2) == 0 {
-				limit := now + Time(rng.Intn(100000))
-				bAt, bOK := bq.next(limit)
-				hAt, hOK := hq.next(limit)
-				if bOK != hOK || (bOK && bAt != hAt) {
-					t.Fatalf("trial %d: probe(%d) (%d,%v) vs (%d,%v)", trial, limit, bAt, bOK, hAt, hOK)
-				}
-				if !bOK {
-					now = limit
-				} else if bAt > now {
-					now = bAt
-				}
-			} else {
-				bAt, bOK := bq.next(0)
-				hAt, hOK := hq.next(0)
-				if bOK != hOK || (bOK && bAt != hAt) {
-					t.Fatalf("trial %d: peek (%d,%v) vs (%d,%v)", trial, bAt, bOK, hAt, hOK)
-				}
-				if bOK && bAt > now {
-					now = bAt
-				}
-			}
+			c.peek()
 		}
-		drainCompare(t, bq, hq, "drain")
-	}
-}
-
-// TestBucketQueueSameTickFIFO pins the stable tie-break: events at one
-// tick dequeue in push order even when they entered at different wheel
-// levels (direct pushes vs cascades vs overflow migrations).
-func TestBucketQueueSameTickFIFO(t *testing.T) {
-	const at = farDelta + 4096 + 17
-	// seq 0, 3 and 4 share one tick but enter via the overflow list; by
-	// the time they migrate onto the wheel, the clock has advanced past
-	// seq 2 (level 0) and seq 1 (a middle level). Migration and cascade
-	// must keep the shared tick in 0, 3, 4 order.
-	bq, hq := queuePair([]Time{at, at - farDelta + 1, 3, at})
-	bq.push(&event{at: at, seq: 4})
-	hq.push(&event{at: at, seq: 4})
-	drainCompare(t, bq, hq, "same-tick")
-}
-
-// TestBucketQueueSlotAlias is the regression for the settle() livelock:
-// with the clock partway into a block, an event whose delta is just
-// under the next level's span maps to the clock's own slot position one
-// full wheel turn ahead. candidate() then reported the current turn's
-// block start and cascade() re-inserted the event in place without
-// advancing the clock, spinning settle() forever. wheelLevel now bumps
-// such events one level up (or to the overflow list from the top level).
-func TestBucketQueueSlotAlias(t *testing.T) {
-	for l := 1; l < wheelLevels; l++ {
-		span := Time(1) << (wheelBits * (l + 1)) // 64^(l+1)
-		for _, off := range []Time{1, span / 128, span/64 - 1} {
-			bq, hq := newBucketQueue(), &heapQueue{}
-			// Advance the clock off block alignment first.
-			for q, sq := range []eventQueue{bq, hq} {
-				sq.push(&event{at: 2*off + 3, seq: 0})
-				if e := sq.pop(); e == nil || e.at != 2*off+3 {
-					t.Fatalf("level %d queue %d: clock setup pop %v", l, q, e)
-				}
-			}
-			now := 2*off + 3
-			// The alias: at lands in the clock's slot, one turn ahead.
-			at := (now>>(wheelBits*l)+wheelSlots)<<(wheelBits*l) + off/2
-			bq.push(&event{at: at, seq: 1})
-			hq.push(&event{at: at, seq: 1})
-			bq.push(&event{at: at, seq: 2})
-			hq.push(&event{at: at, seq: 2})
-			drainCompare(t, bq, hq, "alias")
-		}
+		c.drain()
 	}
 }
 
 // TestRunUntilKeepsQueueOrder pins the peek-based run limit: stopping a
 // kernel mid-schedule and resuming must not reorder same-tick events.
 func TestRunUntilKeepsQueueOrder(t *testing.T) {
-	for _, kind := range []QueueKind{QueueBucket, QueueHeap} {
-		k := NewKernelWithQueue(kind)
-		var got []int
-		for i := 0; i < 4; i++ {
-			k.At(10, func() { got = append(got, i) })
-		}
-		k.At(5, func() { got = append(got, -1) })
-		if at := k.Run(7); at != 7 {
-			t.Fatalf("kind %d: Run(7) settled at %d", kind, at)
-		}
-		k.Run(0)
-		want := []int{-1, 0, 1, 2, 3}
-		for i, w := range want {
-			if i >= len(got) || got[i] != w {
-				t.Fatalf("kind %d: callback order %v, want %v", kind, got, want)
-			}
-		}
+	k := NewKernel()
+	var got []int
+	for i := 0; i < 4; i++ {
+		k.At(10, func() { got = append(got, i) })
 	}
-}
-
-// TestKernelQueueKindsBitIdentical runs an identical mixed workload on
-// both queue kinds and requires identical traces.
-func TestKernelQueueKindsBitIdentical(t *testing.T) {
-	run := func(kind QueueKind) []TraceEvent {
-		k := NewKernelWithQueue(kind)
-		var tr []TraceEvent
-		k.Trace(func(ev TraceEvent) { tr = append(tr, ev) })
-		for w := 0; w < 3; w++ {
-			seed := int64(100 + w)
-			k.Spawn("w", Time(w), func(p *Proc) {
-				r := rand.New(rand.NewSource(seed))
-				for i := 0; i < 50; i++ {
-					p.Delay(Time(r.Intn(40)))
-				}
-			})
-		}
-		k.Every(7, func() bool { return k.Now() < 900 })
-		k.Run(0)
-		k.Shutdown()
-		return tr
+	k.At(5, func() { got = append(got, -1) })
+	if at := k.Run(7); at != 7 {
+		t.Fatalf("Run(7) settled at %d", at)
 	}
-	a, b := run(QueueBucket), run(QueueHeap)
-	if len(a) != len(b) {
-		t.Fatalf("trace lengths differ: %d vs %d", len(a), len(b))
-	}
-	for i := range a {
-		if a[i] != b[i] {
-			t.Fatalf("trace %d differs: %+v vs %+v", i, a[i], b[i])
-		}
+	k.Run(0)
+	if want := []int{-1, 0, 1, 2, 3}; !slices.Equal(got, want) {
+		t.Fatalf("callback order %v, want %v", got, want)
 	}
 }
 
 // TestEventDispatchZeroAllocs pins the 0 allocs/op property of warm
-// event dispatch on both queue implementations.
+// event dispatch: once the queue's backing array has grown to the
+// resident set, scheduling allocates nothing.
 func TestEventDispatchZeroAllocs(t *testing.T) {
-	for _, kind := range []QueueKind{QueueBucket, QueueHeap} {
-		k := NewKernelWithQueue(kind)
-		var n int
-		var tick func()
-		tick = func() {
-			if n > 0 {
-				n--
-				k.After(1, tick)
-			}
+	k := NewKernel()
+	var n int
+	var tick func()
+	tick = func() {
+		if n > 0 {
+			n--
+			k.After(1, tick)
 		}
-		n = 64
+	}
+	n = 64
+	k.After(1, tick)
+	k.Run(0)
+	allocs := testing.AllocsPerRun(100, func() {
+		n = 50
 		k.After(1, tick)
 		k.Run(0)
-		allocs := testing.AllocsPerRun(100, func() {
-			n = 50
+	})
+	if allocs > 0 {
+		t.Fatalf("warm kernel allocated %.1f times per 50-event run, want 0", allocs)
+	}
+}
+
+// TestFreelistReuse pins slot reuse in the queue's backing array: warm
+// runs with the same resident set recycle the slots pop vacates instead
+// of growing the array, and every vacated slot is cleared so the heap
+// keeps no callback or process alive after its event has run.
+func TestFreelistReuse(t *testing.T) {
+	k := NewKernel()
+	var n int
+	var tick func()
+	tick = func() {
+		if n > 0 {
+			n--
 			k.After(1, tick)
-			k.Run(0)
-		})
-		if allocs > 0 {
-			t.Fatalf("queue kind %d: %.1f allocs per 50-event run, want 0", kind, allocs)
+		}
+	}
+	burst := func() {
+		for i := 0; i < 40; i++ {
+			k.After(Time(i%7), func() {})
+		}
+		n = 50
+		k.After(1, tick)
+		k.Run(0)
+	}
+	burst()
+	warm := cap(k.events)
+	for r := 0; r < 100; r++ {
+		burst()
+		if c := cap(k.events); c != warm {
+			t.Fatalf("run %d: backing array cap %d, want the warm %d", r, c, warm)
+		}
+	}
+	if len(k.events) != 0 {
+		t.Fatalf("%d events left after Run(0)", len(k.events))
+	}
+	for i, e := range k.events[:warm] {
+		if e.fn != nil || e.proc != nil {
+			t.Fatalf("vacated slot %d still holds an event", i)
 		}
 	}
 }
