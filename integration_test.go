@@ -154,18 +154,16 @@ func TestThreeReplicaSystemToleratesTwoFaults(t *testing.T) {
 		out := fault.GateWrite(nsel.WriterPort(r), switches[r-1])
 		work := kpn.WorkModel{BaseUs: 200, JitterUs: des.Time(r) * 100}
 		behavior := kpn.Transform(work, int64(40+r), nil)
-		k.Spawn("rep", 0, func(p *des.Proc) {
-			behavior(p, []kpn.ReadPort{in}, []kpn.WritePort{out})
-		})
+		kpn.Spawn(k, "rep", behavior, []kpn.ReadPort{in}, []kpn.WritePort{out})
 	}
 	const tokens = 300
 	prod := kpn.Producer(rtc.PJD{Period: period, Jitter: 50}, 1, tokens, nil)
-	k.Spawn("P", 0, func(p *des.Proc) { prod(p, nil, []kpn.WritePort{nrep.WriterPort()}) })
+	kpn.Spawn(k, "P", prod, nil, []kpn.WritePort{nrep.WriterPort()})
 	var consumed int
 	cons := kpn.Consumer(rtc.PJD{Period: period, Jitter: 50}, 2, tokens, func(now des.Time, tok kpn.Token) {
 		consumed++
 	})
-	k.Spawn("C", 0, func(p *des.Proc) { cons(p, []kpn.ReadPort{nsel.ReaderPort()}, nil) })
+	kpn.Spawn(k, "C", cons, []kpn.ReadPort{nsel.ReaderPort()}, nil)
 
 	switches[0].InjectAt(100*period, fault.StopAll, 0)
 	switches[2].InjectAt(180*period, fault.StopAll, 0)

@@ -113,7 +113,7 @@ func H264Network(cfg H264Config, sink Sink) (*kpn.Network, error) {
 		}},
 		{Name: "sliceframe", Role: kpn.RoleCritical, New: func(r int) kpn.Behavior {
 			work := cfg.Slice.work(r)
-			return func(p *des.Proc, in []kpn.ReadPort, out []kpn.WritePort) {
+			return kpn.Body(func(p *des.Proc, in []kpn.ReadPort, out []kpn.WritePort) {
 				if len(in) != 1 || len(out) != cfg.Slices {
 					panic(fmt.Sprintf("apps: sliceframe ports %d/%d", len(in), len(out)))
 				}
@@ -129,7 +129,7 @@ func H264Network(cfg H264Config, sink Sink) (*kpn.Network, error) {
 						o.Write(p, kpn.Token{Seq: tok.Seq, Stamp: p.Now(), Payload: part})
 					}
 				}
-			}
+			})
 		}},
 	}
 	chans := []kpn.ChannelSpec{
@@ -156,7 +156,7 @@ func H264Network(cfg H264Config, sink Sink) (*kpn.Network, error) {
 	procs = append(procs,
 		kpn.ProcessSpec{Name: "muxstream", Role: kpn.RoleCritical, New: func(r int) kpn.Behavior {
 			work := cfg.Mux.work(r)
-			return func(p *des.Proc, in []kpn.ReadPort, out []kpn.WritePort) {
+			return kpn.Body(func(p *des.Proc, in []kpn.ReadPort, out []kpn.WritePort) {
 				if len(in) != cfg.Slices || len(out) != 1 {
 					panic(fmt.Sprintf("apps: muxstream ports %d/%d", len(in), len(out)))
 				}
@@ -178,7 +178,7 @@ func H264Network(cfg H264Config, sink Sink) (*kpn.Network, error) {
 					tok.Stamp = p.Now()
 					out[0].Write(p, tok)
 				}
-			}
+			})
 		}},
 		kpn.ProcessSpec{Name: "consumer", Role: kpn.RoleConsumer, New: func(int) kpn.Behavior {
 			return kpn.Consumer(cfg.Consumer, 35, cfg.Frames, func(now des.Time, tok kpn.Token) {

@@ -168,7 +168,7 @@ func MJPEGNetwork(cfg MJPEGConfig, sink Sink) (*kpn.Network, error) {
 
 // splitStreamBehavior parses one encoded-frame token into per-strip
 // tokens, one per decoder output.
-func splitStreamBehavior(cfg MJPEGConfig, replica int) kpn.Behavior {
+func splitStreamBehavior(cfg MJPEGConfig, replica int) kpn.Body {
 	work := cfg.Split.work(replica)
 	return func(p *des.Proc, in []kpn.ReadPort, out []kpn.WritePort) {
 		if len(in) != 1 || len(out) != cfg.Strips {
@@ -190,7 +190,7 @@ func splitStreamBehavior(cfg MJPEGConfig, replica int) kpn.Behavior {
 }
 
 // mergeFrameBehavior reassembles strips into one decoded frame.
-func mergeFrameBehavior(cfg MJPEGConfig, replica int) kpn.Behavior {
+func mergeFrameBehavior(cfg MJPEGConfig, replica int) kpn.Body {
 	work := cfg.Merge.work(replica)
 	return func(p *des.Proc, in []kpn.ReadPort, out []kpn.WritePort) {
 		if len(in) != cfg.Strips || len(out) != 1 {

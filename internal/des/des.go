@@ -1,15 +1,19 @@
 // Package des is a deterministic discrete-event simulation kernel with
-// cooperative coroutine processes. It provides the virtual-time substrate
-// on which the SCC platform model and the Kahn-process-network runtime
-// execute: processes advance a shared virtual clock by sleeping
-// (Proc.Delay) and blocking on conditions (Proc.Wait), and the kernel
-// resumes exactly one process at a time, ordered by (time, sequence
-// number), so every run of the same program is bit-identical.
+// cooperative processes. It provides the virtual-time substrate on which
+// the SCC platform model and the Kahn-process-network runtime execute:
+// processes advance a shared virtual clock by sleeping (Proc.Delay) and
+// blocking on conditions (Proc.Wait), and the kernel resumes exactly one
+// process at a time, ordered by (time, sequence number), so every run of
+// the same program is bit-identical.
 //
-// Each process is an iter.Pull coroutine that only Run resumes. A
-// yielding process runs the dispatch loop itself, executing due callbacks
-// inline, and hands Run the next process to resume; when that is the
-// yielding one, it just continues, with no switch at all.
+// A process is one of two kinds. A coroutine process (Spawn) is an
+// iter.Pull coroutine that only Run resumes. A yielding process runs the
+// dispatch loop itself, executing due callbacks inline, and hands Run the
+// next process to resume; when that is the yielding one, it just
+// continues, with no switch at all. A step process (SpawnStep) is a
+// state machine the dispatch loop calls inline, like a callback, at the
+// instant it would resume a coroutine: it parks (Proc.Park) instead of
+// blocking, so it never needs a goroutine or a switch.
 //
 // Time is in ticks; one tick is one microsecond of virtual time
 // throughout this repository.
@@ -50,6 +54,8 @@ type Kernel struct {
 	// handoff is the process a suspending coroutine asks Run to resume
 	// next (nil: the run is over).
 	handoff *Proc
+	// stepping is the step process whose step is running, if any.
+	stepping *Proc
 
 	tracer func(TraceEvent)
 }
@@ -144,7 +150,7 @@ func (k *Kernel) push(at Time, proc *Proc, fn func()) {
 // A panic inside any process is re-thrown from Run.
 func (k *Kernel) Run(until Time) Time {
 	k.until = until
-	for p := k.nextProc(); p != nil; p = k.handoff {
+	for p := k.dispatch(); p != nil; p = k.handoff {
 		// Switches bypass the Go scheduler, which on one P is also what
 		// runs the GC's mark worker: without a yield now and then, a mark
 		// phase drags on while the heap, and so peak RSS, overshoots.
@@ -184,18 +190,44 @@ func (k *Kernel) nextProc() *Proc {
 		} else if p := e.proc; p != nil && p.state != stateDone {
 			k.emit("resume", p.name)
 			p.state = stateRunning
-			return p
+			if p.step == nil {
+				return p
+			}
+			k.runStep(p)
 		}
 	}
 	return nil
 }
 
-// step runs the dispatch loop inside a process coroutine. A callback that
-// panics there must neither unwind the process's stack nor pass for a
-// panic of the process: step catches it for Run to re-panic raw.
-func (k *Kernel) step() (next *Proc) {
+// runStep runs one step of a step process inline.
+func (k *Kernel) runStep(p *Proc) {
+	// Steps, like switches, bypass the Go scheduler; on one P the GC's
+	// mark worker needs a yield now and then (see Run). Counting steps
+	// at the switch cadence let peak RSS overshoot; every 16 holds it.
+	if k.stats.Steps++; k.stats.Steps%16 == 0 {
+		runtime.Gosched()
+	}
+	k.stepping = p
+	p.step(p)
+	if p.state == stateRunning {
+		panic("step returned without Park or Finish")
+	}
+	k.stepping = nil
+}
+
+// dispatch runs the dispatch loop for Run or inside a process coroutine.
+// A callback that panics there must neither unwind a process's stack nor
+// pass for a panic of a process: dispatch catches it for Run to re-panic
+// raw. A step that panics ends its process, and Run re-panics the value
+// wrapped with the process name, as for a coroutine.
+func (k *Kernel) dispatch() (next *Proc) {
 	defer func() {
 		if v := recover(); v != nil {
+			if p := k.stepping; p != nil {
+				k.stepping = nil
+				p.state, p.step = stateDone, nil
+				v = fmt.Errorf("des: process %q panicked: %v", p.name, v)
+			}
 			k.panicV = v
 			next = nil
 		}
@@ -227,25 +259,26 @@ func (k *Kernel) NumProcs() int { return len(k.procs) }
 func (k *Kernel) Dispatched() uint64 { return k.dispatched }
 
 // Stats counts scheduler actions across all Run calls. Every "resume"
-// trace event is either a switch or a self-resume.
+// trace event is a switch, a self-resume or a step.
 type Stats struct {
 	Switches    uint64 // Run resumed a process's coroutine
 	SelfResumes uint64 // a yielding process was the next to resume
+	Steps       uint64 // a step process's step ran inline
 	Callbacks   uint64 // kernel-context callbacks run
-	Blocks      uint64 // Waits on a Signal
+	Blocks      uint64 // Waits and Parks on a Signal
 }
 
 // Stats returns the scheduler counters.
 func (k *Kernel) Stats() Stats { return k.stats }
 
 // Shutdown stops every unfinished process coroutine, unwinding its
-// stack (one that never started never runs its body). Call it once after
-// the final Run to avoid leaking goroutines; the kernel must not be used
-// afterwards.
+// stack (one that never started never runs its body); a step process has
+// no coroutine to stop. Call it once after the final Run to avoid
+// leaking goroutines; the kernel must not be used afterwards.
 func (k *Kernel) Shutdown() {
 	k.stopped = true
 	for _, p := range k.procs {
-		if p.state != stateDone {
+		if p.state != stateDone && p.stop != nil {
 			p.stop()
 		}
 	}

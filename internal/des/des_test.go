@@ -612,3 +612,36 @@ func TestProcSwitchZeroAllocs(t *testing.T) {
 		t.Errorf("%.1f allocations per %d-switch ping-pong, want 0", allocs, switches)
 	}
 }
+
+func TestStepResumeZeroAllocs(t *testing.T) {
+	// Two step processes ping-pong through one Signal until left runs
+	// out, then both park and the run drains; each run re-arms them.
+	const steps = 1000
+	k := NewKernel()
+	defer k.Shutdown()
+	var sig Signal
+	left := 0
+	step := func(p *Proc) {
+		if left > 0 {
+			left--
+			k.Broadcast(&sig)
+		}
+		p.Park(On(&sig))
+	}
+	k.SpawnStep("ping", 0, step)
+	k.SpawnStep("pong", 0, step)
+	kick := func() { k.Broadcast(&sig) }
+	run := func() {
+		left = steps
+		k.At(k.Now(), kick)
+		k.Run(0)
+	}
+	before := k.Stats().Steps
+	run() // also grows the event queue and the waiter slices
+	if got := k.Stats().Steps - before; got < steps {
+		t.Fatalf("%d steps per run, want at least %d", got, steps)
+	}
+	if allocs := testing.AllocsPerRun(20, run); allocs > 0 {
+		t.Errorf("%.1f allocations per %d-step ping-pong, want 0", allocs, steps)
+	}
+}

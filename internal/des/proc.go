@@ -17,19 +17,38 @@ const (
 	stateDone                     // body returned
 )
 
-// Proc is a simulated process: a coroutine that advances virtual time by
-// calling Delay and synchronizes with other processes via Signals and the
-// structures built on them. All Proc methods must be called from the
-// process's own body function.
+// Proc is a simulated process of one of two kinds. A coroutine process
+// (Spawn) runs a body that advances virtual time by calling Delay and
+// synchronizes with other processes via Signals and the structures built
+// on them. A step process (SpawnStep) is a state machine: the dispatch
+// loop calls its step function inline, with no coroutine, each time the
+// process is resumed, and the step ends by calling Park or Finish. All
+// Proc methods must be called from the process's own body or step.
 type Proc struct {
 	k     *Kernel
 	name  string
 	state procState
+	// step is a step process's step function (nil: a coroutine).
+	step func(p *Proc)
 	// The iter.Pull coroutine, which Run resumes and Shutdown stops.
 	resume  func() (struct{}, bool)
 	suspend func(struct{}) bool
 	stop    func()
 }
+
+// Wait is what a process waits for: a Broadcast on a Signal (On) or a
+// span of virtual time (For).
+type Wait struct {
+	sig *Signal
+	d   Time
+}
+
+// On returns the wait for the next Broadcast on s.
+func On(s *Signal) Wait { return Wait{sig: s} }
+
+// For returns the wait of d ticks; a non-positive d yields the processor
+// without advancing time, as Delay does.
+func For(d Time) Wait { return Wait{d: d} }
 
 // errKilled unwinds a process that Kernel.Shutdown stops mid-body.
 type errKilled struct{}
@@ -37,12 +56,7 @@ type errKilled struct{}
 // Spawn creates a process whose body starts, as a coroutine, at virtual
 // time now+startDelay, strictly interleaved with all other processes.
 func (k *Kernel) Spawn(name string, startDelay Time, body func(p *Proc)) *Proc {
-	if startDelay < 0 {
-		panic(fmt.Sprintf("des: negative start delay %d for process %q", startDelay, name))
-	}
-	p := &Proc{k: k, name: name, state: stateReady}
-	k.procs = append(k.procs, p)
-	k.emit("spawn", name)
+	p := k.newProc(name, startDelay)
 	p.resume, p.stop = iter.Pull(func(suspend func(struct{}) bool) {
 		p.suspend = suspend
 		defer func() {
@@ -55,13 +69,34 @@ func (k *Kernel) Spawn(name string, startDelay Time, body func(p *Proc)) *Proc {
 			k.emit("end", name)
 			k.handoff = nil
 			if v == nil {
-				k.handoff = k.step()
+				k.handoff = k.dispatch()
 			} else {
 				k.panicV = fmt.Errorf("des: process %q panicked: %v", name, v)
 			}
 		}()
 		body(p)
 	})
+	return p
+}
+
+// SpawnStep creates a step process whose first step runs at virtual time
+// now+startDelay. Each step runs inline in the dispatch loop at exactly
+// the (time, sequence) instant a coroutine would be resumed, emits the
+// same trace events, and must end with Park or Finish.
+func (k *Kernel) SpawnStep(name string, startDelay Time, step func(p *Proc)) *Proc {
+	p := k.newProc(name, startDelay)
+	p.step = step
+	return p
+}
+
+// newProc registers a process and queues its first resume.
+func (k *Kernel) newProc(name string, startDelay Time) *Proc {
+	if startDelay < 0 {
+		panic(fmt.Sprintf("des: negative start delay %d for process %q", startDelay, name))
+	}
+	p := &Proc{k: k, name: name, state: stateReady}
+	k.procs = append(k.procs, p)
+	k.emit("spawn", name)
 	k.push(k.now+startDelay, p, nil)
 	return p
 }
@@ -78,22 +113,50 @@ func (p *Proc) Kernel() *Kernel { return p.k }
 // Delay suspends the process for d ticks of virtual time. A non-positive
 // d yields the processor without advancing time (the process is
 // re-scheduled at the current instant, after already-pending events).
-func (p *Proc) Delay(d Time) {
+func (p *Proc) Delay(d Time) { p.Await(For(d)) }
+
+// Await suspends a coroutine process until w is ready: Delay for a span,
+// Wait for a Signal.
+func (p *Proc) Await(w Wait) {
+	p.Park(w)
+	p.yield()
+}
+
+// Park registers the process to be resumed when w is ready, without
+// giving up the processor: a step process ends its step with it, and the
+// kernel runs the next step then. It queues the resume or joins the
+// Signal's waiters exactly as Delay and Wait do.
+func (p *Proc) Park(w Wait) {
+	k := p.k
+	if s := w.sig; s != nil {
+		s.waiters = append(s.waiters, p)
+		k.stats.Blocks++
+		k.emit("block", p.name)
+		p.state = stateBlocked
+		return
+	}
+	d := w.d
 	if d < 0 {
 		d = 0
 	}
-	p.k.push(p.k.now+d, p, nil)
-	p.yield(stateReady)
+	k.push(k.now+d, p, nil)
+	p.state = stateReady
 }
 
-// yield gives up the processor, recording the new state, and runs the
-// dispatch loop inline until it finds the next process to resume. When
-// that is p itself, yield returns without any switch; otherwise it names
-// the next process (or nil: the run is over) and suspends p back to Run.
-func (p *Proc) yield(s procState) {
-	p.state = s
+// Finish ends a step process: the current step is its last.
+func (p *Proc) Finish() {
+	p.state = stateDone
+	p.step = nil // release the machine
+	p.k.emit("end", p.name)
+}
+
+// yield gives up the processor and runs the dispatch loop inline until
+// it finds the next process to resume. When that is p itself, yield
+// returns without any switch; otherwise it names the next process (or
+// nil: the run is over) and suspends p back to Run.
+func (p *Proc) yield() {
 	k := p.k
-	next := k.step()
+	next := k.dispatch()
 	if next == p {
 		k.stats.SelfResumes++
 		return
@@ -113,12 +176,7 @@ type Signal struct {
 // Wait blocks the calling process until another process or a kernel
 // callback calls Broadcast (or Wake reaches it). Typical use re-checks
 // the guarded condition in a loop, as with sync.Cond.
-func (p *Proc) Wait(s *Signal) {
-	s.waiters = append(s.waiters, p)
-	p.k.stats.Blocks++
-	p.k.emit("block", p.name)
-	p.yield(stateBlocked)
-}
+func (p *Proc) Wait(s *Signal) { p.Await(On(s)) }
 
 // Broadcast wakes all processes waiting on s at the current virtual
 // time. It is safe to call from process bodies and kernel callbacks.

@@ -18,7 +18,9 @@ func TestDistanceMonitorHealthyStreamSilent(t *testing.T) {
 	k.Spawn("stream", 0, func(p *des.Proc) {
 		pacer := kpn.NewPacer(rtc.PJD{Period: 5000, Jitter: 500}, 3)
 		for i := 0; i < 40; i++ {
-			pacer.WaitNext(p)
+			if d := pacer.Next() - p.Now(); d > 0 {
+				p.Delay(d)
+			}
 			mon.OnEvent(p.Now())
 		}
 		k.Stop()

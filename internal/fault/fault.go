@@ -75,13 +75,6 @@ func (m Mode) String() string {
 	}
 }
 
-// Switch is the fault control for one replica. The zero value is a
-// healthy interface; faults are armed with Inject or scheduled with
-// InjectAt. A Switch is permanent once tripped (the paper tolerates one
-// permanent timing fault) unless RepairAt is used — an extension beyond
-// the paper's model for studying transient faults: the replica resumes,
-// its stale tokens surface as late duplicates the selector drops, and
-// any conviction already made stays latched.
 // Injection records one inject/repair cycle of a Switch.
 type Injection struct {
 	Mode       Mode
@@ -91,6 +84,13 @@ type Injection struct {
 	Repaired   bool
 }
 
+// Switch is the fault control for one replica. The zero value is a
+// healthy interface; faults are armed with Inject or scheduled with
+// InjectAt. A Switch is permanent once tripped (the paper tolerates one
+// permanent timing fault) unless RepairAt is used — an extension beyond
+// the paper's model for studying transient faults: the replica resumes,
+// its stale tokens surface as late duplicates the selector drops, and
+// any conviction already made stays latched.
 type Switch struct {
 	k        *des.Kernel
 	mode     Mode
@@ -173,84 +173,165 @@ func (s *Switch) Injections() []Injection {
 	return append([]Injection(nil), s.history...)
 }
 
-// blockWhileStopped parks the process until the stop fault is repaired
-// (never, for the paper's permanent faults).
-func (s *Switch) blockWhileStopped(p *des.Proc, stops func(Mode) bool) {
-	for stops(s.mode) {
-		p.Wait(&s.blocked)
-	}
-}
-
 func stopsReads(m Mode) bool  { return m == StopConsuming || m == StopAll }
 func stopsWrites(m Mode) bool { return m == StopProducing || m == StopAll }
 
-// gateRead applies the fault to a read about to happen.
-func (s *Switch) gateRead(p *des.Proc) {
-	s.blockWhileStopped(p, stopsReads)
-	s.grayGate(p)
-	if s.mode == Degrade {
-		p.Delay(s.extraUs)
-	}
+// gatePhase is where a gated operation is. Each phase that waits is one
+// blocking point of the operation; a retry after the wait continues in
+// that phase, so a fault injected or repaired meanwhile takes effect
+// exactly where it would in a process blocked at that point.
+type gatePhase uint8
+
+const (
+	gateStop    gatePhase = iota // park while a stop fault stops this direction
+	gateGray                     // apply Drift's ramped delay, or enter the Burst loop
+	gateBurst                    // stall to the end of Burst's on-window, re-checking
+	gateDegrade                  // pay Degrade's extra delay
+	gateInner                    // the wrapped port's operation is next
+	// gateHeld: a read holds its token through the stop re-check; a
+	// write's transformed token is at the wrapped port.
+	gateHeld
+)
+
+// gate is the fault state of one gated port's operation in progress.
+type gate struct {
+	sw    *Switch
+	phase gatePhase
+	// period is Burst's period as read on entering the loop; a
+	// re-injection during a stall changes the window, not the period.
+	period des.Time
 }
 
-// gateWrite applies the fault to a write about to happen.
-func (s *Switch) gateWrite(p *des.Proc) {
-	s.blockWhileStopped(p, stopsWrites)
-	s.grayGate(p)
-	if s.mode == Degrade {
-		p.Delay(s.extraUs)
+// pre runs the phases before the wrapped operation. It returns the wait
+// of the phase the operation stands in, or ok once it reaches gateInner.
+func (g *gate) pre(stops func(Mode) bool) (des.Wait, bool) {
+	s := g.sw
+	for {
+		switch g.phase {
+		case gateStop:
+			if stops(s.mode) {
+				return des.On(&s.blocked), false
+			}
+			g.phase = gateGray
+		case gateGray:
+			g.phase = gateDegrade
+			switch s.mode {
+			case Drift:
+				extra := s.gray.ExtraUs
+				if ramp := s.gray.RampUs; ramp > 0 {
+					if elapsed := s.k.Now() - s.at; elapsed < ramp {
+						extra = extra * elapsed / ramp
+					}
+				}
+				if extra > 0 {
+					return des.For(extra), false
+				}
+			case Burst:
+				if g.period = s.gray.PeriodUs; g.period > 0 {
+					g.phase = gateBurst
+				}
+			}
+		case gateBurst:
+			// Stall to the end of the current on-window; re-check after
+			// the stall in case a repair (or nothing — phase is then
+			// past OnUs) changed the picture.
+			if s.mode == Burst {
+				if phase := (s.k.Now() - s.at) % g.period; phase < s.gray.OnUs {
+					return des.For(s.gray.OnUs - phase), false
+				}
+			}
+			g.phase = gateDegrade
+		case gateDegrade:
+			g.phase = gateInner
+			if s.mode == Degrade {
+				return des.For(s.extraUs), false
+			}
+		default:
+			return des.Wait{}, true
+		}
 	}
 }
 
 // readGate wraps a ReadPort with a Switch.
 type readGate struct {
+	gate
 	inner kpn.ReadPort
-	sw    *Switch
+	tok   kpn.Token // read from inner, held through the post-read check
 }
 
 // GateRead returns a ReadPort whose reads are subject to the switch's
 // fault mode at the moment of each call.
 func GateRead(port kpn.ReadPort, sw *Switch) kpn.ReadPort {
-	return &readGate{inner: port, sw: sw}
+	return &readGate{gate: gate{sw: sw}, inner: port}
 }
 
-// Read implements kpn.ReadPort.
-func (g *readGate) Read(p *des.Proc) kpn.Token {
-	g.sw.gateRead(p)
-	tok := g.inner.Read(p)
+// TryRead implements kpn.ReadPort.
+func (g *readGate) TryRead() (kpn.Token, des.Wait, bool) {
+	if w, ok := g.pre(stopsReads); !ok {
+		return kpn.Token{}, w, false
+	}
+	if g.phase == gateInner {
+		tok, w, ok := g.inner.TryRead()
+		if !ok {
+			return kpn.Token{}, w, false
+		}
+		g.tok, g.phase = tok, gateHeld
+	}
 	// A fault injected while blocked inside the inner read must not leak
 	// the token onward: re-check and park while the replica is stopped.
 	// Under a permanent fault the token is lost with the replica; if the
 	// fault is transient (Repair), the resumed replica continues with
 	// the token it had fetched — pause semantics.
-	g.sw.blockWhileStopped(p, stopsReads)
-	return tok
+	if stopsReads(g.sw.mode) {
+		return kpn.Token{}, des.On(&g.sw.blocked), false
+	}
+	tok := g.tok
+	g.tok, g.phase = kpn.Token{}, gateStop
+	return tok, des.Wait{}, true
 }
+
+// Read implements kpn.ReadPort.
+func (g *readGate) Read(p *des.Proc) kpn.Token { return kpn.ReadBlocking(p, g.TryRead) }
 
 // PortName implements kpn.ReadPort.
 func (g *readGate) PortName() string { return g.inner.PortName() }
 
 // writeGate wraps a WritePort with a Switch.
 type writeGate struct {
+	gate
 	inner kpn.WritePort
-	sw    *Switch
+	tok   kpn.Token // the token as transformed, until the inner write takes it
 }
 
 // GateWrite returns a WritePort whose writes are subject to the switch's
 // fault mode at the moment of each call.
 func GateWrite(port kpn.WritePort, sw *Switch) kpn.WritePort {
-	return &writeGate{inner: port, sw: sw}
+	return &writeGate{gate: gate{sw: sw}, inner: port}
+}
+
+// TryWrite implements kpn.WritePort. The token-shaped gray modes apply
+// once per write, after the pre-phases.
+func (g *writeGate) TryWrite(tok kpn.Token) (des.Wait, bool) {
+	if g.phase != gateHeld {
+		if w, ok := g.pre(stopsWrites); !ok {
+			return w, false
+		}
+		tok, drop := g.sw.transformWrite(tok)
+		if drop {
+			g.phase = gateStop
+			return des.Wait{}, true
+		}
+		g.tok, g.phase = tok, gateHeld
+	}
+	if w, ok := g.inner.TryWrite(g.tok); !ok {
+		return w, false
+	}
+	g.tok, g.phase = kpn.Token{}, gateStop
+	return des.Wait{}, true
 }
 
 // Write implements kpn.WritePort.
-func (g *writeGate) Write(p *des.Proc, tok kpn.Token) {
-	g.sw.gateWrite(p)
-	tok, drop := g.sw.transformWrite(tok)
-	if drop {
-		return
-	}
-	g.inner.Write(p, tok)
-}
+func (g *writeGate) Write(p *des.Proc, tok kpn.Token) { kpn.WriteBlocking(p, g.TryWrite, tok) }
 
 // PortName implements kpn.WritePort.
 func (g *writeGate) PortName() string { return g.inner.PortName() }

@@ -56,39 +56,6 @@ func (s *Switch) InjectGrayAt(t des.Time, mode Mode, g Gray) {
 	s.k.At(t, func() { s.InjectGray(mode, g) })
 }
 
-// grayGate applies the delay-shaped gray modes to an operation about to
-// happen (called from gateRead/gateWrite with any stop already served).
-func (s *Switch) grayGate(p *des.Proc) {
-	switch s.mode {
-	case Drift:
-		extra := s.gray.ExtraUs
-		if ramp := s.gray.RampUs; ramp > 0 {
-			elapsed := s.k.Now() - s.at
-			if elapsed < ramp {
-				extra = extra * elapsed / ramp
-			}
-		}
-		if extra > 0 {
-			p.Delay(extra)
-		}
-	case Burst:
-		period := s.gray.PeriodUs
-		if period <= 0 {
-			return
-		}
-		// Stall to the end of the current on-window; re-check after the
-		// delay in case a repair (or nothing — phase is then past OnUs)
-		// changed the picture.
-		for s.mode == Burst {
-			phase := (s.k.Now() - s.at) % period
-			if phase >= s.gray.OnUs {
-				return
-			}
-			p.Delay(s.gray.OnUs - phase)
-		}
-	}
-}
-
 // transformWrite applies the token-shaped gray modes to a gated write:
 // returns the (possibly corrupted) token and whether to drop it.
 func (s *Switch) transformWrite(tok kpn.Token) (kpn.Token, bool) {

@@ -272,7 +272,7 @@ func (sys *System) spawnCritical(net *kpn.Network, ps kpn.ProcessSpec, r int, cf
 	}
 
 	behavior := ps.New(r)
-	sys.K.Spawn(name, 0, func(p *des.Proc) { behavior(p, ins, outs) })
+	kpn.Spawn(sys.K, name, behavior, ins, outs)
 	return nil
 }
 
@@ -314,7 +314,7 @@ func (sys *System) spawnReliable(net *kpn.Network, ps kpn.ProcessSpec, cfg Build
 		outs = append(outs, port)
 	}
 	behavior := ps.New(0)
-	sys.K.Spawn(ps.Name, 0, func(p *des.Proc) { behavior(p, ins, outs) })
+	kpn.Spawn(sys.K, ps.Name, behavior, ins, outs)
 	return nil
 }
 

@@ -190,13 +190,13 @@ func TestReplicatorReintegrateMirrorsHealthyQueue(t *testing.T) {
 	r := NewReplicator(k, "R", [2]int{4, 8}, nil)
 	k.Spawn("P", 0, func(p *des.Proc) {
 		for i := int64(1); i <= 10; i++ {
-			r.write(p, kpn.Token{Seq: i})
+			r.WriterPort().Write(p, kpn.Token{Seq: i})
 			p.Delay(100)
 		}
 	})
 	k.Spawn("C1", 0, func(p *des.Proc) {
 		for i := 0; i < 10; i++ {
-			r.read(p, 0)
+			r.ReaderPort(1).Read(p)
 			p.Delay(150)
 		}
 	})

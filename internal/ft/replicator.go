@@ -325,26 +325,26 @@ func (r *Replicator) SetReadHook(replica int, fn func(now des.Time)) {
 	r.onRead[replica-1] = fn
 }
 
-// write duplicates a token into all healthy queues, blocking only in
+// tryWrite duplicates a token into all healthy queues, waiting only in
 // Strict mode while some queue is full.
-func (r *Replicator) write(p *des.Proc, tok kpn.Token) {
-	for r.TryWrite(tok) != Proceed {
-		p.Wait(&r.notFull)
+func (r *Replicator) tryWrite(tok kpn.Token) (des.Wait, bool) {
+	if r.TryWrite(tok) != Proceed {
+		return des.On(&r.notFull), false
 	}
+	return des.Wait{}, true
 }
 
-// read removes the head token of queue i (0-based), blocking while it
+// tryRead removes the head token of queue i (0-based), waiting while it
 // is empty.
-func (r *Replicator) read(p *des.Proc, i int) kpn.Token {
-	for {
-		if tok, w := r.TryRead(i + 1); w == Proceed {
-			if fn := r.onRead[i]; fn != nil {
-				fn(r.k.Now())
-			}
-			return tok
-		}
-		p.Wait(&r.notEmpty[i])
+func (r *Replicator) tryRead(i int) (kpn.Token, des.Wait, bool) {
+	tok, w := r.TryRead(i + 1)
+	if w != Proceed {
+		return kpn.Token{}, des.On(&r.notEmpty[i]), false
 	}
+	if fn := r.onRead[i]; fn != nil {
+		fn(r.k.Now())
+	}
+	return tok, des.Wait{}, true
 }
 
 // replicatorWriter is the producer-facing write interface.
@@ -353,8 +353,9 @@ type replicatorWriter struct{ r *Replicator }
 // WriterPort returns the single write interface.
 func (r *Replicator) WriterPort() kpn.WritePort { return replicatorWriter{r} }
 
-func (w replicatorWriter) Write(p *des.Proc, tok kpn.Token) { w.r.write(p, tok) }
-func (w replicatorWriter) PortName() string                 { return w.r.name + ".w" }
+func (w replicatorWriter) TryWrite(tok kpn.Token) (des.Wait, bool) { return w.r.tryWrite(tok) }
+func (w replicatorWriter) Write(p *des.Proc, tok kpn.Token)        { kpn.WriteBlocking(p, w.TryWrite, tok) }
+func (w replicatorWriter) PortName() string                        { return w.r.name + ".w" }
 
 // replicatorReader is one replica-facing read interface.
 type replicatorReader struct {
@@ -367,5 +368,6 @@ func (r *Replicator) ReaderPort(replica int) kpn.ReadPort {
 	return replicatorReader{r: r, i: r.index(replica)}
 }
 
-func (rd replicatorReader) Read(p *des.Proc) kpn.Token { return rd.r.read(p, rd.i) }
-func (rd replicatorReader) PortName() string           { return fmt.Sprintf("%s.r%d", rd.r.name, rd.i+1) }
+func (rd replicatorReader) TryRead() (kpn.Token, des.Wait, bool) { return rd.r.tryRead(rd.i) }
+func (rd replicatorReader) Read(p *des.Proc) kpn.Token           { return kpn.ReadBlocking(p, rd.TryRead) }
+func (rd replicatorReader) PortName() string                     { return fmt.Sprintf("%s.r%d", rd.r.name, rd.i+1) }

@@ -483,22 +483,21 @@ func (s *Selector) signal(w WaitOn, port int) *des.Signal {
 	}
 }
 
-// write submits interface i's (0-based) next token, blocking on the
+// tryWrite submits interface i's (0-based) next token, waiting on the
 // interface's own space counter (Lemma 1) or on resynchronization.
-func (s *Selector) write(p *des.Proc, i int, tok kpn.Token) {
-	for w := s.TryWrite(i+1, tok); w != Proceed; w = s.TryWrite(i+1, tok) {
-		p.Wait(s.signal(w, i))
+func (s *Selector) tryWrite(i int, tok kpn.Token) (des.Wait, bool) {
+	if w := s.TryWrite(i+1, tok); w != Proceed {
+		return des.On(s.signal(w, i)), false
 	}
+	return des.Wait{}, true
 }
 
-// read removes the head token, blocking while the FIFO is empty.
-func (s *Selector) read(p *des.Proc) kpn.Token {
-	for {
-		if tok, w := s.TryRead(); w == Proceed {
-			return tok
-		}
-		p.Wait(&s.notEmpty)
+// tryRead removes the head token, waiting while the FIFO is empty.
+func (s *Selector) tryRead() (kpn.Token, des.Wait, bool) {
+	if tok, w := s.TryRead(); w == Proceed {
+		return tok, des.Wait{}, true
 	}
+	return kpn.Token{}, des.On(&s.notEmpty), false
 }
 
 // selectorWriter is one replica-facing write interface.
@@ -512,8 +511,9 @@ func (s *Selector) WriterPort(replica int) kpn.WritePort {
 	return selectorWriter{s: s, i: s.index(replica)}
 }
 
-func (w selectorWriter) Write(p *des.Proc, tok kpn.Token) { w.s.write(p, w.i, tok) }
-func (w selectorWriter) PortName() string                 { return fmt.Sprintf("%s.w%d", w.s.name, w.i+1) }
+func (w selectorWriter) TryWrite(tok kpn.Token) (des.Wait, bool) { return w.s.tryWrite(w.i, tok) }
+func (w selectorWriter) Write(p *des.Proc, tok kpn.Token)        { kpn.WriteBlocking(p, w.TryWrite, tok) }
+func (w selectorWriter) PortName() string                        { return fmt.Sprintf("%s.w%d", w.s.name, w.i+1) }
 
 // selectorReader is the consumer-facing read interface.
 type selectorReader struct{ s *Selector }
@@ -521,5 +521,6 @@ type selectorReader struct{ s *Selector }
 // ReaderPort returns the single read interface.
 func (s *Selector) ReaderPort() kpn.ReadPort { return selectorReader{s} }
 
-func (rd selectorReader) Read(p *des.Proc) kpn.Token { return rd.s.read(p) }
-func (rd selectorReader) PortName() string           { return rd.s.name + ".r" }
+func (rd selectorReader) TryRead() (kpn.Token, des.Wait, bool) { return rd.s.tryRead() }
+func (rd selectorReader) Read(p *des.Proc) kpn.Token           { return kpn.ReadBlocking(p, rd.TryRead) }
+func (rd selectorReader) PortName() string                     { return rd.s.name + ".r" }

@@ -11,7 +11,7 @@ import (
 // feedback channel carrying `init` initial tokens.
 func feedbackNet(init int) *Network {
 	passThrough := func(int) Behavior {
-		return func(p *des.Proc, in []ReadPort, out []WritePort) {
+		return Body(func(p *des.Proc, in []ReadPort, out []WritePort) {
 			for {
 				tok := in[0].Read(p)
 				if len(in) > 1 {
@@ -21,7 +21,7 @@ func feedbackNet(init int) *Network {
 					o.Write(p, tok)
 				}
 			}
-		}
+		})
 	}
 	return &Network{
 		Name: "feedback",
@@ -80,7 +80,7 @@ func TestSelfLoopCycle(t *testing.T) {
 		Name: "selfloop",
 		Procs: []ProcessSpec{
 			{Name: "A", Role: RoleCritical, New: func(int) Behavior {
-				return func(p *des.Proc, in []ReadPort, out []WritePort) {}
+				return Body(func(p *des.Proc, in []ReadPort, out []WritePort) {})
 			}},
 		},
 		Chans: []ChannelSpec{
@@ -100,8 +100,8 @@ func TestTwoDistinctCyclesCountedOnce(t *testing.T) {
 	n := &Network{
 		Name: "multi",
 		Procs: []ProcessSpec{
-			{Name: "A", Role: RoleCritical, New: func(int) Behavior { return func(*des.Proc, []ReadPort, []WritePort) {} }},
-			{Name: "B", Role: RoleCritical, New: func(int) Behavior { return func(*des.Proc, []ReadPort, []WritePort) {} }},
+			{Name: "A", Role: RoleCritical, New: func(int) Behavior { return Body(func(*des.Proc, []ReadPort, []WritePort) {}) }},
+			{Name: "B", Role: RoleCritical, New: func(int) Behavior { return Body(func(*des.Proc, []ReadPort, []WritePort) {}) }},
 		},
 		Chans: []ChannelSpec{
 			{Name: "fwd1", From: "A", To: "B", Capacity: 1},
@@ -134,13 +134,13 @@ func TestDeadlockRiskIsReal(t *testing.T) {
 	n2 := feedbackNet(2)
 	var consumed int
 	n2.Procs[1].New = func(int) Behavior { // B: count and feed back
-		return func(p *des.Proc, in []ReadPort, out []WritePort) {
+		return Body(func(p *des.Proc, in []ReadPort, out []WritePort) {
 			for {
 				tok := in[0].Read(p)
 				consumed++
 				out[0].Write(p, tok)
 			}
-		}
+		})
 	}
 	k2 := des.NewKernel()
 	if _, err := n2.Instantiate(k2); err != nil {

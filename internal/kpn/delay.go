@@ -102,14 +102,18 @@ func (f *DelayedFIFO) Preload(toks []Token) {
 	}
 }
 
-// Write implements WritePort: the token matures delay ticks from now.
-// It never blocks (see the type comment).
-func (f *DelayedFIFO) Write(p *des.Proc, tok Token) {
-	at := p.Now() + f.delay
+// TryWrite implements WritePort: the token matures delay ticks from
+// now. It never waits (see the type comment).
+func (f *DelayedFIFO) TryWrite(tok Token) (des.Wait, bool) {
+	at := f.k.Now() + f.delay
 	f.recs = append(f.recs, delayedRec{at: at, tok: tok})
 	f.writes++
 	f.k.At(at, f.mature)
+	return des.Wait{}, true
 }
+
+// Write implements WritePort; it never blocks.
+func (f *DelayedFIFO) Write(p *des.Proc, tok Token) { WriteBlocking(p, f.TryWrite, tok) }
 
 // mature runs at a record's maturity instant: bookkeeping and the
 // reader wakeup. Token visibility does NOT depend on it.
@@ -120,10 +124,11 @@ func (f *DelayedFIFO) mature() {
 	f.k.Broadcast(&f.notEmpty)
 }
 
-// Read implements ReadPort: blocks while no mature token is available.
-func (f *DelayedFIFO) Read(p *des.Proc) Token {
-	for f.head >= len(f.recs) || f.recs[f.head].at > f.k.Now() {
-		p.Wait(&f.notEmpty)
+// TryRead implements ReadPort: it waits while no mature token is
+// available.
+func (f *DelayedFIFO) TryRead() (Token, des.Wait, bool) {
+	if f.head >= len(f.recs) || f.recs[f.head].at > f.k.Now() {
+		return Token{}, des.On(&f.notEmpty), false
 	}
 	tok := f.recs[f.head].tok
 	f.recs[f.head] = delayedRec{} // release payload for GC
@@ -136,8 +141,11 @@ func (f *DelayedFIFO) Read(p *des.Proc) Token {
 		f.recs = append(f.recs[:0], f.recs[f.head:]...)
 		f.head = 0
 	}
-	return tok
+	return tok, des.Wait{}, true
 }
+
+// Read implements ReadPort: blocks while no mature token is available.
+func (f *DelayedFIFO) Read(p *des.Proc) Token { return ReadBlocking(p, f.TryRead) }
 
 var (
 	_ ReadPort  = (*DelayedFIFO)(nil)

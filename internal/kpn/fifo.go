@@ -61,10 +61,10 @@ func (f *FIFO) Preload(toks []Token) {
 	}
 }
 
-// Write implements WritePort: blocks while the queue is full.
-func (f *FIFO) Write(p *des.Proc, tok Token) {
-	for f.Fill() >= f.capacity {
-		p.Wait(&f.notFull)
+// TryWrite implements WritePort: it waits while the queue is full.
+func (f *FIFO) TryWrite(tok Token) (des.Wait, bool) {
+	if f.Fill() >= f.capacity {
+		return des.On(&f.notFull), false
 	}
 	f.q = append(f.q, tok)
 	f.writes++
@@ -72,12 +72,16 @@ func (f *FIFO) Write(p *des.Proc, tok Token) {
 		f.maxFill = fill
 	}
 	f.k.Broadcast(&f.notEmpty)
+	return des.Wait{}, true
 }
 
-// Read implements ReadPort: blocks while the queue is empty.
-func (f *FIFO) Read(p *des.Proc) Token {
-	for f.Fill() == 0 {
-		p.Wait(&f.notEmpty)
+// Write implements WritePort: blocks while the queue is full.
+func (f *FIFO) Write(p *des.Proc, tok Token) { WriteBlocking(p, f.TryWrite, tok) }
+
+// TryRead implements ReadPort: it waits while the queue is empty.
+func (f *FIFO) TryRead() (Token, des.Wait, bool) {
+	if f.Fill() == 0 {
+		return Token{}, des.On(&f.notEmpty), false
 	}
 	tok := f.q[f.head]
 	f.q[f.head] = Token{} // release payload for GC
@@ -91,8 +95,11 @@ func (f *FIFO) Read(p *des.Proc) Token {
 		f.head = 0
 	}
 	f.k.Broadcast(&f.notFull)
-	return tok
+	return tok, des.Wait{}, true
 }
+
+// Read implements ReadPort: blocks while the queue is empty.
+func (f *FIFO) Read(p *des.Proc) Token { return ReadBlocking(p, f.TryRead) }
 
 var (
 	_ ReadPort  = (*FIFO)(nil)

@@ -217,7 +217,7 @@ func (n *Network) Instantiate(k *des.Kernel) (*Instance, error) {
 		for _, c := range n.Outputs(ps.Name) {
 			outs = append(outs, inst.port(c.Name))
 		}
-		k.Spawn(ps.Name, 0, func(p *des.Proc) { behavior(p, ins, outs) })
+		Spawn(k, ps.Name, behavior, ins, outs)
 	}
 	return inst, nil
 }

@@ -1,7 +1,6 @@
 package kpn
 
 import (
-	"fmt"
 	"maps"
 	"sync"
 	"sync/atomic"
@@ -334,39 +333,7 @@ func (m *PayloadMemo) Gen(stage string, gen func(i int64) []byte) func(i int64) 
 // entry), a nil memo disables caching. Package topo builds every
 // synthetic DSL stage on this behavior.
 func MemoStage(work WorkModel, seed int64, memo *PayloadMemo, stage string, f func(i int64, ins [][]byte) []byte) Behavior {
-	t := memo.table(stage)
-	return func(p *des.Proc, in []ReadPort, out []WritePort) {
-		if len(in) == 0 || len(out) == 0 {
-			panic(fmt.Sprintf("kpn: MemoStage %q needs at least 1 input and 1 output, got %d/%d", stage, len(in), len(out)))
-		}
-		rng := NewRand(seed)
-		toks := make([]Token, len(in))
-		for {
-			total := 0
-			for i := range in {
-				toks[i] = in[i].Read(p)
-				total += toks[i].Size()
-			}
-			p.Delay(work.Duration(rng, total))
-			seq := toks[0].Seq
-			var tok Token
-			if f == nil {
-				tok = toks[0] // pass-through keeps the payload's memo entry
-				tok.Stamp = p.Now()
-			} else {
-				tok = memo.token(t, seq, p.Now(), func() []byte {
-					ins := make([][]byte, len(toks))
-					for i := range toks {
-						ins[i] = toks[i].Payload
-					}
-					return f(seq, ins)
-				})
-			}
-			for _, o := range out {
-				o.Write(p, tok)
-			}
-		}
-	}
+	return &stageLoop{kind: memoStageKind, work: work, seed: seed, memo: memo, table: memo.table(stage), name: stage, all: f}
 }
 
 // MemoTransform is Transform with the payload function memoized by the
@@ -380,16 +347,5 @@ func MemoTransform(work WorkModel, seed int64, memo *PayloadMemo, stage string, 
 	if f == nil || memo == nil {
 		return Transform(work, seed, f)
 	}
-	t := memo.table(stage)
-	return func(p *des.Proc, in []ReadPort, out []WritePort) {
-		if len(in) != 1 || len(out) != 1 {
-			panic(fmt.Sprintf("kpn: Transform needs 1 input and 1 output, got %d/%d", len(in), len(out)))
-		}
-		rng := NewRand(seed)
-		for {
-			tok := in[0].Read(p)
-			p.Delay(work.Duration(rng, tok.Size()))
-			out[0].Write(p, memo.token(t, tok.Seq, p.Now(), func() []byte { return f(tok.Seq, tok.Payload) }))
-		}
-	}
+	return &stageLoop{kind: memoTransformKind, work: work, seed: seed, memo: memo, table: memo.table(stage), name: stage, each: f}
 }

@@ -151,8 +151,8 @@ func TestPassThroughStagesKeepMemoEntry(t *testing.T) {
 	c := NewFIFO(k, "c", 2)
 	tr := Transform(WorkModel{BaseUs: 3}, 1, nil)
 	st := MemoStage(WorkModel{BaseUs: 4}, 2, m, "pass", nil)
-	k.Spawn("T", 0, func(p *des.Proc) { tr(p, []ReadPort{a}, []WritePort{b}) })
-	k.Spawn("S", 0, func(p *des.Proc) { st(p, []ReadPort{b}, []WritePort{c}) })
+	Spawn(k, "T", tr, []ReadPort{a}, []WritePort{b})
+	Spawn(k, "S", st, []ReadPort{b}, []WritePort{c})
 	var got Token
 	k.Spawn("drv", 0, func(p *des.Proc) {
 		a.Write(p, src)

@@ -15,6 +15,9 @@ type transferPort struct {
 	// fallbackBytes is used when a token has no payload (timing-only
 	// simulations where TokenBytes stands in for real data).
 	fallbackBytes int
+	// sent: the transfer of the token being written is paid, and the
+	// write is at the inner port.
+	sent bool
 }
 
 // WithTransfer wraps port so writes are delayed by the chip's transfer
@@ -24,18 +27,31 @@ func WithTransfer(port WritePort, chip *scc.Chip, from, to *scc.Core, fallbackBy
 	return &transferPort{inner: port, chip: chip, from: from, to: to, fallbackBytes: fallbackBytes}
 }
 
-// Write implements WritePort.
-func (t *transferPort) Write(p *des.Proc, tok Token) {
-	bytes := tok.Size()
-	if bytes == 0 {
-		bytes = t.fallbackBytes
+// TryWrite implements WritePort: a write first waits out the transfer
+// time (even a zero one, which yields), then writes to the inner port.
+func (t *transferPort) TryWrite(tok Token) (des.Wait, bool) {
+	if !t.sent {
+		t.sent = true
+		return des.For(t.chip.TransferTime(t.from, t.to, transferBytes(tok, t.fallbackBytes))), false
 	}
-	p.Delay(t.chip.TransferTime(t.from, t.to, bytes))
-	t.inner.Write(p, tok)
+	w, ok := t.inner.TryWrite(tok)
+	t.sent = !ok
+	return w, ok
 }
+
+// Write implements WritePort.
+func (t *transferPort) Write(p *des.Proc, tok Token) { WriteBlocking(p, t.TryWrite, tok) }
 
 // PortName implements WritePort.
 func (t *transferPort) PortName() string { return t.inner.PortName() }
+
+// transferBytes is the size a transfer of tok is charged for.
+func transferBytes(tok Token, fallback int) int {
+	if bytes := tok.Size(); bytes != 0 {
+		return bytes
+	}
+	return fallback
+}
 
 // readTransferPort wraps a ReadPort so every read pays the transfer
 // latency of moving the token from the channel's host core to the
@@ -46,6 +62,10 @@ type readTransferPort struct {
 	chip          *scc.Chip
 	from, to      *scc.Core
 	fallbackBytes int
+	// held is the token read from the inner port while its transfer
+	// time passes.
+	held    Token
+	holding bool
 }
 
 // WithReadTransfer wraps port so reads are delayed by the chip's
@@ -54,16 +74,25 @@ func WithReadTransfer(port ReadPort, chip *scc.Chip, from, to *scc.Core, fallbac
 	return &readTransferPort{inner: port, chip: chip, from: from, to: to, fallbackBytes: fallbackBytes}
 }
 
-// Read implements ReadPort.
-func (t *readTransferPort) Read(p *des.Proc) Token {
-	tok := t.inner.Read(p)
-	bytes := tok.Size()
-	if bytes == 0 {
-		bytes = t.fallbackBytes
+// TryRead implements ReadPort: a read takes the token from the inner
+// port, then waits out its transfer time (even a zero one) before
+// handing it on.
+func (t *readTransferPort) TryRead() (Token, des.Wait, bool) {
+	if t.holding {
+		tok := t.held
+		t.held, t.holding = Token{}, false
+		return tok, des.Wait{}, true
 	}
-	p.Delay(t.chip.TransferTime(t.from, t.to, bytes))
-	return tok
+	tok, w, ok := t.inner.TryRead()
+	if !ok {
+		return Token{}, w, false
+	}
+	t.held, t.holding = tok, true
+	return Token{}, des.For(t.chip.TransferTime(t.from, t.to, transferBytes(tok, t.fallbackBytes))), false
 }
+
+// Read implements ReadPort.
+func (t *readTransferPort) Read(p *des.Proc) Token { return ReadBlocking(p, t.TryRead) }
 
 // PortName implements ReadPort.
 func (t *readTransferPort) PortName() string { return t.inner.PortName() }

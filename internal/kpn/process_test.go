@@ -97,8 +97,8 @@ func TestProducerConsumerPipeline(t *testing.T) {
 		arrivals = append(arrivals, now)
 		seqs = append(seqs, tok.Seq)
 	})
-	k.Spawn("P", 0, func(p *des.Proc) { prod(p, nil, []WritePort{f}) })
-	k.Spawn("C", 0, func(p *des.Proc) { cons(p, []ReadPort{f}, nil) })
+	Spawn(k, "P", prod, nil, []WritePort{f})
+	Spawn(k, "C", cons, []ReadPort{f}, nil)
 	k.Run(0)
 
 	if len(seqs) != 10 {
@@ -124,7 +124,7 @@ func TestTransformAddsLatencyAndRewritesPayload(t *testing.T) {
 	tr := Transform(WorkModel{BaseUs: 7}, 3, func(i int64, pl []byte) []byte {
 		return append(pl, 0xFF)
 	})
-	k.Spawn("T", 0, func(p *des.Proc) { tr(p, []ReadPort{in}, []WritePort{out}) })
+	Spawn(k, "T", tr, []ReadPort{in}, []WritePort{out})
 	var got Token
 	k.Spawn("drv", 0, func(p *des.Proc) {
 		in.Write(p, Token{Seq: 1, Payload: []byte{1, 2}})
@@ -143,7 +143,7 @@ func TestTransformAddsLatencyAndRewritesPayload(t *testing.T) {
 func TestTransformPortAridityPanics(t *testing.T) {
 	k := des.NewKernel()
 	tr := Transform(WorkModel{}, 1, nil)
-	k.Spawn("T", 0, func(p *des.Proc) { tr(p, nil, nil) })
+	Spawn(k, "T", tr, nil, nil)
 	defer func() {
 		if recover() == nil {
 			t.Error("transform without ports should panic")
@@ -161,7 +161,7 @@ func TestConsumerBlockedCountsAgainstBudget(t *testing.T) {
 	cons := Consumer(rtc.PJD{Period: 10}, 1, 2, func(now des.Time, tok Token) {
 		arrivals = append(arrivals, now)
 	})
-	k.Spawn("C", 0, func(p *des.Proc) { cons(p, []ReadPort{f}, nil) })
+	Spawn(k, "C", cons, []ReadPort{f}, nil)
 	k.Spawn("W", 0, func(p *des.Proc) {
 		p.Delay(35)
 		f.Write(p, Token{Seq: 1})
@@ -179,7 +179,7 @@ func TestWorkModelDurationNonNegative(t *testing.T) {
 	in := NewFIFO(k, "in", 1)
 	out := NewFIFO(k, "out", 1)
 	tr := Transform(w, 1, nil)
-	k.Spawn("T", 0, func(p *des.Proc) { tr(p, []ReadPort{in}, []WritePort{out}) })
+	Spawn(k, "T", tr, []ReadPort{in}, []WritePort{out})
 	var done bool
 	k.Spawn("drv", 0, func(p *des.Proc) {
 		in.Write(p, Token{Seq: 1})

@@ -68,8 +68,13 @@ func (t Token) Size() int { return len(t.Payload) }
 // (Section 2: "a process attempting to read tokens from an empty input
 // FIFO queue will block").
 type ReadPort interface {
+	// TryRead removes and returns a token if the read can complete now
+	// (ok). Otherwise it returns the wait that stands where today's
+	// blocking read would block or delay; the caller waits it out and
+	// retries, and the retry continues from that point.
+	TryRead() (tok Token, w des.Wait, ok bool)
 	// Read blocks the calling process until a token is available, then
-	// removes and returns it.
+	// removes and returns it: TryRead retried through ReadBlocking.
 	Read(p *des.Proc) Token
 	// PortName identifies the port for diagnostics and topology dumps.
 	PortName() string
@@ -79,8 +84,36 @@ type ReadPort interface {
 // process attempting to write tokens to a full output FIFO queue will
 // block").
 type WritePort interface {
+	// TryWrite enqueues tok if the write can complete now (ok), and
+	// otherwise returns the wait to retry after, as TryRead does. A
+	// retry passes the same token.
+	TryWrite(tok Token) (w des.Wait, ok bool)
 	// Write blocks the calling process until the channel can accept the
-	// token, then enqueues it.
+	// token, then enqueues it: TryWrite retried through WriteBlocking.
 	Write(p *des.Proc, tok Token)
 	PortName() string
+}
+
+// ReadBlocking is the blocking read of every port: it retries try, the
+// port's TryRead, suspending p on each wait, until a token arrives.
+func ReadBlocking(p *des.Proc, try func() (Token, des.Wait, bool)) Token {
+	for {
+		tok, w, ok := try()
+		if ok {
+			return tok
+		}
+		p.Await(w)
+	}
+}
+
+// WriteBlocking is the blocking write of every port: it retries try, the
+// port's TryWrite, suspending p on each wait, until tok is taken.
+func WriteBlocking(p *des.Proc, try func(Token) (des.Wait, bool), tok Token) {
+	for {
+		w, ok := try(tok)
+		if ok {
+			return
+		}
+		p.Await(w)
+	}
 }
