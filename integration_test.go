@@ -165,8 +165,8 @@ func TestThreeReplicaSystemToleratesTwoFaults(t *testing.T) {
 	})
 	kpn.Spawn(k, "C", cons, []kpn.ReadPort{nsel.ReaderPort()}, nil)
 
-	switches[0].InjectAt(100*period, fault.StopAll, 0)
-	switches[2].InjectAt(180*period, fault.StopAll, 0)
+	switches[0].InjectAt(100*period, fault.StopAll, fault.Gray{})
+	switches[2].InjectAt(180*period, fault.StopAll, fault.Gray{})
 	k.Run(0)
 	k.Shutdown()
 

@@ -12,29 +12,21 @@ package apps
 import (
 	"encoding/binary"
 	"fmt"
-	"math/rand"
 
 	"ftpn/internal/des"
 	"ftpn/internal/kpn"
 	"ftpn/internal/rtc"
 )
 
-// newStageRand returns a deterministic per-stage random source.
-func newStageRand(seed int64) *rand.Rand { return kpn.NewRand(seed) }
-
-// stageDuration draws one execution time from a stage's work model.
-func stageDuration(w kpn.WorkModel, rng *rand.Rand, bytes int) des.Time {
-	return w.Duration(rng, bytes)
-}
-
 // StageTiming is the execution-time model of one critical stage per
 // replica: Base plus a per-replica jitter (the paper's design diversity,
 // Table 1: e.g. replica 1 <30,5,30> vs replica 2 <30,30,30>).
 type StageTiming struct {
-	BaseUs    des.Time
-	JitterUs  [3]des.Time // indexed by replica: 0 = reference, 1, 2
-	PerKBUs   des.Time
-	SeedDelta int64
+	BaseUs   des.Time
+	JitterUs [3]des.Time // indexed by replica: 0 = reference, 1, 2
+	// PerKBUs is charged per kilobyte of the stage's input tokens, over
+	// all its inputs.
+	PerKBUs des.Time
 }
 
 // work returns the kpn.WorkModel for a replica instance.

@@ -112,22 +112,13 @@ func H264Network(cfg H264Config, sink Sink) (*kpn.Network, error) {
 			return kpn.Producer(cfg.Producer, 31, cfg.Frames, gen)
 		}},
 		{Name: "sliceframe", Role: kpn.RoleCritical, New: func(r int) kpn.Behavior {
-			work := cfg.Slice.work(r)
-			return kpn.Body(func(p *des.Proc, in []kpn.ReadPort, out []kpn.WritePort) {
-				if len(in) != 1 || len(out) != cfg.Slices {
-					panic(fmt.Sprintf("apps: sliceframe ports %d/%d", len(in), len(out)))
+			return kpn.Stage(cfg.Slice.work(r), 32+int64(r), 1, cfg.Slices, func(_ int64, in, out []kpn.Token) {
+				tok := in[0]
+				if len(tok.Payload) != cfg.RawBytes() {
+					panic(fmt.Sprintf("apps: sliceframe raw size %d", len(tok.Payload)))
 				}
-				rng := newStageRand(32 + int64(r))
-				for i := int64(1); ; i++ {
-					tok := in[0].Read(p)
-					p.Delay(stageDuration(work, rng, tok.Size()))
-					if len(tok.Payload) != cfg.RawBytes() {
-						panic(fmt.Sprintf("apps: sliceframe raw size %d", len(tok.Payload)))
-					}
-					for s, o := range out {
-						part := tok.Payload[s*sliceH*cfg.Width : (s+1)*sliceH*cfg.Width]
-						o.Write(p, kpn.Token{Seq: tok.Seq, Stamp: p.Now(), Payload: part})
-					}
+				for s := range out {
+					out[s] = kpn.Token{Seq: tok.Seq, Payload: tok.Payload[s*sliceH*cfg.Width : (s+1)*sliceH*cfg.Width]}
 				}
 			})
 		}},
@@ -155,29 +146,8 @@ func H264Network(cfg H264Config, sink Sink) (*kpn.Network, error) {
 	}
 	procs = append(procs,
 		kpn.ProcessSpec{Name: "muxstream", Role: kpn.RoleCritical, New: func(r int) kpn.Behavior {
-			work := cfg.Mux.work(r)
-			return kpn.Body(func(p *des.Proc, in []kpn.ReadPort, out []kpn.WritePort) {
-				if len(in) != cfg.Slices || len(out) != 1 {
-					panic(fmt.Sprintf("apps: muxstream ports %d/%d", len(in), len(out)))
-				}
-				rng := newStageRand(34 + int64(r))
-				for i := int64(1); ; i++ {
-					parts := make([][]byte, len(in))
-					var seq int64
-					for s, ip := range in {
-						tok := ip.Read(p)
-						if s == 0 {
-							seq = tok.Seq
-						}
-						parts[s] = tok.Payload
-					}
-					// The stamp is set after the delay, which depends on
-					// the muxed size, so build the token first.
-					tok := cfg.Memo.Token("h264/muxstream", seq, 0, func() []byte { return chain32(parts) })
-					p.Delay(stageDuration(work, rng, tok.Size()))
-					tok.Stamp = p.Now()
-					out[0].Write(p, tok)
-				}
+			return kpn.MemoStage(cfg.Mux.work(r), 34+int64(r), cfg.Memo, "h264/muxstream", func(_ int64, ins [][]byte) []byte {
+				return chain32(ins)
 			})
 		}},
 		kpn.ProcessSpec{Name: "consumer", Role: kpn.RoleConsumer, New: func(int) kpn.Behavior {

@@ -168,49 +168,30 @@ func MJPEGNetwork(cfg MJPEGConfig, sink Sink) (*kpn.Network, error) {
 
 // splitStreamBehavior parses one encoded-frame token into per-strip
 // tokens, one per decoder output.
-func splitStreamBehavior(cfg MJPEGConfig, replica int) kpn.Body {
-	work := cfg.Split.work(replica)
-	return func(p *des.Proc, in []kpn.ReadPort, out []kpn.WritePort) {
-		if len(in) != 1 || len(out) != cfg.Strips {
-			panic(fmt.Sprintf("apps: splitstream ports %d/%d, want 1/%d", len(in), len(out), cfg.Strips))
+func splitStreamBehavior(cfg MJPEGConfig, replica int) kpn.Behavior {
+	return kpn.Stage(cfg.Split.work(replica), 17+int64(replica), 1, cfg.Strips, func(_ int64, in, out []kpn.Token) {
+		parts, err := splitChain32(in[0].Payload)
+		if err != nil || len(parts) != len(out) {
+			panic(fmt.Sprintf("apps: splitstream frame %d: %v (%d parts)", in[0].Seq, err, len(parts)))
 		}
-		rng := newStageRand(17 + int64(replica))
-		for i := int64(1); ; i++ {
-			tok := in[0].Read(p)
-			p.Delay(stageDuration(work, rng, tok.Size()))
-			parts, err := splitChain32(tok.Payload)
-			if err != nil || len(parts) != cfg.Strips {
-				panic(fmt.Sprintf("apps: splitstream frame %d: %v (%d parts)", tok.Seq, err, len(parts)))
-			}
-			for s, o := range out {
-				o.Write(p, kpn.Token{Seq: tok.Seq, Stamp: p.Now(), Payload: parts[s]})
-			}
+		for s := range out {
+			out[s] = kpn.Token{Seq: in[0].Seq, Payload: parts[s]}
 		}
-	}
+	})
 }
 
 // mergeFrameBehavior reassembles strips into one decoded frame.
-func mergeFrameBehavior(cfg MJPEGConfig, replica int) kpn.Body {
-	work := cfg.Merge.work(replica)
-	return func(p *des.Proc, in []kpn.ReadPort, out []kpn.WritePort) {
-		if len(in) != cfg.Strips || len(out) != 1 {
-			panic(fmt.Sprintf("apps: mergeframe ports %d/%d, want %d/1", len(in), len(out), cfg.Strips))
+func mergeFrameBehavior(cfg MJPEGConfig, replica int) kpn.Behavior {
+	return kpn.Stage(cfg.Merge.work(replica), 19+int64(replica), cfg.Strips, 1, func(i int64, in, out []kpn.Token) {
+		n := 0
+		for _, tok := range in {
+			n += tok.Size()
 		}
-		rng := newStageRand(19 + int64(replica))
-		parts := make([]kpn.Token, len(in))
-		for i := int64(1); ; i++ {
-			n := 0
-			for s, ip := range in {
-				parts[s] = ip.Read(p)
-				n += parts[s].Size()
-			}
-			if n != cfg.DecodedBytes() {
-				panic(fmt.Sprintf("apps: mergeframe %d assembled %d bytes, want %d", i, n, cfg.DecodedBytes()))
-			}
-			p.Delay(stageDuration(work, rng, n))
-			out[0].Write(p, cfg.Memo.Join("mjpeg/mergeframe", parts[0].Seq, p.Now(), parts))
+		if n != cfg.DecodedBytes() {
+			panic(fmt.Sprintf("apps: mergeframe %d assembled %d bytes, want %d", i, n, cfg.DecodedBytes()))
 		}
-	}
+		out[0] = cfg.Memo.Join("mjpeg/mergeframe", in[0].Seq, 0, in)
+	})
 }
 
 // ReplicaOutputModel returns a conservative PJD envelope for replica r's

@@ -141,14 +141,14 @@ func injectClass(sys *ft.System, app App, class string, replica int, injectAt de
 		// that the consumer-stall counter trips binary detection, and
 		// the (m,k) windows flush during the ~20 clean periods between
 		// the episodes.
-		sw.InjectGrayAt(injectAt, fault.Burst, fault.Gray{OnUs: 2 * p, PeriodUs: 20 * p})
+		sw.InjectAt(injectAt, fault.Burst, fault.Gray{OnUs: 2 * p, PeriodUs: 20 * p})
 		sw.RepairAt(injectAt + 23*p)
 	case "drift":
-		sw.InjectGrayAt(injectAt, fault.Drift, fault.Gray{ExtraUs: 4 * p, RampUs: 30 * p})
+		sw.InjectAt(injectAt, fault.Drift, fault.Gray{ExtraUs: 4 * p, RampUs: 30 * p})
 	case "drop":
-		sw.InjectGrayAt(injectAt, fault.DropTokens, fault.Gray{EveryN: 5})
+		sw.InjectAt(injectAt, fault.DropTokens, fault.Gray{EveryN: 5})
 	case "corrupt":
-		sw.InjectGrayAt(injectAt, fault.Corrupt, fault.Gray{EveryN: 4, Seed: uint64(idx) + 1})
+		sw.InjectAt(injectAt, fault.Corrupt, fault.Gray{EveryN: 4, Seed: uint64(idx) + 1})
 	default:
 		panic("exp: unknown detect class " + class) // detectClasses is static
 	}

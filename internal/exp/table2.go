@@ -178,31 +178,41 @@ func runReference(app App, arr *trace.Arrivals) error {
 
 // measureOpCosts times selector and replicator operations on the host,
 // yielding the per-operation runtime overhead the paper reports as a
-// fraction of the application period.
+// fraction of the application period. It times the try forms the
+// simulated processes call, on ports built once, outside any process:
+// every operation must go through without waiting.
 func measureOpCosts(sizing Sizing) (selNs, repNs int64) {
 	const ops = 20000
 	k := des.NewKernel()
 	sel := ft.NewSelector(k, "bench-sel", sizing.SelCaps, [2]int{0, 0}, sizing.D, nil, nil)
 	rep := ft.NewReplicator(k, "bench-rep", sizing.RepCaps, nil)
-	k.Spawn("driver", 0, func(p *des.Proc) {
-		tok := kpn.Token{Seq: 1}
-		start := time.Now()
-		for i := 0; i < ops; i++ {
-			sel.WriterPort(1).Write(p, tok)
-			sel.WriterPort(2).Write(p, tok) // late duplicate: dropped
-			sel.ReaderPort().Read(p)
+	tok := kpn.Token{Seq: 1}
+	write := func(w kpn.WritePort) {
+		if _, ok := w.TryWrite(tok); !ok {
+			panic("exp: a timed " + w.PortName() + " write would block")
 		}
-		selNs = time.Since(start).Nanoseconds() / (3 * ops)
-		start = time.Now()
-		for i := 0; i < ops; i++ {
-			rep.WriterPort().Write(p, tok)
-			rep.ReaderPort(1).Read(p)
-			rep.ReaderPort(2).Read(p)
+	}
+	read := func(r kpn.ReadPort) {
+		if _, _, ok := r.TryRead(); !ok {
+			panic("exp: a timed " + r.PortName() + " read would block")
 		}
-		repNs = time.Since(start).Nanoseconds() / (3 * ops)
-	})
-	k.Run(0)
-	k.Shutdown()
+	}
+	sel1, sel2, selOut := sel.WriterPort(1), sel.WriterPort(2), sel.ReaderPort()
+	start := time.Now()
+	for range ops {
+		write(sel1)
+		write(sel2) // late duplicate: dropped
+		read(selOut)
+	}
+	selNs = time.Since(start).Nanoseconds() / (3 * ops)
+	repIn, rep1, rep2 := rep.WriterPort(), rep.ReaderPort(1), rep.ReaderPort(2)
+	start = time.Now()
+	for range ops {
+		write(repIn)
+		read(rep1)
+		read(rep2)
+	}
+	repNs = time.Since(start).Nanoseconds() / (3 * ops)
 	return selNs, repNs
 }
 

@@ -94,15 +94,14 @@ type Injection struct {
 type Switch struct {
 	k        *des.Kernel
 	mode     Mode
-	extraUs  des.Time
 	at       des.Time // injection instant, valid once mode != None
 	blocked  des.Signal
 	injected bool
 	repaired bool
 	history  []Injection
 
-	// gray parameterizes the gray-failure modes (see gray.go); ops
-	// counts gated writes since injection for the every-N modes.
+	// gray parameterizes the fault (see gray.go); ops counts gated
+	// writes since injection for the every-N modes.
 	gray Gray
 	ops  int64
 }
@@ -110,24 +109,28 @@ type Switch struct {
 // NewSwitch creates a healthy switch bound to the kernel.
 func NewSwitch(k *des.Kernel) *Switch { return &Switch{k: k} }
 
-// Inject trips the switch immediately. extraUs is only meaningful for
-// Degrade and is the added delay per channel operation. An active fault
-// is permanent: further injections are ignored until (and unless) the
+// Inject trips the switch immediately; g parameterizes the fault, and
+// each mode reads only its own fields of it. An active fault is
+// permanent: further injections are ignored until (and unless) the
 // switch is Repair-ed.
-func (s *Switch) Inject(mode Mode, extraUs des.Time) {
+func (s *Switch) Inject(mode Mode, g Gray) {
 	if s.mode != None || mode == None {
 		return
 	}
+	if mode == Burst && g.PeriodUs > 0 && g.OnUs >= g.PeriodUs {
+		g.OnUs = g.PeriodUs - 1
+	}
 	s.mode = mode
-	s.extraUs = extraUs
+	s.gray = g
+	s.ops = 0
 	s.at = s.k.Now()
 	s.injected = true
-	s.history = append(s.history, Injection{Mode: mode, ExtraUs: extraUs, At: s.at})
+	s.history = append(s.history, Injection{Mode: mode, ExtraUs: g.ExtraUs, At: s.at})
 }
 
 // InjectAt schedules the fault for virtual time t.
-func (s *Switch) InjectAt(t des.Time, mode Mode, extraUs des.Time) {
-	s.k.At(t, func() { s.Inject(mode, extraUs) })
+func (s *Switch) InjectAt(t des.Time, mode Mode, g Gray) {
+	s.k.At(t, func() { s.Inject(mode, g) })
 }
 
 // Mode returns the current fault mode.
@@ -148,7 +151,6 @@ func (s *Switch) Repair() {
 		return
 	}
 	s.mode = None
-	s.extraUs = 0
 	s.gray = Gray{}
 	s.ops = 0
 	s.repaired = true
@@ -244,7 +246,7 @@ func (g *gate) pre(stops func(Mode) bool) (des.Wait, bool) {
 		case gateDegrade:
 			g.phase = gateInner
 			if s.mode == Degrade {
-				return des.For(s.extraUs), false
+				return des.For(s.gray.ExtraUs), false
 			}
 		default:
 			return des.Wait{}, true

@@ -25,19 +25,19 @@ func TestSwitchInjectOnce(t *testing.T) {
 	if _, ok := s.InjectedAt(); ok {
 		t.Error("fresh switch reports injected")
 	}
-	s.Inject(StopAll, 0)
+	s.Inject(StopAll, Gray{})
 	at, ok := s.InjectedAt()
 	if !ok || at != 0 || s.Mode() != StopAll {
 		t.Errorf("after inject: at=%d ok=%v mode=%s", at, ok, s.Mode())
 	}
 	// Permanent: a second injection is ignored.
-	s.Inject(Degrade, 100)
+	s.Inject(Degrade, Gray{ExtraUs: 100})
 	if s.Mode() != StopAll {
 		t.Error("switch must be permanent once tripped")
 	}
 	// Injecting None is a no-op.
 	s2 := NewSwitch(k)
-	s2.Inject(None, 0)
+	s2.Inject(None, Gray{})
 	if _, ok := s2.InjectedAt(); ok {
 		t.Error("Inject(None) must not arm the switch")
 	}
@@ -46,7 +46,7 @@ func TestSwitchInjectOnce(t *testing.T) {
 func TestInjectAtSchedules(t *testing.T) {
 	k := des.NewKernel()
 	s := NewSwitch(k)
-	s.InjectAt(500, StopProducing, 0)
+	s.InjectAt(500, StopProducing, Gray{})
 	k.Spawn("obs", 0, func(p *des.Proc) {
 		p.Delay(499)
 		if s.Mode() != None {
@@ -79,7 +79,7 @@ func TestStopConsumingBlocksReads(t *testing.T) {
 			p.Delay(10)
 		}
 	})
-	s.InjectAt(35, StopConsuming, 0)
+	s.InjectAt(35, StopConsuming, Gray{})
 	k.Run(0)
 	k.Shutdown()
 	if reads != 4 { // t = 0,10,20,30
@@ -101,7 +101,7 @@ func TestStopProducingBlocksWrites(t *testing.T) {
 			p.Delay(10)
 		}
 	})
-	s.InjectAt(45, StopProducing, 0)
+	s.InjectAt(45, StopProducing, Gray{})
 	k.Run(0)
 	k.Shutdown()
 	if f.Writes() != 5 { // t = 0,10,20,30,40
@@ -116,7 +116,7 @@ func TestDegradeSlowsOperations(t *testing.T) {
 	k := des.NewKernel()
 	f := kpn.NewFIFO(k, "c", 100)
 	s := NewSwitch(k)
-	s.Inject(Degrade, 25)
+	s.Inject(Degrade, Gray{ExtraUs: 25})
 	gated := GateWrite(f, s)
 	var done des.Time
 	k.Spawn("w", 0, func(p *des.Proc) {
@@ -154,7 +154,7 @@ func TestStopAllBlocksBothDirections(t *testing.T) {
 			p.Delay(10)
 		}
 	})
-	s.InjectAt(25, StopAll, 0)
+	s.InjectAt(25, StopAll, Gray{})
 	k.Run(200)
 	k.Shutdown()
 	if ops != 3 { // t=0,10,20
@@ -173,8 +173,8 @@ func TestRepairResumesInterface(t *testing.T) {
 			p.Delay(10)
 		}
 	})
-	s.InjectAt(25, StopProducing, 0) // pauses writes 4..N
-	s.RepairAt(95)                   // transient fault: resume
+	s.InjectAt(25, StopProducing, Gray{}) // pauses writes 4..N
+	s.RepairAt(95)                        // transient fault: resume
 	k.Run(0)
 	k.Shutdown()
 	if f.Writes() != 10 {
@@ -200,9 +200,9 @@ func TestRepairNoOpWhenHealthy(t *testing.T) {
 func TestReinjectAfterRepair(t *testing.T) {
 	k := des.NewKernel()
 	s := NewSwitch(k)
-	s.Inject(Degrade, 100)
+	s.Inject(Degrade, Gray{ExtraUs: 100})
 	s.Repair()
-	s.Inject(StopAll, 0)
+	s.Inject(StopAll, Gray{})
 	if s.Mode() != StopAll {
 		t.Errorf("mode after re-injection = %s, want stop-all", s.Mode())
 	}
@@ -220,7 +220,7 @@ func TestFaultWhileBlockedInsideReadDoesNotLeakToken(t *testing.T) {
 		gated.Read(p)
 		forwarded = true
 	})
-	s.InjectAt(10, StopConsuming, 0)
+	s.InjectAt(10, StopConsuming, Gray{})
 	k.Spawn("w", 0, func(p *des.Proc) {
 		p.Delay(50)
 		f.Write(p, kpn.Token{Seq: 1})

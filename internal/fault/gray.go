@@ -13,12 +13,13 @@ import (
 	"ftpn/internal/kpn"
 )
 
-// Gray parameterizes the gray-failure modes. Only the fields of the
-// injected mode are read.
+// Gray parameterizes an injected fault. Only the fields of the injected
+// mode are read; the stop modes read none.
 type Gray struct {
-	// Drift: the per-operation delay ramps linearly from 0 at injection
-	// to ExtraUs once RampUs has elapsed (RampUs = 0 starts at full
-	// strength, i.e. plain Degrade).
+	// Degrade: every operation pays ExtraUs. Drift: the per-operation
+	// delay ramps linearly from 0 at injection to ExtraUs once RampUs
+	// has elapsed (RampUs = 0 starts at full strength, i.e. plain
+	// Degrade).
 	ExtraUs des.Time
 	RampUs  des.Time
 
@@ -34,26 +35,6 @@ type Gray struct {
 
 	// Corrupt: Seed varies which payload byte is flipped.
 	Seed uint64
-}
-
-// InjectGray trips a gray-failure fault immediately. Like Inject, an
-// active fault is permanent until Repair; the plain modes may also be
-// passed (their Gray fields are ignored except ExtraUs for Degrade).
-func (s *Switch) InjectGray(mode Mode, g Gray) {
-	if s.mode != None || mode == None {
-		return
-	}
-	if mode == Burst && g.PeriodUs > 0 && g.OnUs >= g.PeriodUs {
-		g.OnUs = g.PeriodUs - 1
-	}
-	s.gray = g
-	s.ops = 0
-	s.Inject(mode, g.ExtraUs)
-}
-
-// InjectGrayAt schedules the gray fault for virtual time t.
-func (s *Switch) InjectGrayAt(t des.Time, mode Mode, g Gray) {
-	s.k.At(t, func() { s.InjectGray(mode, g) })
 }
 
 // transformWrite applies the token-shaped gray modes to a gated write:

@@ -27,7 +27,7 @@ func TestDriftRampsDelay(t *testing.T) {
 	f := kpn.NewFIFO(k, "c", 64)
 	s := NewSwitch(k)
 	gated := GateWrite(f, s)
-	s.InjectGray(Drift, Gray{ExtraUs: 100, RampUs: 1000})
+	s.Inject(Drift, Gray{ExtraUs: 100, RampUs: 1000})
 	var stamps []des.Time
 	k.Spawn("w", 0, func(p *des.Proc) {
 		for i := 0; i < 5; i++ {
@@ -65,7 +65,7 @@ func TestDriftZeroRampIsDegrade(t *testing.T) {
 	f := kpn.NewFIFO(k, "c", 8)
 	s := NewSwitch(k)
 	gated := GateWrite(f, s)
-	s.InjectGray(Drift, Gray{ExtraUs: 42})
+	s.Inject(Drift, Gray{ExtraUs: 42})
 	var delay des.Time
 	k.Spawn("w", 0, func(p *des.Proc) {
 		before := k.Now()
@@ -86,7 +86,7 @@ func TestBurstDutyCycle(t *testing.T) {
 	s := NewSwitch(k)
 	gated := GateWrite(f, s)
 	// On for 100 of every 1000, injected at t=0.
-	s.InjectGray(Burst, Gray{OnUs: 100, PeriodUs: 1000})
+	s.Inject(Burst, Gray{OnUs: 100, PeriodUs: 1000})
 	type rec struct{ start, end des.Time }
 	var recs []rec
 	k.Spawn("w", 0, func(p *des.Proc) {
@@ -121,7 +121,7 @@ func TestBurstRepairWakes(t *testing.T) {
 	f := kpn.NewFIFO(k, "c", 8)
 	s := NewSwitch(k)
 	gated := GateWrite(f, s)
-	s.InjectGray(Burst, Gray{OnUs: 500, PeriodUs: 1000})
+	s.Inject(Burst, Gray{OnUs: 500, PeriodUs: 1000})
 	s.RepairAt(100)
 	var done des.Time
 	k.Spawn("w", 0, func(p *des.Proc) {
@@ -143,7 +143,7 @@ func TestDropTokensEveryN(t *testing.T) {
 	f := kpn.NewFIFO(k, "c", 64)
 	s := NewSwitch(k)
 	gated := GateWrite(f, s)
-	s.InjectGray(DropTokens, Gray{EveryN: 3})
+	s.Inject(DropTokens, Gray{EveryN: 3})
 	var got []int64
 	k.Spawn("w", 0, func(p *des.Proc) {
 		for i := int64(1); i <= 9; i++ {
@@ -179,7 +179,7 @@ func TestCorruptFlipsByteDeterministically(t *testing.T) {
 		f := kpn.NewFIFO(k, "c", 64)
 		s := NewSwitch(k)
 		gated := GateWrite(f, s)
-		s.InjectGray(Corrupt, Gray{EveryN: 2, Seed: seed})
+		s.Inject(Corrupt, Gray{EveryN: 2, Seed: seed})
 		orig := []byte{1, 2, 3, 4}
 		var out [][]byte
 		k.Spawn("w", 0, func(p *des.Proc) {
@@ -226,7 +226,7 @@ func TestCorruptMemoTokenHashesItsBytes(t *testing.T) {
 	f := kpn.NewFIFO(k, "c", 4)
 	s := NewSwitch(k)
 	gated := GateWrite(f, s)
-	s.InjectGray(Corrupt, Gray{EveryN: 1, Seed: 3})
+	s.Inject(Corrupt, Gray{EveryN: 1, Seed: 3})
 	var got kpn.Token
 	k.Spawn("w", 0, func(p *des.Proc) { gated.Write(p, golden) })
 	k.Spawn("r", 0, func(p *des.Proc) { got = f.Read(p) })
@@ -252,7 +252,7 @@ func TestCorruptMemoTokenHashesItsBytes(t *testing.T) {
 func TestRepairClearsGray(t *testing.T) {
 	k := des.NewKernel()
 	s := NewSwitch(k)
-	s.InjectGray(DropTokens, Gray{EveryN: 1})
+	s.Inject(DropTokens, Gray{EveryN: 1})
 	s.Repair()
 	if s.gray != (Gray{}) || s.ops != 0 {
 		t.Errorf("repair left gray state: %+v ops=%d", s.gray, s.ops)

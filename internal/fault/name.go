@@ -12,13 +12,3 @@ func ModeByName(name string) (Mode, bool) {
 	}
 	return None, false
 }
-
-// IsGray reports whether the mode is parameterized by a Gray struct
-// (injected via InjectGray/InjectGrayAt rather than Inject).
-func (m Mode) IsGray() bool {
-	switch m {
-	case Drift, Burst, DropTokens, Corrupt:
-		return true
-	}
-	return false
-}

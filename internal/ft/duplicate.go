@@ -319,12 +319,13 @@ func (sys *System) spawnReliable(net *kpn.Network, ps kpn.ProcessSpec, cfg Build
 }
 
 // InjectFault schedules a timing fault on replica r (1-based) at virtual
-// time t. extraUs applies to fault.Degrade only.
+// time t. extraUs is the per-operation delay of fault.Degrade and
+// fault.Drift; the other gray modes need the switch's InjectAt.
 func (sys *System) InjectFault(replica int, t des.Time, mode fault.Mode, extraUs des.Time) {
 	if replica < 1 || replica > 2 {
 		panic(fmt.Sprintf("ft: replica %d out of range {1,2}", replica))
 	}
-	sys.Switches[replica-1].InjectAt(t, mode, extraUs)
+	sys.Switches[replica-1].InjectAt(t, mode, fault.Gray{ExtraUs: extraUs})
 }
 
 // FirstFault returns the earliest detection event for replica r

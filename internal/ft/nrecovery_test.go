@@ -57,7 +57,7 @@ func TestNWayRepairAtReintegration(t *testing.T) {
 		}
 	})
 
-	sw.InjectAt(injectUs, fault.StopAll, 0)
+	sw.InjectAt(injectUs, fault.StopAll, fault.Gray{})
 	// Repair and re-integration in one event, re-arm before the replica
 	// wakes: purge + refill the queue, resync the selector interface,
 	// then lift the switch.
@@ -70,7 +70,7 @@ func TestNWayRepairAtReintegration(t *testing.T) {
 		}
 		sw.Repair()
 	})
-	sw.InjectAt(secondUs, fault.StopAll, 0)
+	sw.InjectAt(secondUs, fault.StopAll, fault.Gray{})
 	k.Run(0)
 	k.Shutdown()
 

@@ -263,7 +263,7 @@ func TestSystemReintegrateDefaultRearm(t *testing.T) {
 		}
 		sys.Replicators[c.name] = r
 	}
-	sys.Switches[1].Inject(fault.StopAll, 0)
+	sys.Switches[1].Inject(fault.StopAll, fault.Gray{})
 
 	healthy := map[string][]kpn.Token{}
 	for name, r := range sys.Replicators {

@@ -6,6 +6,15 @@ import (
 	"ftpn/internal/des"
 )
 
+// Body is a behavior written as a coroutine body: it may block in any
+// port operation or delay, anywhere in its code. Tests use it for the
+// oracle forms of the step machines and for ad hoc processes.
+type Body func(p *des.Proc, in []ReadPort, out []WritePort)
+
+func (b Body) spawn(k *des.Kernel, name string, in []ReadPort, out []WritePort) {
+	k.Spawn(name, 0, func(p *des.Proc) { b(p, in, out) })
+}
+
 // OracleBody returns b as a coroutine body. For the library's step
 // machines that is the blocking loop each one replaced, kept here as
 // the oracle the step forms are checked against; a Body is its own.
@@ -18,15 +27,8 @@ func OracleBody(b Behavior) Body {
 			return oracleConsumer(b)
 		}
 		return oracleProducer(b)
-	case *stageLoop:
-		switch b.kind {
-		case transformKind:
-			return oracleTransform(b)
-		case memoTransformKind:
-			return oracleMemoTransform(b)
-		default:
-			return oracleMemoStage(b)
-		}
+	case *stage:
+		return oracleStage(b)
 	}
 	panic(fmt.Sprintf("kpn: no oracle for behavior %T", b))
 }
@@ -75,71 +77,27 @@ func oracleConsumer(b *paced) Body {
 	}
 }
 
-func oracleTransform(b *stageLoop) Body {
-	work, seed, f := b.work, b.seed, b.each
+func oracleStage(b *stage) Body {
 	return func(p *des.Proc, in []ReadPort, out []WritePort) {
-		if len(in) != 1 || len(out) != 1 {
-			panic(fmt.Sprintf("kpn: Transform needs 1 input and 1 output, got %d/%d", len(in), len(out)))
+		if !arity(len(in), b.ins) || !arity(len(out), b.outs) {
+			panic(fmt.Sprintf("kpn: stage %q bound to %d inputs and %d outputs", p.Name(), len(in), len(out)))
 		}
-		rng := NewRand(seed)
-		for i := int64(1); ; i++ {
-			tok := in[0].Read(p)
-			p.Delay(work.Duration(rng, tok.Size()))
-			if f != nil {
-				tok = Token{Seq: tok.Seq, Payload: f(i, tok.Payload)}
-			}
-			tok.Stamp = p.Now() // a nil f keeps the payload's memo entry
-			out[0].Write(p, tok)
-		}
-	}
-}
-
-func oracleMemoTransform(b *stageLoop) Body {
-	work, seed, memo, t, f := b.work, b.seed, b.memo, b.table, b.each
-	return func(p *des.Proc, in []ReadPort, out []WritePort) {
-		if len(in) != 1 || len(out) != 1 {
-			panic(fmt.Sprintf("kpn: Transform needs 1 input and 1 output, got %d/%d", len(in), len(out)))
-		}
-		rng := NewRand(seed)
-		for {
-			tok := in[0].Read(p)
-			p.Delay(work.Duration(rng, tok.Size()))
-			out[0].Write(p, memo.token(t, tok.Seq, p.Now(), func() []byte { return f(tok.Seq, tok.Payload) }))
-		}
-	}
-}
-
-func oracleMemoStage(b *stageLoop) Body {
-	work, seed, memo, t, stage, f := b.work, b.seed, b.memo, b.table, b.name, b.all
-	return func(p *des.Proc, in []ReadPort, out []WritePort) {
-		if len(in) == 0 || len(out) == 0 {
-			panic(fmt.Sprintf("kpn: MemoStage %q needs at least 1 input and 1 output, got %d/%d", stage, len(in), len(out)))
-		}
-		rng := NewRand(seed)
+		rng := NewRand(b.seed)
 		toks := make([]Token, len(in))
-		for {
+		made := make([]Token, len(out))
+		for i := int64(1); ; i++ {
 			total := 0
-			for i := range in {
-				toks[i] = in[i].Read(p)
-				total += toks[i].Size()
+			for j := range in {
+				toks[j] = in[j].Read(p)
+				total += toks[j].Size()
 			}
-			p.Delay(work.Duration(rng, total))
-			seq := toks[0].Seq
-			var tok Token
-			if f == nil {
-				tok = toks[0] // pass-through keeps the payload's memo entry
-				tok.Stamp = p.Now()
-			} else {
-				tok = memo.token(t, seq, p.Now(), func() []byte {
-					ins := make([][]byte, len(toks))
-					for i := range toks {
-						ins[i] = toks[i].Payload
-					}
-					return f(seq, ins)
-				})
+			p.Delay(b.work.Duration(rng, total))
+			b.fire(i, toks, made)
+			for j := range made {
+				made[j].Stamp = p.Now()
 			}
-			for _, o := range out {
-				o.Write(p, tok)
+			for j := range out {
+				out[j].Write(p, made[j])
 			}
 		}
 	}

@@ -333,19 +333,37 @@ func (m *PayloadMemo) Gen(stage string, gen func(i int64) []byte) func(i int64) 
 // entry), a nil memo disables caching. Package topo builds every
 // synthetic DSL stage on this behavior.
 func MemoStage(work WorkModel, seed int64, memo *PayloadMemo, stage string, f func(i int64, ins [][]byte) []byte) Behavior {
-	return &stageLoop{kind: memoStageKind, work: work, seed: seed, memo: memo, table: memo.table(stage), name: stage, all: f}
+	t := memo.table(stage)
+	return Stage(work, seed, 0, 0, func(_ int64, in, out []Token) {
+		tok := in[0]
+		if f != nil {
+			tok = memo.token(t, tok.Seq, 0, func() []byte {
+				ins := make([][]byte, len(in))
+				for i := range in {
+					ins[i] = in[i].Payload
+				}
+				return f(in[0].Seq, ins)
+			})
+		}
+		for j := range out {
+			out[j] = tok
+		}
+	})
 }
 
 // MemoTransform is Transform with the payload function memoized by the
 // token's stream index. Unlike Transform, f receives tok.Seq (not the
-// local read counter) as its index argument: the stream index is what
-// determines the payload — a recovered replica's read counter drifts
-// from Seq after an outage, and every stage payload function in
-// internal/apps is index-independent anyway. With a nil memo the
-// behavior is identical to Transform except for that argument.
+// firing count) as its index argument, with or without a memo: the
+// stream index is what determines the payload — a recovered replica's
+// firing count drifts from Seq after an outage, and every stage payload
+// function in internal/apps is index-independent anyway. A nil memo
+// disables caching.
 func MemoTransform(work WorkModel, seed int64, memo *PayloadMemo, stage string, f func(i int64, payload []byte) []byte) Behavior {
-	if f == nil || memo == nil {
-		return Transform(work, seed, f)
+	if f == nil {
+		return Transform(work, seed, nil)
 	}
-	return &stageLoop{kind: memoTransformKind, work: work, seed: seed, memo: memo, table: memo.table(stage), name: stage, each: f}
+	t := memo.table(stage)
+	return Stage(work, seed, 1, 1, func(_ int64, in, out []Token) {
+		out[0] = memo.token(t, in[0].Seq, 0, func() []byte { return f(in[0].Seq, in[0].Payload) })
+	})
 }

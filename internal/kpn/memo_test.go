@@ -3,6 +3,7 @@ package kpn
 import (
 	"bytes"
 	"hash/fnv"
+	"slices"
 	"sync"
 	"testing"
 
@@ -165,6 +166,27 @@ func TestPassThroughStagesKeepMemoEntry(t *testing.T) {
 	}
 	if got.Hash() != fnvSum(got.Payload) {
 		t.Fatal("forwarded token hash mismatch")
+	}
+}
+
+// TestMemoTransformPassesSeq: f's index is the input token's Seq, not
+// the firing count, with or without a memo.
+func TestMemoTransformPassesSeq(t *testing.T) {
+	for _, m := range []*PayloadMemo{nil, NewPayloadMemo()} {
+		k := des.NewKernel()
+		in := NewFIFO(k, "in", 3)
+		in.Preload([]Token{{Seq: 7}, {Seq: 9}, {Seq: 40}})
+		out := NewFIFO(k, "out", 3)
+		var got []int64
+		Spawn(k, "M", MemoTransform(WorkModel{BaseUs: 1}, 1, m, "m", func(i int64, _ []byte) []byte {
+			got = append(got, i)
+			return []byte{byte(i)}
+		}), []ReadPort{in}, []WritePort{out})
+		k.Run(0)
+		k.Shutdown()
+		if !slices.Equal(got, []int64{7, 9, 40}) {
+			t.Errorf("memo set %v: f saw indices %v, want the Seqs [7 9 40]", m != nil, got)
+		}
 	}
 }
 

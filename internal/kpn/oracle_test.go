@@ -312,7 +312,7 @@ func runPair(t testing.TB, app exp.App, sizing exp.Sizing, chip *scc.Chip, steps
 		case oracle:
 			k.At(st.at, func() { osw.inject(st.mode, st.g) })
 		default:
-			sw.InjectGrayAt(st.at, st.mode, st.g)
+			sw.InjectAt(st.at, st.mode, st.g)
 		}
 	}
 	k.Run(0)
@@ -366,7 +366,7 @@ func at[T any](s []T, i int) any {
 // codec outputs of the first.
 var pairApps = sync.OnceValues(func() (map[string]pairApp, error) {
 	out := map[string]pairApp{}
-	for _, name := range []string{"mjpeg", "adpcm", "h264"} {
+	for _, name := range []string{"mjpeg", "adpcm", "h264", "radar"} {
 		app, err := exp.AppByName(name, false, 48)
 		if err != nil {
 			return nil, err
@@ -481,21 +481,29 @@ func TestStepFormsMatchOracleUnderBackpressure(t *testing.T) {
 			"S": kpn.MemoStage(kpn.WorkModel{BaseUs: 5, PerKBUs: 100, JitterUs: 20}, 4, memo, "s", func(i int64, ins [][]byte) []byte {
 				return append(slices.Clone(ins[0]), ins[1]...)
 			}),
-			"M":  kpn.MemoTransform(kpn.WorkModel{BaseUs: 12, JitterUs: 30}, 5, memo, "m", tag('m')),
+			"M": kpn.MemoTransform(kpn.WorkModel{BaseUs: 12, JitterUs: 30}, 5, memo, "m", tag('m')),
+			"D": kpn.Stage(kpn.WorkModel{BaseUs: 4, JitterUs: 6}, 9, 1, 2, func(i int64, in, out []kpn.Token) {
+				half := len(in[0].Payload) / 2
+				out[0] = kpn.Token{Seq: in[0].Seq, Payload: in[0].Payload[:half]}
+				out[1] = kpn.Token{Seq: i, Payload: in[0].Payload[half:]}
+			}),
 			"C1": kpn.Consumer(rtcPJD(25, 10), 6, 0, sink("C1")),
 			"C2": kpn.Consumer(rtcPJD(40, 0), 7, 30, sink("C2")),
 			"C3": kpn.Consumer(rtcPJD(10, 0), 8, 0, sink("C3")), // sees the producer's stamps
+			"C4": kpn.Consumer(rtcPJD(30, 5), 10, 0, sink("C4")),
 		}
 		net := &kpn.Network{Name: "backpressure", Chans: []kpn.ChannelSpec{
 			{Name: "a", From: "P", To: "T", Capacity: 1},
 			{Name: "b", From: "P", To: "S", Capacity: 1},
 			{Name: "c", From: "T", To: "S", Capacity: 1},
 			{Name: "d", From: "S", To: "M", Capacity: 1},
-			{Name: "e", From: "S", To: "C2", Capacity: 2},
+			{Name: "e", From: "S", To: "D", Capacity: 1},
+			{Name: "e1", From: "D", To: "C2", Capacity: 2},
+			{Name: "e2", From: "D", To: "C4", Capacity: 1},
 			{Name: "g", From: "M", To: "C1", Capacity: 2, DelayUs: 7},
 			{Name: "x", From: "P", To: "C3", Capacity: 4},
 		}}
-		for _, name := range []string{"P", "T", "S", "M", "C1", "C2", "C3"} {
+		for _, name := range []string{"P", "T", "S", "M", "D", "C1", "C2", "C3", "C4"} {
 			b := behaviors[name]
 			if oracle {
 				b = kpn.OracleBody(b)

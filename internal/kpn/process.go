@@ -9,29 +9,19 @@ import (
 )
 
 // Behavior is the body of a process, given its bound input and output
-// ports in the order the network's channels declare them. It has one of
-// two forms. A Body is a coroutine: it may block in any port operation
-// or delay, anywhere in its code. The behaviors built by Producer,
-// Consumer, Transform, MemoTransform and MemoStage are loops over a few
-// blocking points, so they are step machines instead: des step
-// processes that the kernel runs inline, with no coroutine switch. Each
-// step continues where the last one parked, so a step process blocks,
-// delays and resumes at exactly the instants its loop written as a Body
-// would. Spawn picks the process kind from the form.
+// ports in the order the network's channels declare them. The behaviors
+// Producer, Consumer and Stage build, and so Transform, MemoTransform
+// and MemoStage, are loops over a few blocking points written as step
+// machines: des step processes that the kernel runs inline, with no
+// coroutine switch. Each step continues where the last one parked, so a
+// process blocks, delays and resumes at exactly the instants its loop
+// would as a coroutine.
 type Behavior interface {
 	spawn(k *des.Kernel, name string, in []ReadPort, out []WritePort)
 }
 
-// Body is a behavior written as a coroutine body.
-type Body func(p *des.Proc, in []ReadPort, out []WritePort)
-
-func (b Body) spawn(k *des.Kernel, name string, in []ReadPort, out []WritePort) {
-	k.Spawn(name, 0, func(p *des.Proc) { b(p, in, out) })
-}
-
 // Spawn starts b as process name on k at the current instant, bound to
-// the ports: a coroutine process for a Body, a step process for the
-// library's step machines.
+// the ports.
 func Spawn(k *des.Kernel, name string, b Behavior, in []ReadPort, out []WritePort) {
 	b.spawn(k, name, in, out)
 }
@@ -201,56 +191,57 @@ func (w WorkModel) Duration(rng *rand.Rand, bytes int) des.Time {
 	return d
 }
 
+// Stage returns a behavior that fires repeatedly. Each firing reads one
+// token from every input, in the order the network binds them, computes
+// for the work model's duration of the inputs' total size, then calls
+// fire to fill one token per output and writes out[j] to output j,
+// stamped with the firing's completion instant. i counts firings from 1.
+// ins and outs are the port counts the stage must be bound to, 0 for
+// any positive count. in and out are the process's own buffers, reused
+// by the next firing, so fire must not keep them.
+func Stage(work WorkModel, seed int64, ins, outs int, fire func(i int64, in, out []Token)) Behavior {
+	return &stage{work: work, seed: seed, ins: ins, outs: outs, fire: fire}
+}
+
 // Transform returns a behavior that repeatedly reads one token from its
 // single input, computes for a work-model duration, and writes f's
 // result to its single output. The input token's Seq is preserved, so a
 // stream index assigned at the producer survives the whole pipeline —
 // replica re-integration (package ft) relies on this to re-align a
 // recovered replica's output stream even when the replica skipped
-// tokens during its outage. Stamp is the completion instant. If f is
-// nil the payload (and its PayloadMemo entry, if any) passes through
-// unchanged.
+// tokens during its outage. Stamp is the completion instant. f's index
+// is the firing count. If f is nil the payload (and its PayloadMemo
+// entry, if any) passes through unchanged.
 func Transform(work WorkModel, seed int64, f func(i int64, payload []byte) []byte) Behavior {
-	return &stageLoop{kind: transformKind, work: work, seed: seed, each: f}
+	return Stage(work, seed, 1, 1, func(i int64, in, out []Token) {
+		out[0] = in[0]
+		if f != nil {
+			out[0] = Token{Seq: in[0].Seq, Payload: f(i, in[0].Payload)}
+		}
+	})
 }
 
-// stageLoop is the behavior of Transform, MemoTransform and MemoStage: each
-// firing reads one token from every input, computes for the work
-// model's duration of the total input size, and writes one token to
-// every output.
-type stageLoop struct {
-	kind  stageKind
-	work  WorkModel
-	seed  int64
-	memo  *PayloadMemo
-	table *memoTable // the stage's memo table (nil with a nil memo)
-	name  string     // MemoStage's stage name
-	each  func(i int64, payload []byte) []byte
-	all   func(i int64, ins [][]byte) []byte
+// stage is the behavior Stage returns.
+type stage struct {
+	work      WorkModel
+	seed      int64
+	ins, outs int
+	fire      func(i int64, in, out []Token)
 }
 
-// stageKind selects how a stage fires and what it checks its ports for.
-type stageKind uint8
-
-const (
-	transformKind     stageKind = iota // Transform: f(firing index, payload)
-	memoTransformKind                  // MemoTransform: memoized f(Seq, payload)
-	memoStageKind                      // MemoStage: memoized f(Seq, all payloads)
-)
-
-func (b *stageLoop) spawn(k *des.Kernel, name string, in []ReadPort, out []WritePort) {
-	k.SpawnStep(name, 0, (&staging{stageLoop: b, in: in, out: out}).step)
+func (b *stage) spawn(k *des.Kernel, name string, in []ReadPort, out []WritePort) {
+	k.SpawnStep(name, 0, (&staging{stage: b, in: in, out: out}).step)
 }
 
-// staging is one process running a stageLoop.
+// staging is one process running a stage.
 type staging struct {
-	*stageLoop
+	*stage
 	in    []ReadPort
 	out   []WritePort
 	rng   *rand.Rand
 	fired int64   // firings begun
 	toks  []Token // the firing's inputs
-	tok   Token   // the firing's output
+	made  []Token // the firing's outputs
 	j     int     // next input to read or output to write
 	at    uint8   // stagingStart, stagingRead, stagingFire or stagingWrite
 }
@@ -258,17 +249,20 @@ type staging struct {
 const (
 	stagingStart = iota // the first step: check the ports, set up
 	stagingRead         // read every input, then wait out the work
-	stagingFire         // compute the output token
-	stagingWrite        // write it to every output
+	stagingFire         // fill the output tokens
+	stagingWrite        // write each to its output
 )
 
 func (m *staging) step(p *des.Proc) {
 	for {
 		switch m.at {
 		case stagingStart:
-			m.checkPorts()
+			if !arity(len(m.in), m.ins) || !arity(len(m.out), m.outs) {
+				panic(fmt.Sprintf("kpn: stage %q bound to %d inputs and %d outputs", p.Name(), len(m.in), len(m.out)))
+			}
 			m.rng = NewRand(m.seed)
 			m.toks = make([]Token, len(m.in))
+			m.made = make([]Token, len(m.out))
 			m.at = stagingRead
 		case stagingRead:
 			for ; m.j < len(m.in); m.j++ {
@@ -288,51 +282,26 @@ func (m *staging) step(p *des.Proc) {
 			p.Park(des.For(m.work.Duration(m.rng, total)))
 			return
 		case stagingFire:
-			m.tok = m.fire(p.Now())
+			m.fire(m.fired, m.toks, m.made)
+			now := p.Now()
+			for j := range m.made {
+				m.made[j].Stamp = now
+			}
 			clear(m.toks) // the inputs die with the firing
 			m.at = stagingWrite
 		case stagingWrite:
 			for ; m.j < len(m.out); m.j++ {
-				if w, ok := m.out[m.j].TryWrite(m.tok); !ok {
+				if w, ok := m.out[m.j].TryWrite(m.made[m.j]); !ok {
 					p.Park(w)
 					return
 				}
 			}
-			m.tok = Token{}
+			clear(m.made)
 			m.j, m.at = 0, stagingRead
 		}
 	}
 }
 
-// checkPorts panics, on the process's first step, when the stage is
-// bound to ports it cannot fire on.
-func (m *staging) checkPorts() {
-	if m.kind == memoStageKind {
-		if len(m.in) == 0 || len(m.out) == 0 {
-			panic(fmt.Sprintf("kpn: MemoStage %q needs at least 1 input and 1 output, got %d/%d", m.name, len(m.in), len(m.out)))
-		}
-	} else if len(m.in) != 1 || len(m.out) != 1 {
-		panic(fmt.Sprintf("kpn: Transform needs 1 input and 1 output, got %d/%d", len(m.in), len(m.out)))
-	}
-}
-
-// fire computes the firing's output token, stamped now.
-func (m *staging) fire(now des.Time) Token {
-	in := m.toks[0]
-	switch {
-	case m.kind == transformKind && m.each != nil:
-		return Token{Seq: in.Seq, Stamp: now, Payload: m.each(m.fired, in.Payload)}
-	case m.kind == memoTransformKind:
-		return m.memo.token(m.table, in.Seq, now, func() []byte { return m.each(in.Seq, in.Payload) })
-	case m.kind == memoStageKind && m.all != nil:
-		return m.memo.token(m.table, in.Seq, now, func() []byte {
-			ins := make([][]byte, len(m.toks))
-			for i := range m.toks {
-				ins[i] = m.toks[i].Payload
-			}
-			return m.all(in.Seq, ins)
-		})
-	}
-	in.Stamp = now // a pass-through keeps the payload's memo entry
-	return in
-}
+// arity reports whether a stage bound to n ports of one direction can
+// fire, when it asks for want of them (0: any positive number).
+func arity(n, want int) bool { return n > 0 && (want == 0 || n == want) }

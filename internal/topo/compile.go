@@ -335,25 +335,21 @@ func selectPayload() func(i int64, ins [][]byte) []byte {
 }
 
 // ApplyFaults arms the spec's fault script on a duplicated system built
-// from this model: plain modes via ft.System.InjectFault, gray modes via
-// the target switch's InjectGrayAt, and transients via RepairAt.
+// from this model: each fault via the target switch's InjectAt, and
+// transients via RepairAt.
 func (m *Model) ApplyFaults(sys *ft.System) {
 	for i := range m.Spec.Faults {
 		f := &m.Spec.Faults[i]
 		mode, _ := fault.ModeByName(f.Mode)
 		sw := sys.Switches[f.Replica-1]
-		if mode.IsGray() {
-			sw.InjectGrayAt(des.Time(f.AtUs), mode, fault.Gray{
-				ExtraUs:  des.Time(f.ExtraUs),
-				RampUs:   des.Time(f.RampUs),
-				OnUs:     des.Time(f.OnUs),
-				PeriodUs: des.Time(f.PeriodUs),
-				EveryN:   f.EveryN,
-				Seed:     f.Seed,
-			})
-		} else {
-			sys.InjectFault(f.Replica, des.Time(f.AtUs), mode, des.Time(f.ExtraUs))
-		}
+		sw.InjectAt(des.Time(f.AtUs), mode, fault.Gray{
+			ExtraUs:  des.Time(f.ExtraUs),
+			RampUs:   des.Time(f.RampUs),
+			OnUs:     des.Time(f.OnUs),
+			PeriodUs: des.Time(f.PeriodUs),
+			EveryN:   f.EveryN,
+			Seed:     f.Seed,
+		})
 		if f.RepairAtUs > 0 {
 			sw.RepairAt(des.Time(f.RepairAtUs))
 		}

@@ -154,7 +154,7 @@ type EnvelopeSpec struct {
 }
 
 // FaultSpec is one scripted injection against a replica of the
-// duplicated system (ft.System.InjectFault / fault.Switch.InjectGrayAt).
+// duplicated system (fault.Switch.InjectAt).
 type FaultSpec struct {
 	// Replica is the 1-based target replica.
 	Replica int `json:"replica"`
