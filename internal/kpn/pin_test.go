@@ -54,10 +54,51 @@ var builtRunPins = map[string]string{
 	"radar/degrade/chip=true":         "9d0ec63f26d1edde1cab060a",
 }
 
+// selectorWritePins are digests of the same runs' counted selector
+// writes: channel, pair position, Seq and payload hash of every token a
+// replica wrote into a selector, enqueued or dropped as a late
+// duplicate. The consumer stream never shows a dropped duplicate, so
+// these pins are what hold a degraded replica's late writes.
+var selectorWritePins = map[string]string{
+	"mjpeg/none/chip=false":           "9c2ea23bf9601824a25a5661",
+	"mjpeg/none/chip=true":            "9c2ea23bf9601824a25a5661",
+	"mjpeg/stop-all/chip=false":       "c9ae24218e9206c83664950c",
+	"mjpeg/stop-all/chip=true":        "c9ae24218e9206c83664950c",
+	"mjpeg/stop-consuming/chip=false": "126db7c48543cd45202dafef",
+	"mjpeg/stop-consuming/chip=true":  "126db7c48543cd45202dafef",
+	"mjpeg/degrade/chip=false":        "9712d8fee93f7d42d6ece8cb",
+	"mjpeg/degrade/chip=true":         "9712d8fee93f7d42d6ece8cb",
+	"adpcm/none/chip=false":           "fb681a05a2a69622561a5b64",
+	"adpcm/none/chip=true":            "fb681a05a2a69622561a5b64",
+	"adpcm/stop-all/chip=false":       "3dc8677ecc50a6e835e86fb2",
+	"adpcm/stop-all/chip=true":        "3dc8677ecc50a6e835e86fb2",
+	"adpcm/stop-consuming/chip=false": "3c2ad975a1e05feb57874a20",
+	"adpcm/stop-consuming/chip=true":  "3c2ad975a1e05feb57874a20",
+	"adpcm/degrade/chip=false":        "695b5520b026e10066bc6469",
+	"adpcm/degrade/chip=true":         "695b5520b026e10066bc6469",
+	"h264/none/chip=false":            "79192e62cd5675270e5a0a91",
+	"h264/none/chip=true":             "79192e62cd5675270e5a0a91",
+	"h264/stop-all/chip=false":        "1654e9242b0129f718093fac",
+	"h264/stop-all/chip=true":         "1654e9242b0129f718093fac",
+	"h264/stop-consuming/chip=false":  "cba82a081291d72ffea704ee",
+	"h264/stop-consuming/chip=true":   "cba82a081291d72ffea704ee",
+	"h264/degrade/chip=false":         "d9a89f7e0e5cc9204a03ecbb",
+	"h264/degrade/chip=true":          "d9a89f7e0e5cc9204a03ecbb",
+	"radar/none/chip=false":           "d3dfcba5ffaf2476620c1ec5",
+	"radar/none/chip=true":            "d3dfcba5ffaf2476620c1ec5",
+	"radar/stop-all/chip=false":       "9d239fea0e566390a49a0e2f",
+	"radar/stop-all/chip=true":        "9d239fea0e566390a49a0e2f",
+	"radar/stop-consuming/chip=false": "7626915e48faf4f0dda3280a",
+	"radar/stop-consuming/chip=true":  "7626915e48faf4f0dda3280a",
+	"radar/degrade/chip=false":        "750de9d858c5222819d3835d",
+	"radar/degrade/chip=true":         "750de9d858c5222819d3835d",
+}
+
 // TestBuiltRunsPinned runs each paper app, with and without an SCC
 // chip, fault-free and under stop and degrade faults, and checks the
-// run's digest against builtRunPins. Every process of a built run is a
-// step machine, so the kernel switches no coroutine.
+// run's digest against builtRunPins and its selector writes against
+// selectorWritePins. Every process of a built run is a step machine,
+// so the kernel switches no coroutine.
 func TestBuiltRunsPinned(t *testing.T) {
 	apps, err := pairApps()
 	if err != nil {
@@ -73,10 +114,13 @@ func TestBuiltRunsPinned(t *testing.T) {
 		for _, sched := range []string{"none", "stop-all", "stop-consuming", "degrade"} {
 			for _, c := range []*scc.Chip{nil, chip} {
 				label := fmt.Sprintf("%s/%s/chip=%v", name, sched, c != nil)
-				h := sha256.New()
-				stats := runHashed(t, h, a, c, scheds[sched])
+				h, w := sha256.New(), sha256.New()
+				stats := runHashed(t, h, w, a, c, scheds[sched])
 				if got := fmt.Sprintf("%x", h.Sum(nil)[:12]); got != builtRunPins[label] {
 					t.Errorf("%q: %q, pinned %q", label, got, builtRunPins[label])
+				}
+				if got := fmt.Sprintf("%x", w.Sum(nil)[:12]); got != selectorWritePins[label] {
+					t.Errorf("%q: selector writes %q, pinned %q", label, got, selectorWritePins[label])
 				}
 				if stats.Switches != 0 || stats.SelfResumes != 0 {
 					t.Errorf("%s: %d coroutine switches and %d self-resumes, want none", label, stats.Switches, stats.SelfResumes)
@@ -87,9 +131,10 @@ func TestBuiltRunsPinned(t *testing.T) {
 }
 
 // runHashed runs a's duplicated network under the fault steps, writing
-// the run's trace, consumer stream and detections to h, and returns the
-// kernel's counters.
-func runHashed(t *testing.T, h hash.Hash, a pairApp, chip *scc.Chip, steps []faultStep) des.Stats {
+// the run's trace, consumer stream and detections to h and its counted
+// selector writes to w, and returns the kernel's counters. The writes
+// are captured by a value check that passes every token.
+func runHashed(t *testing.T, h, w hash.Hash, a pairApp, chip *scc.Chip, steps []faultStep) des.Stats {
 	net, err := a.app.Build(func(now des.Time, tok kpn.Token) {
 		fmt.Fprintf(h, "c %d %d %d %x\n", now, tok.Seq, tok.Stamp, tok.Hash())
 	})
@@ -100,6 +145,16 @@ func runHashed(t *testing.T, h hash.Hash, a pairApp, chip *scc.Chip, steps []fau
 	k.Trace(func(e des.TraceEvent) { fmt.Fprintf(h, "t %d %s %s\n", e.At, e.Kind, e.Proc) })
 	cfg := a.sizing.BuildConfig(a.app)
 	cfg.Chip = chip
+	cfg.ValueCheck = map[string]ft.ValueCheck{}
+	for _, c := range net.Chans {
+		if net.Proc(c.From).Role == kpn.RoleCritical && net.Proc(c.To).Role == kpn.RoleConsumer {
+			name := c.Name
+			cfg.ValueCheck[name] = func(pair int64, tok kpn.Token) bool {
+				fmt.Fprintf(w, "w %s %d %d %x\n", name, pair, tok.Seq, tok.Hash())
+				return true
+			}
+		}
+	}
 	sys, err := ft.Build(k, net, cfg)
 	if err != nil {
 		t.Fatal(err)
