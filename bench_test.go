@@ -438,7 +438,7 @@ func BenchmarkRuntimes(b *testing.B) {
 // cost (its standing runtime overhead even when nothing is wrong).
 func BenchmarkDistanceMonitorPoll(b *testing.B) {
 	k := des.NewKernel()
-	mon := detect.NewDistanceMonitor(k, "m", 1000, []des.Time{1 << 40}, nil)
+	mon := detect.NewDistanceMonitor(k, 1000, []des.Time{1 << 40})
 	mon.Start()
 	mon.OnEvent(0)
 	b.ResetTimer()

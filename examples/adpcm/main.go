@@ -51,12 +51,12 @@ func main() {
 	})
 	check(err)
 	cfg := sizing.BuildConfig(app)
-	cfg.OnFault = func(f ft.Fault) {
-		fmt.Printf("t=%8.1f ms  DETECTED %s\n", float64(f.At)/1000, f)
-	}
 	k2 := des.NewKernel()
 	sys, err := ft.Build(k2, dupNet, cfg)
 	check(err)
+	sys.AddFaultHook(func(f ft.Fault) {
+		fmt.Printf("t=%8.1f ms  DETECTED %s\n", float64(f.At)/1000, f)
+	})
 	injectAt := des.Time(*blocks/2) * app.PeriodUs
 	sys.InjectFault(1, injectAt, fault.Degrade, des.Time(*extra))
 	fmt.Printf("t=%8.1f ms  degrading replica 1 by +%d µs per operation\n",

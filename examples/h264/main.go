@@ -37,12 +37,12 @@ func main() {
 	check(err)
 
 	cfg := sizing.BuildConfig(app)
-	cfg.OnFault = func(f ft.Fault) {
-		fmt.Printf("t=%8.1f ms  DETECTED %s\n", float64(f.At)/1000, f)
-	}
 	k := des.NewKernel()
 	sys, err := ft.Build(k, net, cfg)
 	check(err)
+	sys.AddFaultHook(func(f ft.Fault) {
+		fmt.Printf("t=%8.1f ms  DETECTED %s\n", float64(f.At)/1000, f)
+	})
 	injectAt := des.Time(*frames/2) * app.PeriodUs
 	sys.InjectFault(2, injectAt, fault.StopAll, 0)
 	fmt.Printf("t=%8.1f ms  injecting stop fault into replica 2\n", float64(injectAt)/1000)

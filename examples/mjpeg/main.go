@@ -52,12 +52,12 @@ func main() {
 
 	cfg := sizing.BuildConfig(app)
 	cfg.Chip = chip
-	cfg.OnFault = func(f ft.Fault) {
-		fmt.Printf("t=%8.1f ms  DETECTED %s\n", float64(f.At)/1000, f)
-	}
 	k := des.NewKernel()
 	sys, err := ft.Build(k, net, cfg)
 	check(err)
+	sys.AddFaultHook(func(f ft.Fault) {
+		fmt.Printf("t=%8.1f ms  DETECTED %s\n", float64(f.At)/1000, f)
+	})
 
 	injectAt := des.Time(*frames/2) * app.PeriodUs
 	sys.InjectFault(*replica, injectAt, fault.StopAll, 0)

@@ -74,11 +74,11 @@ func main() {
 		SelectorCaps:  map[string][2]int{"F_C": {2 * int(init1), 2 * int(init2)}},
 		SelectorInits: map[string][2]int{"F_C": {int(init1), int(init2)}},
 		SelectorD:     map[string]int64{"F_C": d},
-		OnFault: func(f ft.Fault) {
-			fmt.Printf("t=%6.1f ms  DETECTED %s\n", float64(f.At)/1000, f)
-		},
 	})
 	check(err)
+	sys.AddFaultHook(func(f ft.Fault) {
+		fmt.Printf("t=%6.1f ms  DETECTED %s\n", float64(f.At)/1000, f)
+	})
 	const injectAt = 5_000_000
 	sys.InjectFault(1, injectAt, fault.StopAll, 0)
 	fmt.Printf("t=%6.1f ms  injecting stop fault into replica 1\n", float64(injectAt)/1000)

@@ -70,11 +70,11 @@ func main() {
 		SelectorCaps:   map[string][2]int{"F_out": {2 * int(init1), 2 * int(init2)}},
 		SelectorInits:  map[string][2]int{"F_out": {int(init1), int(init2)}},
 		SelectorD:      map[string]int64{"F_out": d},
-		OnFault: func(f ft.Fault) {
-			fmt.Printf("t=%8.1f ms  DETECTED %s\n", float64(f.At)/1000, f)
-		},
 	})
 	check(err)
+	sys.AddFaultHook(func(f ft.Fault) {
+		fmt.Printf("t=%8.1f ms  DETECTED %s\n", float64(f.At)/1000, f)
+	})
 	injectAt := des.Time(*scans/2) * cfg.Producer.Period
 	sys.InjectFault(1, injectAt, fault.StopAll, 0)
 	fmt.Printf("t=%8.1f ms  replica 1 stops mid-scan\n", float64(injectAt)/1000)

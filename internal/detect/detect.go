@@ -15,9 +15,6 @@ import (
 	"ftpn/internal/des"
 )
 
-// Handler receives a fault-detection event.
-type Handler func(name string, at des.Time)
-
 // DistanceMonitor checks a token stream against an l-repetitive
 // maximum-distance function: the time spanned by the last n consecutive
 // events (n <= l) must never exceed Bounds[n-1], or — under the
@@ -27,22 +24,20 @@ type Handler func(name string, at des.Time)
 // (the paper's §4.3 discussion uses a 1 ms poll).
 type DistanceMonitor struct {
 	k      *des.Kernel
-	name   string
 	pollUs des.Time
 	bounds []des.Time // bounds[n-1]: max distance spanning n gaps
 	hist   []des.Time // timestamps of the last l events, oldest first
-	events int64
 
 	faulty  bool
 	faultAt des.Time
-	handler Handler
 	started bool
 }
 
 // NewDistanceMonitor builds a monitor with an l-repetitive bound vector:
 // bounds[n-1] is the maximum allowed distance between an event and the
-// n-th event before it. pollUs is the timer period.
-func NewDistanceMonitor(k *des.Kernel, name string, pollUs des.Time, bounds []des.Time, handler Handler) *DistanceMonitor {
+// n-th event before it. pollUs is the timer period. The polling timer
+// stops at detection; Faulty reports it.
+func NewDistanceMonitor(k *des.Kernel, pollUs des.Time, bounds []des.Time) *DistanceMonitor {
 	if pollUs <= 0 {
 		panic(fmt.Sprintf("detect: poll period must be positive, got %d", pollUs))
 	}
@@ -54,11 +49,7 @@ func NewDistanceMonitor(k *des.Kernel, name string, pollUs des.Time, bounds []de
 			panic(fmt.Sprintf("detect: bound[%d] must be positive, got %d", i, b))
 		}
 	}
-	return &DistanceMonitor{
-		k: k, name: name, pollUs: pollUs,
-		bounds:  append([]des.Time(nil), bounds...),
-		handler: handler,
-	}
+	return &DistanceMonitor{k: k, pollUs: pollUs, bounds: append([]des.Time(nil), bounds...)}
 }
 
 // Start arms the polling timer. The monitor treats its own start instant
@@ -83,7 +74,6 @@ func (m *DistanceMonitor) OnEvent(now des.Time) {
 	if len(m.hist) > len(m.bounds) {
 		m.hist = m.hist[len(m.hist)-len(m.bounds):]
 	}
-	m.events++
 }
 
 // poll is the timer body: the fail-silent check asks whether the
@@ -98,9 +88,6 @@ func (m *DistanceMonitor) poll() {
 		if now-ref > m.bounds[n-1] {
 			m.faulty = true
 			m.faultAt = now
-			if m.handler != nil {
-				m.handler(m.name, now)
-			}
 			return
 		}
 	}
@@ -108,6 +95,3 @@ func (m *DistanceMonitor) poll() {
 
 // Faulty reports the detection state.
 func (m *DistanceMonitor) Faulty() (bool, des.Time) { return m.faulty, m.faultAt }
-
-// Events returns how many stream events the monitor has observed.
-func (m *DistanceMonitor) Events() int64 { return m.events }

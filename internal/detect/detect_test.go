@@ -10,10 +10,8 @@ import (
 
 func TestDistanceMonitorHealthyStreamSilent(t *testing.T) {
 	k := des.NewKernel()
-	var fired bool
 	// One gap of a PJD stream spans at most period + jitter.
-	mon := NewDistanceMonitor(k, "m", 1000, []des.Time{5000 + 500},
-		func(string, des.Time) { fired = true })
+	mon := NewDistanceMonitor(k, 1000, []des.Time{5000 + 500})
 	mon.Start()
 	k.Spawn("stream", 0, func(p *des.Proc) {
 		pacer := kpn.NewPacer(rtc.PJD{Period: 5000, Jitter: 500}, 3)
@@ -27,19 +25,14 @@ func TestDistanceMonitorHealthyStreamSilent(t *testing.T) {
 	})
 	k.Run(0)
 	k.Shutdown()
-	if fired {
+	if fired, _ := mon.Faulty(); fired {
 		t.Error("healthy stream within its envelope must not trip the monitor")
-	}
-	if mon.Events() != 40 {
-		t.Errorf("events = %d, want 40", mon.Events())
 	}
 }
 
 func TestDistanceMonitorDetectsStoppedStream(t *testing.T) {
 	k := des.NewKernel()
-	var detectedAt des.Time = -1
-	mon := NewDistanceMonitor(k, "m", 1000, []des.Time{5500},
-		func(_ string, at des.Time) { detectedAt = at; k.Stop() })
+	mon := NewDistanceMonitor(k, 1000, []des.Time{5500})
 	mon.Start()
 	k.Spawn("stream", 0, func(p *des.Proc) {
 		// Events every 5000 until t=20000, then silence (fail-silent).
@@ -51,12 +44,12 @@ func TestDistanceMonitorDetectsStoppedStream(t *testing.T) {
 	k.Run(60_000)
 	k.Shutdown()
 	// Last event at t=20000; bound 5500 exceeded after t=25500; first
-	// poll tick after that is t=26000.
-	if detectedAt != 26_000 {
-		t.Errorf("detected at %d, want 26000", detectedAt)
+	// poll tick after that is t=26000, and the timer stops there.
+	if ok, at := mon.Faulty(); !ok || at != 26_000 {
+		t.Errorf("Faulty() = %v,%d, want detection at 26000", ok, at)
 	}
-	if ok, at := mon.Faulty(); !ok || at != detectedAt {
-		t.Errorf("Faulty() = %v,%d", ok, at)
+	if now := k.Now(); now != 26_000 {
+		t.Errorf("kernel ran to %d, want the timer stopped at detection (26000)", now)
 	}
 }
 
@@ -65,16 +58,17 @@ func TestDistanceMonitorPollQuantization(t *testing.T) {
 	// the baseline pays the polling granularity.
 	run := func(poll des.Time) des.Time {
 		k := des.NewKernel()
-		var at des.Time = -1
-		mon := NewDistanceMonitor(k, "m", poll, []des.Time{1000},
-			func(_ string, t des.Time) { at = t; k.Stop() })
+		mon := NewDistanceMonitor(k, poll, []des.Time{1000})
 		mon.Start()
 		k.Spawn("stream", 0, func(p *des.Proc) {
 			mon.OnEvent(p.Now()) // one event at t=0, then silence
 		})
 		k.Run(100_000)
 		k.Shutdown()
-		return at
+		if ok, at := mon.Faulty(); ok {
+			return at
+		}
+		return -1
 	}
 	fine, coarse := run(100), run(5000)
 	if fine < 0 || coarse < 0 {
@@ -90,9 +84,7 @@ func TestDistanceMonitorLRepetitive(t *testing.T) {
 	// consecutive events must not span more than bounds[1]. A monitor
 	// with only l=1 would false-positive on the legal long gap.
 	k := des.NewKernel()
-	var fired bool
-	mon := NewDistanceMonitor(k, "m", 100, []des.Time{1800, 2200},
-		func(string, des.Time) { fired = true })
+	mon := NewDistanceMonitor(k, 100, []des.Time{1800, 2200})
 	mon.Start()
 	k.Spawn("stream", 0, func(p *des.Proc) {
 		// Bursty but legal: events at 0, 200, 2000, 2200, 4000, 4200 ...
@@ -106,21 +98,19 @@ func TestDistanceMonitorLRepetitive(t *testing.T) {
 	})
 	k.Run(0)
 	k.Shutdown()
-	if fired {
+	if fired, _ := mon.Faulty(); fired {
 		t.Error("legal bursty stream tripped the l=2 monitor")
 	}
 }
 
 func TestDistanceMonitorNeverStartedStream(t *testing.T) {
 	k := des.NewKernel()
-	var at des.Time = -1
-	mon := NewDistanceMonitor(k, "m", 500, []des.Time{2000},
-		func(_ string, t des.Time) { at = t; k.Stop() })
+	mon := NewDistanceMonitor(k, 500, []des.Time{2000})
 	mon.Start()
 	k.Run(30_000)
 	k.Shutdown()
-	if at != 2500 {
-		t.Errorf("silent-from-birth stream detected at %d, want 2500", at)
+	if ok, at := mon.Faulty(); !ok || at != 2500 {
+		t.Errorf("silent-from-birth stream: Faulty() = %v,%d, want detection at 2500", ok, at)
 	}
 }
 
@@ -134,14 +124,14 @@ func TestDistanceMonitorValidation(t *testing.T) {
 		}()
 		fn()
 	}
-	mustPanic("zero poll", func() { NewDistanceMonitor(k, "m", 0, []des.Time{1}, nil) })
-	mustPanic("no bounds", func() { NewDistanceMonitor(k, "m", 1, nil, nil) })
-	mustPanic("bad bound", func() { NewDistanceMonitor(k, "m", 1, []des.Time{0}, nil) })
+	mustPanic("zero poll", func() { NewDistanceMonitor(k, 0, []des.Time{1}) })
+	mustPanic("no bounds", func() { NewDistanceMonitor(k, 1, nil) })
+	mustPanic("bad bound", func() { NewDistanceMonitor(k, 1, []des.Time{0}) })
 }
 
 func TestDistanceMonitorStartIdempotent(t *testing.T) {
 	k := des.NewKernel()
-	mon := NewDistanceMonitor(k, "m", 1000, []des.Time{10_000}, nil)
+	mon := NewDistanceMonitor(k, 1000, []des.Time{10_000})
 	mon.Start()
 	mon.Start() // must not double-arm the timer
 	k.Spawn("s", 0, func(p *des.Proc) { mon.OnEvent(0); k.Stop() })
@@ -151,10 +141,9 @@ func TestDistanceMonitorStartIdempotent(t *testing.T) {
 
 func TestWatchdog(t *testing.T) {
 	k := des.NewKernel()
-	var at des.Time = -1
 	// A watchdog is the one-bound monitor: a single timeout since the
 	// last event.
-	wd := NewDistanceMonitor(k, "wd", 1000, []des.Time{3000}, func(_ string, t des.Time) { at = t; k.Stop() })
+	wd := NewDistanceMonitor(k, 1000, []des.Time{3000})
 	wd.Start()
 	k.Spawn("stream", 0, func(p *des.Proc) {
 		for i := 0; i < 3; i++ {
@@ -165,8 +154,8 @@ func TestWatchdog(t *testing.T) {
 	k.Run(30_000)
 	k.Shutdown()
 	// Last event t=4000; timeout 3000 exceeded after 7000; poll at 8000.
-	if at != 8000 {
-		t.Errorf("watchdog fired at %d, want 8000", at)
+	if ok, at := wd.Faulty(); !ok || at != 8000 {
+		t.Errorf("watchdog: Faulty() = %v,%d, want fired at 8000", ok, at)
 	}
 }
 
@@ -196,7 +185,7 @@ func TestWatchdogFalsePositiveOnBurstyStream(t *testing.T) {
 	// Mean period is 1000; a watchdog at 1.5x mean rate misfires on the
 	// legal 1800 gap.
 	fired, _ := run(func(k *des.Kernel) func() (bool, des.Time) {
-		wd := NewDistanceMonitor(k, "wd", 100, []des.Time{1500}, nil)
+		wd := NewDistanceMonitor(k, 100, []des.Time{1500})
 		wd.Start()
 		k.Spawn("tap", 0, func(p *des.Proc) {
 			for i := 0; i < 20; i++ {
@@ -215,7 +204,7 @@ func TestWatchdogFalsePositiveOnBurstyStream(t *testing.T) {
 	// The l=2 distance monitor with the correct per-distance bounds does
 	// not.
 	fired2, _ := run(func(k *des.Kernel) func() (bool, des.Time) {
-		mon := NewDistanceMonitor(k, "df", 100, []des.Time{1900, 2100}, nil)
+		mon := NewDistanceMonitor(k, 100, []des.Time{1900, 2100})
 		mon.Start()
 		k.Spawn("tap", 0, func(p *des.Proc) {
 			for i := 0; i < 20; i++ {

@@ -72,7 +72,7 @@ func table3App(name string, runs int, pollUs des.Time, tokens int64, opts ...Opt
 		var mon *detect.DistanceMonitor
 		sys, err := runDuplicated(app, sizing.BuildConfig(app), nil, des.Time(app.Tokens)*app.PeriodUs*3, func(sys *ft.System) error {
 			// Distance-function baseline on the same stream, same evidence.
-			mon = detect.NewDistanceMonitor(sys.K, app.InChan, pollUs, []des.Time{sizing.RepBoundUs}, nil)
+			mon = detect.NewDistanceMonitor(sys.K, pollUs, []des.Time{sizing.RepBoundUs})
 			sys.Replicators[app.InChan].SetReadHook(replica, func(now des.Time) { mon.OnEvent(now) })
 			mon.Start()
 			sys.InjectFault(replica, injectAt, fault.StopConsuming, 0)

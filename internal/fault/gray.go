@@ -70,8 +70,8 @@ func (s *Switch) nth() bool {
 }
 
 // Drops returns how many gated writes the switch has swallowed or
-// corrupted so far (the every-N modes); campaign engines use it to
-// audit that a gray fault actually manifested.
+// corrupted so far under the current every-N mode. It is a state
+// accessor for tests; no experiment reads it.
 func (s *Switch) Drops() int64 {
 	if s.mode != DropTokens && s.mode != Corrupt {
 		return 0

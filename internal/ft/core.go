@@ -176,18 +176,6 @@ func (d *detector) reinstate(r int) {
 // runs; nil keeps the paper's inline first-violation path.
 func (d *detector) SetPolicy(p Policy) { d.policy = p }
 
-// PolicyInfo reports the installed policy's name and replica r's
-// (1-based) current window state for the reason, rendered
-// "violations/k". Both are empty on the inline path — convictions then
-// carry no policy annotation.
-func (d *detector) PolicyInfo(r int, reason Reason) (name, window string) {
-	if d.policy == nil {
-		return "", ""
-	}
-	v, k := d.policy.Window(r-1, reason)
-	return d.policy.Name(), fmt.Sprintf("%d/%d", v, k)
-}
-
 // Faulty reports whether replica r (1-based) has been marked faulty, and
 // if so when and why.
 func (d *detector) Faulty(r int) (bool, des.Time, Reason) {

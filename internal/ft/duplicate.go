@@ -44,10 +44,6 @@ type BuildConfig struct {
 	// The replicator is hosted on the producer's tile and the selector
 	// on the consumer's tile (both run on reliable hardware, §2).
 	Chip *scc.Chip
-
-	// OnFault, when non-nil, additionally receives every detection
-	// event (they are always collected in System.Faults).
-	OnFault FaultHandler
 }
 
 // System is an instantiated duplicated process network: the reference
@@ -72,8 +68,10 @@ type System struct {
 	faultHooks []FaultHandler
 }
 
-// AddFaultHook registers an additional observer of detection events
-// after Build; recovery managers use it to react to convictions.
+// AddFaultHook registers an observer of detection events after Build.
+// Hooks run in registration order, after the event is appended to
+// Faults; recovery managers use one to react to convictions, and the
+// examples print convictions with one.
 func (sys *System) AddFaultHook(fn FaultHandler) {
 	sys.faultHooks = append(sys.faultHooks, fn)
 }
@@ -127,9 +125,6 @@ func Build(k *des.Kernel, net *kpn.Network, cfg BuildConfig) (*System, error) {
 	}
 	record := func(f Fault) {
 		sys.Faults = append(sys.Faults, f)
-		if cfg.OnFault != nil {
-			cfg.OnFault(f)
-		}
 		for _, fn := range sys.faultHooks {
 			fn(f)
 		}

@@ -326,8 +326,8 @@ func TestNSelectorMKPolicyThirdReplica(t *testing.T) {
 	if f := faults[0]; f.Replica != 3 || f.Reason != ReasonDivergence || f.Kind != KindTiming {
 		t.Errorf("fault = %+v, want replica 3 divergence of kind %q", f, KindTiming)
 	}
-	if name, window := s.PolicyInfo(3, ReasonDivergence); name != "mk(2,16)" || window != "3/16" {
-		t.Errorf("PolicyInfo(3) = %s %s, want mk(2,16) 3/16", name, window)
+	if v, k := mk.Window(2, ReasonDivergence); v != 3 || k != 16 {
+		t.Errorf("replica 3's divergence window = %d/%d, want 3/16", v, k)
 	}
 	for r := 1; r <= 2; r++ {
 		if ok, _, _ := s.Faulty(r); ok {

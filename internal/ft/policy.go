@@ -57,16 +57,9 @@ func kindOf(reason Reason) FaultKind {
 // replica must be convicted now. Implementations keep per-(replica,
 // reason) state; Reset clears one replica's history at re-integration.
 type Policy interface {
-	// Name identifies the policy for logs and convictions ("binary",
-	// "mk(2,16)", "mk(2,16)+value").
-	Name() string
 	// Sample feeds one detection-window observation for replica r
 	// (0-based) and returns whether to convict.
 	Sample(r int, reason Reason, violation bool) bool
-	// Window reports replica r's current violation count and window
-	// length for the reason — conviction annotations render it as
-	// "violations/k".
-	Window(r int, reason Reason) (violations, k int)
 	// Reset clears replica r's sample history (called on re-integration
 	// so a recovered replica starts with a clean window).
 	Reset(r int)
@@ -101,7 +94,8 @@ type PolicySpec struct {
 // IsDefault reports whether the spec selects the inline binary path.
 func (sp PolicySpec) IsDefault() bool { return sp == PolicySpec{} }
 
-// String renders the spec like a Policy name.
+// String renders the spec for reports: "binary", "mk(2,16)",
+// "mk(2,16)+value".
 func (sp PolicySpec) String() string {
 	var base string
 	switch sp.Kind {
@@ -159,9 +153,7 @@ func NewPolicy(sp PolicySpec) (Policy, error) {
 // behavior expressed through the sampling interface.
 type binaryPolicy struct{}
 
-func (binaryPolicy) Name() string                                { return "binary" }
 func (binaryPolicy) Sample(_ int, _ Reason, violation bool) bool { return violation }
-func (binaryPolicy) Window(int, Reason) (int, int)               { return 0, 1 }
 func (binaryPolicy) Reset(int)                                   {}
 
 // MKPolicy is the (m,k) weakly-hard policy: replica r is convicted for
@@ -202,9 +194,6 @@ func (p *MKPolicy) grow(r int) {
 // MK returns the policy's (m, k) parameters.
 func (p *MKPolicy) MK() (m, k int) { return p.m, p.k }
 
-// Name implements Policy.
-func (p *MKPolicy) Name() string { return fmt.Sprintf("mk(%d,%d)", p.m, p.k) }
-
 // Sample implements Policy. Value divergence is not a deadline miss —
 // it is evidence of corruption — so it bypasses the window and convicts
 // immediately (compose with ValuePolicy for explicitness).
@@ -219,18 +208,6 @@ func (p *MKPolicy) Sample(r int, reason Reason, violation bool) bool {
 	w := &p.win[r][j]
 	w.push(violation)
 	return w.count > p.m
-}
-
-// Window implements Policy.
-func (p *MKPolicy) Window(r int, reason Reason) (violations, k int) {
-	j, ok := reasonIndex(reason)
-	if !ok {
-		return 0, 1
-	}
-	if r >= len(p.win) {
-		return 0, p.k
-	}
-	return p.win[r][j].count, p.k
 }
 
 // Reset implements Policy.
@@ -314,14 +291,6 @@ type ValuePolicy struct {
 	Timing Policy
 }
 
-// Name implements Policy.
-func (p ValuePolicy) Name() string {
-	if p.Timing == nil {
-		return "binary+value"
-	}
-	return p.Timing.Name() + "+value"
-}
-
 // Sample implements Policy.
 func (p ValuePolicy) Sample(r int, reason Reason, violation bool) bool {
 	if reason == ReasonValueDivergence {
@@ -331,14 +300,6 @@ func (p ValuePolicy) Sample(r int, reason Reason, violation bool) bool {
 		return violation
 	}
 	return p.Timing.Sample(r, reason, violation)
-}
-
-// Window implements Policy.
-func (p ValuePolicy) Window(r int, reason Reason) (violations, k int) {
-	if reason == ReasonValueDivergence || p.Timing == nil {
-		return 0, 1
-	}
-	return p.Timing.Window(r, reason)
 }
 
 // Reset implements Policy.

@@ -58,11 +58,6 @@ type ChannelSpec struct {
 	// TokenBytes is the nominal payload size used for SCC transfer-time
 	// modeling when tokens carry no real payload.
 	TokenBytes int
-	// DelayUs, when positive, gives the channel RTC delay-bound
-	// semantics: tokens become visible to the reader DelayUs ticks
-	// after the write (DelayedFIFO), the d of the channel's
-	// <p, j, d> interface triple.
-	DelayUs des.Time
 }
 
 // Network is a declarative process-network graph. It can be instantiated
@@ -115,9 +110,6 @@ func (n *Network) Validate() error {
 		if c.InitialTokens < 0 || c.InitialTokens > c.Capacity {
 			return fmt.Errorf("kpn: channel %q initial fill %d outside [0,%d]", c.Name, c.InitialTokens, c.Capacity)
 		}
-		if c.DelayUs < 0 {
-			return fmt.Errorf("kpn: channel %q delay must be non-negative, got %d", c.Name, c.DelayUs)
-		}
 	}
 	return nil
 }
@@ -156,24 +148,11 @@ func (n *Network) Outputs(name string) []ChannelSpec {
 }
 
 // Instance is an instantiated network: live FIFOs and spawned processes
-// on a kernel. Channels with a positive DelayUs live in Delayed, the
-// rest in FIFOs.
+// on a kernel.
 type Instance struct {
-	Net     *Network
-	K       *des.Kernel
-	FIFOs   map[string]*FIFO
-	Delayed map[string]*DelayedFIFO
-}
-
-// port returns the named channel's endpoint, whichever kind it is.
-func (inst *Instance) port(name string) interface {
-	ReadPort
-	WritePort
-} {
-	if f, ok := inst.FIFOs[name]; ok {
-		return f
-	}
-	return inst.Delayed[name]
+	Net   *Network
+	K     *des.Kernel
+	FIFOs map[string]*FIFO
 }
 
 // Instantiate builds the network's FIFOs, binds ports and spawns every
@@ -182,28 +161,17 @@ func (n *Network) Instantiate(k *des.Kernel) (*Instance, error) {
 	if err := n.Validate(); err != nil {
 		return nil, err
 	}
-	inst := &Instance{
-		Net: n, K: k,
-		FIFOs:   make(map[string]*FIFO),
-		Delayed: make(map[string]*DelayedFIFO),
-	}
+	inst := &Instance{Net: n, K: k, FIFOs: make(map[string]*FIFO)}
 
 	for _, c := range n.Chans {
-		if c.DelayUs > 0 {
-			inst.Delayed[c.Name] = NewDelayedFIFO(k, c.Name, c.Capacity, c.DelayUs)
-		} else {
-			inst.FIFOs[c.Name] = NewFIFO(k, c.Name, c.Capacity)
-		}
+		f := NewFIFO(k, c.Name, c.Capacity)
+		inst.FIFOs[c.Name] = f
 		if c.InitialTokens > 0 {
 			toks := make([]Token, c.InitialTokens)
 			for i := range toks {
 				toks[i] = Token{Seq: int64(i) - int64(c.InitialTokens) + 1} // ..., -1, 0
 			}
-			if f, ok := inst.FIFOs[c.Name]; ok {
-				f.Preload(toks)
-			} else {
-				inst.Delayed[c.Name].Preload(toks)
-			}
+			f.Preload(toks)
 		}
 	}
 
@@ -211,11 +179,11 @@ func (n *Network) Instantiate(k *des.Kernel) (*Instance, error) {
 		behavior := ps.New(0)
 		var ins []ReadPort
 		for _, c := range n.Inputs(ps.Name) {
-			ins = append(ins, inst.port(c.Name))
+			ins = append(ins, inst.FIFOs[c.Name])
 		}
 		var outs []WritePort
 		for _, c := range n.Outputs(ps.Name) {
-			outs = append(outs, inst.port(c.Name))
+			outs = append(outs, inst.FIFOs[c.Name])
 		}
 		Spawn(k, ps.Name, behavior, ins, outs)
 	}

@@ -460,9 +460,9 @@ func TestStepFormsMatchOracle(t *testing.T) {
 }
 
 // TestStepFormsMatchOracleUnderBackpressure runs a reference network of
-// every step-machine behavior over capacity-1 channels, a delayed
-// channel and a consumer that stops early, so producers and stages block
-// in the middle of their writes, as built and on the oracle loops.
+// every step-machine behavior over capacity-1 channels and a consumer
+// that stops early, so producers and stages block in the middle of
+// their writes, as built and on the oracle loops.
 func TestStepFormsMatchOracleUnderBackpressure(t *testing.T) {
 	run := func(oracle bool) ([]des.TraceEvent, []string, []string) {
 		memo := kpn.NewPayloadMemo()
@@ -500,7 +500,7 @@ func TestStepFormsMatchOracleUnderBackpressure(t *testing.T) {
 			{Name: "e", From: "S", To: "D", Capacity: 1},
 			{Name: "e1", From: "D", To: "C2", Capacity: 2},
 			{Name: "e2", From: "D", To: "C4", Capacity: 1},
-			{Name: "g", From: "M", To: "C1", Capacity: 2, DelayUs: 7},
+			{Name: "g", From: "M", To: "C1", Capacity: 2},
 			{Name: "x", From: "P", To: "C3", Capacity: 4},
 		}}
 		for _, name := range []string{"P", "T", "S", "M", "D", "C1", "C2", "C3", "C4"} {

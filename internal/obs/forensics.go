@@ -34,8 +34,10 @@ type Explanation struct {
 	WindowFills []int `json:"window_fills,omitempty"`
 	ValueDrops  int   `json:"value_drops"`
 
-	// FillAtConviction and Divergence are sampled by the fault hook at
-	// conviction time (Divergence in µs of selector/replicator lead).
+	// FillAtConviction and Divergence are the convict record's Fill and
+	// Aux, sampled by the detecting channel inside the convicting
+	// operation (Divergence in duplicate pairs for selectors, consumed
+	// tokens for replicators).
 	FillAtConviction int   `json:"fill_at_conviction"`
 	Divergence       int64 `json:"divergence_us"`
 

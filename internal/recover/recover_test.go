@@ -150,52 +150,81 @@ func TestManagerCollapsesMultiChannelConvictions(t *testing.T) {
 	}
 }
 
+// TestOnConvictedCarriesChannelState checks the state a conviction
+// carries where it is recorded, the flight log's convict record: one
+// per engine fault, attributed, with channel state sampled inside the
+// convicting operation. The manager's recover record repeats the
+// triggering conviction's fill, and the stream's metrics keep their
+// identities with the log.
 func TestOnConvictedCarriesChannelState(t *testing.T) {
 	var sink []kpn.Token
 	k, sys := buildSys(t, 300, &sink)
 	m := NewManager(sys, Plan{Delay: 20_000, MaxRecoveries: 1})
 	reg := obs.NewRegistry()
-	st := obs.NewFlightRecorder(0).Stream(0)
+	fr := obs.NewFlightRecorder(0)
+	st := fr.Stream(0)
 	st.SetMetrics(reg)
 	ft.InstrumentFlight(sys, st)
 	m.RecordFlight(st)
-	var convs []Conviction
-	m.OnConvicted = func(c Conviction) { convs = append(convs, c) }
 
 	sys.InjectFault(2, 40_000, fault.StopAll, 0)
 	sys.InjectFault(2, 150_000, fault.StopAll, 0)
 	k.Run(0)
 	k.Shutdown()
 
-	if len(convs) != len(sys.Faults) {
-		t.Fatalf("OnConvicted fired %d times, engine recorded %d faults", len(convs), len(sys.Faults))
+	var convicts, recovers []obs.FlightEvent
+	for _, ev := range fr.Events() {
+		switch ev.Kind {
+		case obs.FlightConvict:
+			convicts = append(convicts, ev)
+		case obs.FlightRecover:
+			recovers = append(recovers, ev)
+		}
 	}
-	first := convs[0]
-	if first.Fault.Channel == "" || first.Fault.Replica != 2 || first.Fault.At == 0 {
+	if len(convicts) != len(sys.Faults) {
+		t.Fatalf("flight log holds %d convict records, engine recorded %d faults", len(convicts), len(sys.Faults))
+	}
+	for i, f := range sys.Faults {
+		c := convicts[i]
+		if c.Channel != f.Channel || c.Replica != f.Replica || c.At != int64(f.At) || c.Reason != string(f.Reason) {
+			t.Errorf("convict record %d = %+v, engine fault %+v", i, c, f)
+		}
+	}
+	first := convicts[0]
+	if first.Channel == "" || first.Replica != 2 || first.At == 0 {
 		t.Errorf("conviction lacks attribution: %+v", first)
 	}
 	// A stop fault is caught either by queue-full (fill at capacity) or
 	// divergence/stall (healthy side leading) — some state must be
 	// non-trivial at conviction.
-	if first.Fill == 0 && first.Divergence == 0 {
+	if first.Fill == 0 && first.Aux == 0 {
 		t.Errorf("conviction carries no channel state: %+v", first)
 	}
-	if !first.RecoveryScheduled {
-		t.Error("first conviction should schedule the recovery")
+	events := m.Events()
+	if len(recovers) != len(events) {
+		t.Fatalf("flight log holds %d recover records, manager completed %d recoveries", len(recovers), len(events))
 	}
-	scheduled := 0
-	for _, c := range convs {
-		if c.RecoveryScheduled {
-			scheduled++
+	for i, ev := range events {
+		var conv *obs.FlightEvent
+		for j := range convicts {
+			c := &convicts[j]
+			if c.Channel == ev.Detection.Channel && c.Replica == ev.Replica && c.At == int64(ev.DetectedAt) {
+				conv = c
+				break
+			}
 		}
-	}
-	if scheduled != len(m.Events()) {
-		t.Errorf("scheduled convictions = %d, completed recoveries = %d", scheduled, len(m.Events()))
+		if conv == nil {
+			t.Fatalf("recovery %d: triggering conviction %+v missing from the flight log", i, ev.Detection)
+		}
+		if rec := recovers[i]; rec.Fill != conv.Fill || rec.Aux != int64(ev.RecoveredAt-ev.DetectedAt) {
+			t.Errorf("recover record %d = %+v, want fill %d at conviction and latency %d",
+				i, rec, conv.Fill, ev.RecoveredAt-ev.DetectedAt)
+		}
 	}
 
 	// Metric identities over the flight stream's metrics: convictions
-	// metric == faults; recoveries == latency samples == scheduled
-	// convictions. Sum the conviction series over the distinct label
+	// metric == faults; recoveries == latency samples == completed
+	// recoveries. Sum the conviction series over the distinct label
 	// sets the run produced.
 	var convTotal int64
 	seen := map[string]bool{}
@@ -212,11 +241,11 @@ func TestOnConvictedCarriesChannelState(t *testing.T) {
 		t.Errorf("convictions metric = %d, want %d", convTotal, len(sys.Faults))
 	}
 	recovered := reg.Counter("ftpn_flight_recoveries_total", "", obs.Labels{"replica": "2"}).Value()
-	if recovered != int64(scheduled) {
-		t.Errorf("recoveries metric = %d, want %d", recovered, scheduled)
+	if recovered != int64(len(events)) {
+		t.Errorf("recoveries metric = %d, want %d", recovered, len(events))
 	}
-	if h := reg.Histogram("ftpn_flight_recovery_latency_us", "", nil, nil); h.Count() != int64(len(m.Events())) {
-		t.Errorf("latency histogram count = %d, want %d", h.Count(), len(m.Events()))
+	if h := reg.Histogram("ftpn_flight_recovery_latency_us", "", nil, nil); h.Count() != int64(len(events)) {
+		t.Errorf("latency histogram count = %d, want %d", h.Count(), len(events))
 	}
 }
 

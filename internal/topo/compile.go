@@ -219,7 +219,6 @@ func (m *Model) Build(sink Sink) (*kpn.Network, error) {
 			Capacity:      c.Cap,
 			InitialTokens: c.Init,
 			TokenBytes:    m.chanBytes[c.Name],
-			DelayUs:       des.Time(c.DelayUs),
 		})
 	}
 	if err := net.Validate(); err != nil {
@@ -404,7 +403,6 @@ func Describe(net *kpn.Network, t ExternTiming) *Spec {
 			Cap:        c.Capacity,
 			Init:       c.InitialTokens,
 			TokenBytes: c.TokenBytes,
-			DelayUs:    int64(c.DelayUs),
 		})
 	}
 	return spec

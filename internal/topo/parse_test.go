@@ -50,6 +50,7 @@ func TestParseErrors(t *testing.T) {
 		{"blank", "  \n\t\n", "empty spec"},
 		{"json truncated", `{"name": "x"`, "parse spec"},
 		{"json unknown field", `{"name": "x", "tokns": 3}`, "unknown field"},
+		{"channel delay_us", `{"name":"x","chans":[{"name":"c","from":"p","to":"q","cap":2,"delay_us":15}]}`, `unknown field "delay_us"`},
 		{"json trailing garbage", `{"name": "x"} {"name": "y"}`, "trailing data"},
 		{"json wrong type", `{"name": 3}`, "parse spec"},
 		{"json repeated key", `{"name":"a","name":"b"}`, `key "name" repeated in the spec document`},

@@ -9,8 +9,8 @@
 // isolation, the detection-latency bounds — were previously only
 // machine-checked on the four hand-wired apps in internal/apps. A Spec
 // describes a network as data: processes with <period, jitter, delay>
-// envelopes, channels with capacities/initial tokens/delay bounds, the
-// critical subnetwork to duplicate, a fault script (internal/fault,
+// envelopes, channels with capacities, initial tokens and token sizes,
+// the critical subnetwork to duplicate, a fault script (internal/fault,
 // including the gray-failure library), and a detection PolicySpec.
 // Compile turns a Spec into a Model whose Build method instantiates a
 // fresh kpn.Network with deterministic behaviors: every synthetic stage
@@ -140,9 +140,6 @@ type ChanSpec struct {
 	// and envelope math; 0 defers to the writing process's
 	// payload_bytes.
 	TokenBytes int `json:"token_bytes,omitempty"`
-	// DelayUs gives the channel RTC delay-bound semantics: a token
-	// becomes readable DelayUs after its write (kpn.DelayedFIFO).
-	DelayUs int64 `json:"delay_us,omitempty"`
 }
 
 // EnvelopeSpec pins the per-replica input/output arrival-curve jitters
@@ -330,7 +327,7 @@ func (s *Spec) Validate() error {
 	}
 
 	// Channel-level checks on the skeleton network (unique names,
-	// endpoints exist, caps, fills, delays).
+	// endpoints exist, caps, fills).
 	skel := s.skeleton()
 	if err := skel.Validate(); err != nil {
 		return fmt.Errorf("topo: spec %q: %w", s.Name, err)
@@ -532,7 +529,6 @@ func (s *Spec) skeleton() *kpn.Network {
 			Capacity:      c.Cap,
 			InitialTokens: c.Init,
 			TokenBytes:    c.TokenBytes,
-			DelayUs:       des.Time(c.DelayUs),
 		})
 	}
 	return net

@@ -13,38 +13,13 @@ import (
 )
 
 // Stats accumulates int64 samples and reports min/max/mean (the summary
-// format of Tables 2 and 3) plus percentiles over a retained sample set.
-//
-// Count, Min, Max and Mean are always exact. Percentiles are computed
-// over a retained set of at most maxRetained samples: exact while the
-// stream fits, and a uniform random subset (reservoir sampling,
-// Algorithm R with a deterministic seed) once it does not — every
-// sample of the stream has equal probability maxRetained/n of being
-// retained, so the nearest-rank percentile over the reservoir is a
-// consistent estimator of the stream percentile with standard error
-// O(1/sqrt(maxRetained)). Runs are bit-reproducible: the generator is
-// seeded identically for every Stats value.
+// format of Tables 2 and 3) plus percentiles. It keeps every sample, so
+// every statistic is exact at any count.
 type Stats struct {
 	n        int64
 	sum      int64
 	min, max int64
 	samples  []int64
-	rng      uint64 // splitmix64 state; zero value = the deterministic seed
-}
-
-// maxRetained caps the per-Stats sample memory; most experiments in
-// this repository stay below it, making percentiles exact.
-const maxRetained = 1 << 16
-
-// rand64 steps the deterministic splitmix64 generator.
-func (s *Stats) rand64() uint64 {
-	s.rng += 0x9E3779B97F4A7C15
-	z := s.rng
-	z ^= z >> 30
-	z *= 0xBF58476D1CE4E5B9
-	z ^= z >> 27
-	z *= 0x94D049BB133111EB
-	return z ^ (z >> 31)
 }
 
 // Add records one sample.
@@ -57,17 +32,7 @@ func (s *Stats) Add(v int64) {
 	}
 	s.n++
 	s.sum += v
-	if len(s.samples) < maxRetained {
-		s.samples = append(s.samples, v)
-		return
-	}
-	// Algorithm R: the i-th sample (1-based, i = s.n) replaces a random
-	// reservoir slot with probability maxRetained/i, keeping retention
-	// uniform over the whole stream. The modulo bias is at most
-	// maxRetained/2^64 per draw — far below the estimator's own error.
-	if j := s.rand64() % uint64(s.n); j < maxRetained {
-		s.samples[j] = v
-	}
+	s.samples = append(s.samples, v)
 }
 
 // Count returns the number of samples.
@@ -88,9 +53,7 @@ func (s *Stats) Mean() int64 {
 }
 
 // Percentile returns the p-th percentile (0 < p <= 100) using the
-// nearest-rank method over the retained samples; 0 when empty. Exact
-// while Count() <= maxRetained; for longer streams it is a reservoir
-// estimate — see the Stats doc for the estimator's properties.
+// nearest-rank method; 0 when empty.
 func (s *Stats) Percentile(p float64) int64 {
 	if len(s.samples) == 0 || p <= 0 {
 		return 0

@@ -1,6 +1,7 @@
 package trace
 
 import (
+	"math"
 	"testing"
 
 	"ftpn/internal/des"
@@ -31,12 +32,11 @@ func TestStatsMeanRounds(t *testing.T) {
 	}
 }
 
-func TestStatsReservoirPercentiles(t *testing.T) {
-	// 4x the retention cap of a linear ramp: the old retention policy
-	// kept only the first 65536 samples, so p50 of [1..4*65536] came out
-	// near 32768 instead of ~131072. The reservoir estimate must land
-	// within a few percent of the true percentile.
-	const n = 4 * maxRetained
+func TestStatsPercentilesExactAtAnyCount(t *testing.T) {
+	// A linear ramp far past 65536 samples, where an earlier retention
+	// cap made percentiles an estimate: every nearest-rank percentile
+	// of [1..n] is exact.
+	const n = 1 << 18
 	var s Stats
 	for v := int64(1); v <= n; v++ {
 		s.Add(v)
@@ -44,22 +44,9 @@ func TestStatsReservoirPercentiles(t *testing.T) {
 	if s.Count() != n || s.Min() != 1 || s.Max() != n {
 		t.Fatalf("count/min/max = %d/%d/%d", s.Count(), s.Min(), s.Max())
 	}
-	for _, p := range []float64{10, 50, 90, 99} {
-		got := float64(s.Percentile(p))
-		want := p / 100 * n
-		if diff := (got - want) / n; diff < -0.02 || diff > 0.02 {
-			t.Errorf("p%.0f = %.0f, want %.0f +/- 2%% of range", p, got, want)
-		}
-	}
-	// Determinism: an identical stream yields identical percentiles.
-	var s2 Stats
-	for v := int64(1); v <= n; v++ {
-		s2.Add(v)
-	}
-	for _, p := range []float64{10, 50, 90, 99} {
-		if s.Percentile(p) != s2.Percentile(p) {
-			t.Fatalf("p%.0f differs across identical runs: %d vs %d",
-				p, s.Percentile(p), s2.Percentile(p))
+	for _, p := range []float64{10, 50, 90, 99, 100} {
+		if got, want := s.Percentile(p), int64(math.Ceil(p/100*n)); got != want {
+			t.Errorf("p%g = %d, want %d", p, got, want)
 		}
 	}
 }
