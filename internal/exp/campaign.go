@@ -29,13 +29,13 @@ package exp
 
 import (
 	"fmt"
-	"math/rand"
 	"sort"
 	"strings"
 
 	"ftpn/internal/des"
 	"ftpn/internal/fault"
 	"ftpn/internal/ft"
+	"ftpn/internal/kpn"
 	"ftpn/internal/recover"
 )
 
@@ -82,7 +82,7 @@ func modeByName(name string) fault.Mode {
 
 // ScenarioFor draws scenario idx of a campaign deterministically.
 func ScenarioFor(seed int64, idx int) Scenario {
-	rng := rand.New(rand.NewSource(seed*0x5851F42D4C957F2D + int64(idx) + 1))
+	rng := kpn.NewRand(seed*0x5851F42D4C957F2D + int64(idx) + 1)
 	var sc Scenario
 	sc.Index = idx
 

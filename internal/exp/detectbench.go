@@ -13,12 +13,12 @@ package exp
 
 import (
 	"fmt"
-	"math/rand"
 	"strings"
 
 	"ftpn/internal/des"
 	"ftpn/internal/fault"
 	"ftpn/internal/ft"
+	"ftpn/internal/kpn"
 	"ftpn/internal/rtc"
 )
 
@@ -160,7 +160,7 @@ func injectClass(sys *ft.System, app App, class string, replica int, injectAt de
 func detectOne(g *golden, pol ft.PolicySpec, class string, transient bool, seed int64, idx int) (detectRun, error) {
 	var out detectRun
 	app := g.app
-	rng := rand.New(rand.NewSource(seed*0x5851F42D4C957F2D + int64(idx) + 1))
+	rng := kpn.NewRand(seed*0x5851F42D4C957F2D + int64(idx) + 1)
 	replica := 1 + idx%2
 	p := app.PeriodUs
 	injectAt := des.Time(app.Tokens/4)*p + des.Time(rng.Int63n(int64(app.Tokens/4)*int64(p)))

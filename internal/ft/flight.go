@@ -6,9 +6,10 @@ import "ftpn/internal/obs"
 // channel of the system: each channel event and each conviction becomes
 // one obs.FlightEvent in st, stamped in virtual µs, a conviction with
 // the fill and divergence sampled at conviction time (see
-// RecordFlight). The record is one struct copied into a preallocated
-// ring — no allocation, no formatting — so the recorder can stay on in
-// long campaigns; a nil stream disarms.
+// RecordFlight). The record is one struct copied into the stream's ring
+// — no formatting, and an allocation only when the ring grows by a
+// chunk — so the recorder can stay on in long campaigns; a nil stream
+// disarms.
 //
 // Injections and recoveries are recorded by the layers that perform
 // them (harnesses record obs.FlightInject, recover.Manager records

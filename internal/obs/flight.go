@@ -1,9 +1,8 @@
 package obs
 
 import (
-	"bytes"
-	"fmt"
 	"slices"
+	"strconv"
 	"sync"
 )
 
@@ -60,16 +59,25 @@ type FlightEvent struct {
 type FlightStream struct {
 	mu      sync.Mutex
 	emitter int
-	ring    []FlightEvent
-	next    uint64 // events ever recorded; also the next seq
+	chunks  [][]FlightEvent // the ring, allocated chunk by chunk as it fills
+	limit   int             // ring capacity in events
+	head    int             // ring index of the next event
+	next    uint64          // events ever recorded; also the next seq
 	metrics *flightMetrics
 }
 
+// flightChunk is the number of events in one ring chunk (6 KB): a
+// stream allocates chunks as events arrive, so a short run pays for the
+// events it records rather than for the recorder's cap, and a filling
+// ring never copies what it holds.
+const flightChunk = 64
+
 // Record appends ev to the stream, stamping its emitter and sequence
 // number, and updates the stream's metrics (SetMetrics). The ring is
-// bounded: once full, the oldest event is overwritten (and counted as
-// dropped). No allocation on the hot path — the ring is preallocated
-// and the event is copied by value.
+// bounded: it grows on demand up to the recorder's per-stream cap, and
+// once full the oldest event is overwritten (and counted as dropped).
+// Record allocates only when the ring grows by a chunk: the event is
+// copied by value.
 func (s *FlightStream) Record(ev FlightEvent) {
 	if s == nil {
 		return
@@ -77,7 +85,14 @@ func (s *FlightStream) Record(ev FlightEvent) {
 	s.mu.Lock()
 	ev.Shard = s.emitter
 	ev.Seq = s.next
-	s.ring[s.next%uint64(len(s.ring))] = ev
+	c := s.head / flightChunk
+	if c == len(s.chunks) {
+		s.chunks = append(s.chunks, make([]FlightEvent, min(flightChunk, s.limit-s.head)))
+	}
+	s.chunks[c][s.head%flightChunk] = ev
+	if s.head++; s.head == s.limit {
+		s.head = 0
+	}
 	s.next++
 	if s.metrics != nil {
 		s.metrics.observe(&ev)
@@ -125,26 +140,60 @@ func (s *FlightStream) Declare(channel string, replicas int, kinds ...string) {
 func (s *FlightStream) counts() (retained int, dropped uint64) {
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	if n := uint64(len(s.ring)); s.next > n {
-		return int(n), s.next - n
-	}
-	return int(s.next), 0
+	return s.retained(), s.next - uint64(s.retained())
 }
 
-// snapshot returns the retained events oldest→newest plus the number
-// overwritten.
-func (s *FlightStream) snapshot() (evs []FlightEvent, dropped uint64) {
+// retained returns how many events the ring holds; s.mu must be held.
+func (s *FlightStream) retained() int {
+	if s.next < uint64(s.limit) {
+		return int(s.next)
+	}
+	return s.limit
+}
+
+// appendEvents appends the retained events oldest→newest to evs and
+// their merge keys to keys, numbering each channel's events in arrival
+// order. chans is scratch space for those counts, reused across
+// streams.
+func (s *FlightStream) appendEvents(evs []FlightEvent, keys []mergeKey, chans []chanCount) ([]FlightEvent, []mergeKey, []chanCount) {
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	n := uint64(len(s.ring))
-	if s.next <= n {
-		return slices.Clone(s.ring[:s.next]), 0
+	n := s.retained()
+	i := 0 // ring index of the oldest event
+	if n == s.limit {
+		i = s.head
 	}
-	head := s.next % n
-	evs = make([]FlightEvent, 0, n)
-	evs = append(evs, s.ring[head:]...)
-	evs = append(evs, s.ring[:head]...)
-	return evs, s.next - n
+	chans = chans[:0]
+	for ; n > 0; n-- {
+		ev := &s.chunks[i/flightChunk][i%flightChunk]
+		var idx int
+		idx, chans = nextIndex(chans, ev.Channel)
+		keys = append(keys, mergeKey{at: ev.At, channel: ev.Channel, idx: int32(idx), pos: int32(len(evs))})
+		evs = append(evs, *ev)
+		if i++; i == s.limit {
+			i = 0
+		}
+	}
+	return evs, keys, chans
+}
+
+// chanCount is how many events of one channel a stream has yielded.
+type chanCount struct {
+	channel string
+	n       int
+}
+
+// nextIndex returns channel's next arrival index and bumps its count.
+// A stream carries a system's few channels, so a scan beats hashing
+// every event.
+func nextIndex(chans []chanCount, channel string) (int, []chanCount) {
+	for i := range chans {
+		if chans[i].channel == channel {
+			chans[i].n++
+			return chans[i].n - 1, chans
+		}
+	}
+	return 0, append(chans, chanCount{channel: channel, n: 1})
 }
 
 // DefaultFlightCap is the per-stream ring capacity when
@@ -184,67 +233,74 @@ func (fr *FlightRecorder) Stream(emitter int) *FlightStream {
 	if fr == nil {
 		return nil
 	}
-	s := &FlightStream{emitter: emitter, ring: make([]FlightEvent, fr.cap)}
+	s := &FlightStream{emitter: emitter, limit: fr.cap}
 	fr.mu.Lock()
 	fr.streams = append(fr.streams, s)
 	fr.mu.Unlock()
 	return s
 }
 
-// flightRec pairs an event with its per-(stream, channel) arrival
-// index for the canonical merge.
-type flightRec struct {
-	ev  FlightEvent
-	idx int
+// mergeKey is an event's canonical sort key: its time, channel and
+// per-(stream, channel) arrival index, and its position in the copied
+// events, whose shard and seq break the remaining ties. It is a few
+// words, so the sort moves keys instead of events.
+type mergeKey struct {
+	at       int64
+	channel  string
+	idx, pos int32
 }
 
-// merged returns all retained events in canonical order.
-func (fr *FlightRecorder) merged() []flightRec {
+// merged copies every retained event and returns the copies with their
+// keys in canonical order.
+func (fr *FlightRecorder) merged() ([]FlightEvent, []mergeKey) {
 	if fr == nil {
-		return nil
+		return nil, nil
 	}
 	fr.mu.Lock()
 	streams := slices.Clone(fr.streams)
 	fr.mu.Unlock()
-	var all []flightRec
+	size := 0
 	for _, s := range streams {
-		evs, _ := s.snapshot()
-		idx := make(map[string]int, 8)
-		for _, ev := range evs {
-			all = append(all, flightRec{ev: ev, idx: idx[ev.Channel]})
-			idx[ev.Channel]++
-		}
+		n, _ := s.counts()
+		size += n
 	}
-	slices.SortFunc(all, func(a, b flightRec) int {
-		if a.ev.At != b.ev.At {
-			return int(a.ev.At - b.ev.At)
+	evs := make([]FlightEvent, 0, size)
+	keys := make([]mergeKey, 0, size)
+	var chans []chanCount
+	for _, s := range streams {
+		evs, keys, chans = s.appendEvents(evs, keys, chans)
+	}
+	slices.SortFunc(keys, func(a, b mergeKey) int {
+		if a.at != b.at {
+			return int(a.at - b.at)
 		}
-		if a.ev.Channel != b.ev.Channel {
-			if a.ev.Channel < b.ev.Channel {
+		if a.channel != b.channel {
+			if a.channel < b.channel {
 				return -1
 			}
 			return 1
 		}
 		if a.idx != b.idx {
-			return a.idx - b.idx
+			return int(a.idx - b.idx)
 		}
 		// Same channel recorded by two streams — outside the
 		// one-channel-one-stream contract; fall back to transport order
 		// so the sort at least stays total.
-		if a.ev.Shard != b.ev.Shard {
-			return a.ev.Shard - b.ev.Shard
+		ea, eb := &evs[a.pos], &evs[b.pos]
+		if ea.Shard != eb.Shard {
+			return ea.Shard - eb.Shard
 		}
-		return int(a.ev.Seq) - int(b.ev.Seq)
+		return int(ea.Seq) - int(eb.Seq)
 	})
-	return all
+	return evs, keys
 }
 
 // Events returns every retained event in canonical merged order.
 func (fr *FlightRecorder) Events() []FlightEvent {
-	recs := fr.merged()
-	out := make([]FlightEvent, len(recs))
-	for i, r := range recs {
-		out[i] = r.ev
+	evs, keys := fr.merged()
+	out := make([]FlightEvent, len(keys))
+	for i, k := range keys {
+		out[i] = evs[k.pos]
 	}
 	return out
 }
@@ -292,20 +348,40 @@ func (fr *FlightRecorder) counts() (retained int, dropped uint64) {
 // merged order, excluding the transport metadata (emitter, seq) that
 // depends on how emitters were set up. This is the artifact the
 // identity tests compare — byte-identical across -parallel levels.
+// Each line is "at channel kind reason replica fill aux", with "-" for
+// an empty string.
 func (fr *FlightRecorder) Bytes() []byte {
-	var buf bytes.Buffer
-	for _, r := range fr.merged() {
-		ev := r.ev
-		fmt.Fprintf(&buf, "%d %s %s %s %d %d %d\n",
-			ev.At, orDash(ev.Channel), orDash(ev.Kind), orDash(ev.Reason),
-			ev.Replica, ev.Fill, ev.Aux)
+	evs, keys := fr.merged()
+	// lineSlack covers a line's separators and numbers: virtual-µs
+	// times of up to ten digits and small replicas, fills and aux. A
+	// longer line only grows the buffer.
+	const lineSlack = 40
+	size := 0
+	for i := range evs {
+		size += len(evs[i].Channel) + len(evs[i].Kind) + len(evs[i].Reason) + lineSlack
 	}
-	return buf.Bytes()
+	buf := make([]byte, 0, size)
+	for _, k := range keys {
+		ev := &evs[k.pos]
+		buf = strconv.AppendInt(buf, ev.At, 10)
+		buf = appendField(buf, ev.Channel)
+		buf = appendField(buf, ev.Kind)
+		buf = appendField(buf, ev.Reason)
+		buf = append(buf, ' ')
+		buf = strconv.AppendInt(buf, int64(ev.Replica), 10)
+		buf = append(buf, ' ')
+		buf = strconv.AppendInt(buf, int64(ev.Fill), 10)
+		buf = append(buf, ' ')
+		buf = strconv.AppendInt(buf, ev.Aux, 10)
+		buf = append(buf, '\n')
+	}
+	return buf
 }
 
-func orDash(s string) string {
+// appendField appends a space and s, or "-" for an empty s.
+func appendField(buf []byte, s string) []byte {
 	if s == "" {
-		return "-"
+		return append(buf, " -"...)
 	}
-	return s
+	return append(append(buf, ' '), s...)
 }

@@ -2,11 +2,163 @@ package obs
 
 import (
 	"bytes"
+	"encoding/binary"
 	"fmt"
 	"math/rand"
+	"reflect"
+	"runtime"
+	"slices"
 	"sync"
 	"testing"
 )
+
+// oracleRec pairs an event with its per-(stream, channel) arrival index.
+type oracleRec struct {
+	ev  FlightEvent
+	idx int
+}
+
+// oracleMerged is the straightforward canonical merge: clone each
+// stream's retained events oldest→newest from its flattened ring,
+// number each channel's events per stream with a map, and sort by (at,
+// channel, index, shard, seq). FlightRecorder.merged must produce
+// exactly this order.
+func oracleMerged(fr *FlightRecorder) []oracleRec {
+	fr.mu.Lock()
+	streams := slices.Clone(fr.streams)
+	fr.mu.Unlock()
+	var all []oracleRec
+	for _, s := range streams {
+		s.mu.Lock()
+		ring := slices.Concat(s.chunks...) // the ring as one slice, index 0 first
+		next := s.next
+		s.mu.Unlock()
+		n := uint64(len(ring))
+		var evs []FlightEvent
+		if next <= n {
+			evs = ring[:next]
+		} else {
+			head := next % n
+			evs = append(slices.Clone(ring[head:]), ring[:head]...)
+		}
+		idx := make(map[string]int, 8)
+		for _, ev := range evs {
+			all = append(all, oracleRec{ev: ev, idx: idx[ev.Channel]})
+			idx[ev.Channel]++
+		}
+	}
+	slices.SortFunc(all, func(a, b oracleRec) int {
+		if a.ev.At != b.ev.At {
+			return int(a.ev.At - b.ev.At)
+		}
+		if a.ev.Channel != b.ev.Channel {
+			if a.ev.Channel < b.ev.Channel {
+				return -1
+			}
+			return 1
+		}
+		if a.idx != b.idx {
+			return a.idx - b.idx
+		}
+		if a.ev.Shard != b.ev.Shard {
+			return a.ev.Shard - b.ev.Shard
+		}
+		return int(a.ev.Seq) - int(b.ev.Seq)
+	})
+	return all
+}
+
+// oracleBytes renders the canonical serialization with fmt, one
+// Fprintf per event: the format FlightRecorder.Bytes must reproduce.
+func oracleBytes(fr *FlightRecorder) []byte {
+	var buf bytes.Buffer
+	for _, r := range oracleMerged(fr) {
+		ev := r.ev
+		fmt.Fprintf(&buf, "%d %s %s %s %d %d %d\n",
+			ev.At, oracleDash(ev.Channel), oracleDash(ev.Kind), oracleDash(ev.Reason),
+			ev.Replica, ev.Fill, ev.Aux)
+	}
+	return buf.Bytes()
+}
+
+func oracleDash(s string) string {
+	if s == "" {
+		return "-"
+	}
+	return s
+}
+
+// checkAgainstOracle fails unless Bytes, Events, Tail, Len and Dropped
+// agree with the oracle merge and renderer.
+func checkAgainstOracle(t *testing.T, fr *FlightRecorder, recorded int) {
+	t.Helper()
+	want := oracleMerged(fr)
+	wantEvs := make([]FlightEvent, len(want))
+	for i, r := range want {
+		wantEvs[i] = r.ev
+	}
+	if got, w := fr.Bytes(), oracleBytes(fr); !bytes.Equal(got, w) {
+		t.Fatalf("Bytes:\n%s\noracle:\n%s", got, w)
+	}
+	if got := fr.Events(); !reflect.DeepEqual(got, wantEvs) {
+		t.Fatalf("Events = %+v\noracle %+v", got, wantEvs)
+	}
+	for _, n := range []int{0, 1, 3, len(wantEvs) + 1} {
+		wantTail := wantEvs
+		if n > 0 && n < len(wantEvs) {
+			wantTail = wantEvs[len(wantEvs)-n:]
+		}
+		if got := fr.Tail(n); !reflect.DeepEqual(got, wantTail) {
+			t.Fatalf("Tail(%d) = %+v\noracle %+v", n, got, wantTail)
+		}
+	}
+	if fr.Len() != len(wantEvs) || fr.Len()+int(fr.Dropped()) != recorded {
+		t.Fatalf("Len/Dropped = %d/%d, want %d retained of %d recorded", fr.Len(), fr.Dropped(), len(wantEvs), recorded)
+	}
+}
+
+// FuzzFlightBytes records a fuzzed event script, repeated up to 32
+// times, into 1–3 streams of a recorder whose cap of 1–160 events spans
+// up to three ring chunks (so rings wrap or not, inside a chunk or
+// across chunks) and compares every view with the oracle. Events draw
+// from a few channels, kinds and reasons, including empty ones, with
+// small signed At (many ties) and signed Aux.
+func FuzzFlightBytes(f *testing.F) {
+	f.Add(uint8(1), uint8(4), uint8(0), []byte{})
+	f.Add(uint8(2), uint8(3), uint8(0), []byte("0123456789abcdefghijklmnopqrstuvwxyz"))
+	f.Add(uint8(3), uint8(16), uint8(1), bytes.Repeat([]byte{7, 200, 13, 255, 0, 1, 128}, 20))
+	f.Add(uint8(3), uint8(2), uint8(3), bytes.Repeat([]byte{0xff, 0, 0x80, 1, 2, 3, 4}, 9))
+	f.Add(uint8(1), uint8(129), uint8(31), []byte("0123456789abcdefghijklmnopqrstuvwxyz"))
+	f.Add(uint8(2), uint8(63), uint8(20), bytes.Repeat([]byte{0x40, 9, 1, 2, 0x81, 5, 6}, 3))
+	channels := []string{"", "A_in", "B_out", "C"}
+	kinds := []string{"", "write", "read", FlightConvict}
+	reasons := []string{"", "queue-full", "divergence"}
+	f.Fuzz(func(t *testing.T, nStreams, capPerStream, repeat uint8, script []byte) {
+		fr := NewFlightRecorder(1 + int(capPerStream)%(5*flightChunk/2))
+		sts := make([]*FlightStream, 1+int(nStreams%3))
+		for i := range sts {
+			sts[i] = fr.Stream(i)
+		}
+		const evBytes = 7
+		recorded := 0
+		for r := 0; r <= int(repeat%32); r++ {
+			for rest := script; len(rest) >= evBytes; rest = rest[evBytes:] {
+				b := rest[:evBytes]
+				sts[int(b[0]>>6)%len(sts)].Record(FlightEvent{
+					At:      int64(r) + int64(int8(b[1]))/4,
+					Channel: channels[b[0]&3],
+					Kind:    kinds[(b[0]>>2)&3],
+					Reason:  reasons[int((b[0]>>4)&3)%len(reasons)],
+					Replica: int(int8(b[2])),
+					Fill:    int(b[3]),
+					Aux:     int64(int32(binary.LittleEndian.Uint32(b[3:7]))) * 1e6,
+				})
+				recorded++
+			}
+		}
+		checkAgainstOracle(t, fr, recorded)
+	})
+}
 
 func TestFlightNilSafety(t *testing.T) {
 	var fr *FlightRecorder
@@ -62,11 +214,46 @@ func TestFlightRingWrapAndDropped(t *testing.T) {
 	}
 }
 
-func TestFlightDefaultCap(t *testing.T) {
+// TestFlightDefaultCapRetains: a recorder made with cap 0 keeps the
+// last DefaultFlightCap events of a stream and counts the rest as
+// dropped.
+func TestFlightDefaultCapRetains(t *testing.T) {
 	fr := NewFlightRecorder(0)
 	st := fr.Stream(0)
-	if got := len(st.ring); got != DefaultFlightCap {
-		t.Fatalf("default ring cap = %d, want %d", got, DefaultFlightCap)
+	const extra = 5
+	for i := 0; i < DefaultFlightCap+extra; i++ {
+		st.Record(FlightEvent{At: int64(i), Channel: "C", Kind: "write"})
+	}
+	if fr.Len() != DefaultFlightCap || fr.Dropped() != extra {
+		t.Fatalf("len/dropped = %d/%d, want %d/%d", fr.Len(), fr.Dropped(), DefaultFlightCap, extra)
+	}
+	if evs := fr.Events(); evs[0].At != extra || evs[len(evs)-1].At != DefaultFlightCap+extra-1 {
+		t.Fatalf("retained At %d..%d, want %d..%d", evs[0].At, evs[len(evs)-1].At, extra, DefaultFlightCap+extra-1)
+	}
+}
+
+// TestFlightShortRunAllocs: a run that records 10 events on a
+// 65,536-event recorder pays for one ring chunk, not for the cap: the
+// recorder, its stream list, the stream, its chunk list and the chunk.
+func TestFlightShortRunAllocs(t *testing.T) {
+	run := func() {
+		st := NewFlightRecorder(1 << 16).Stream(0)
+		for i := 0; i < 10; i++ {
+			st.Record(FlightEvent{At: int64(i), Channel: "C", Kind: "write"})
+		}
+	}
+	if allocs := testing.AllocsPerRun(100, run); allocs > 5 {
+		t.Fatalf("10-event run allocates %.0f times, want at most 5", allocs)
+	}
+	const runs = 100
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	for i := 0; i < runs; i++ {
+		run()
+	}
+	runtime.ReadMemStats(&after)
+	if per := (after.TotalAlloc - before.TotalAlloc) / runs; per > 8<<10 {
+		t.Fatalf("10-event run allocates %d B, want at most 8 KiB", per)
 	}
 }
 
@@ -124,6 +311,29 @@ func TestFlightCanonicalMerge(t *testing.T) {
 			t.Fatalf("canonical bytes differ between 1 and %d streams:\n1 stream:\n%s\n%d streams:\n%s",
 				n, want, n, got)
 		}
+	}
+}
+
+// TestFlightSharedChannelOrder covers the merge outside the
+// one-channel-one-stream contract: two streams, created in the reverse
+// order of their emitter tags, record the same channel at the same
+// instants. Arrival index orders first, then emitter, then seq.
+func TestFlightSharedChannelOrder(t *testing.T) {
+	fr := NewFlightRecorder(0)
+	late, early := fr.Stream(1), fr.Stream(0)
+	for i, kind := range []string{"a", "b", "c"} {
+		late.Record(FlightEvent{At: 5, Channel: "X", Kind: "late-" + kind, Replica: i})
+		early.Record(FlightEvent{At: 5, Channel: "X", Kind: "early-" + kind, Replica: i})
+	}
+	late.Record(FlightEvent{At: 5, Channel: "W", Kind: "late-w"})
+	checkAgainstOracle(t, fr, 7)
+	var kinds []string
+	for _, ev := range fr.Events() {
+		kinds = append(kinds, ev.Kind)
+	}
+	want := []string{"late-w", "early-a", "late-a", "early-b", "late-b", "early-c", "late-c"}
+	if !slices.Equal(kinds, want) {
+		t.Fatalf("merged kinds = %v, want %v", kinds, want)
 	}
 }
 
@@ -191,12 +401,15 @@ func TestFlightRecordDisabledAllocs(t *testing.T) {
 	}
 }
 
-// TestFlightRecordEnabledAllocs pins the steady-state hot path: the
-// ring is preallocated, so an enabled Record is also alloc-free.
+// TestFlightRecordEnabledAllocs pins the steady-state hot path: once
+// the ring has grown to its cap, an enabled Record is also alloc-free.
 func TestFlightRecordEnabledAllocs(t *testing.T) {
 	fr := NewFlightRecorder(1 << 8)
 	st := fr.Stream(0)
 	ev := FlightEvent{At: 1, Channel: "C", Kind: "write", Fill: 3}
+	for i := 0; i < 1<<8; i++ {
+		st.Record(ev)
+	}
 	if allocs := testing.AllocsPerRun(1000, func() { st.Record(ev) }); allocs != 0 {
 		t.Fatalf("enabled Record allocates %.1f per op, want 0", allocs)
 	}
@@ -361,5 +574,27 @@ func BenchmarkFlightRecord(b *testing.B) {
 	for i := 0; i < b.N; i++ {
 		ev.At = int64(i)
 		st.Record(ev)
+	}
+}
+
+// BenchmarkFlightBytes renders a one-stream log shaped like a generated
+// network's run: 600 events over 8 channels in nondecreasing time with
+// many same-instant ties.
+func BenchmarkFlightBytes(b *testing.B) {
+	fr := NewFlightRecorder(1 << 11)
+	st := fr.Stream(0)
+	rng := rand.New(rand.NewSource(1))
+	channels := []string{"src_out", "a_in", "a_out", "b_in", "b_out", "c_in", "c_out", "sink_in"}
+	at := int64(0)
+	for i := 0; i < 600; i++ {
+		if rng.Intn(3) == 0 {
+			at += int64(rng.Intn(5000))
+		}
+		st.Record(FlightEvent{At: at, Channel: channels[rng.Intn(len(channels))], Kind: "write",
+			Replica: 1 + rng.Intn(2), Fill: rng.Intn(4), Aux: int64(rng.Intn(3))})
+	}
+	b.ReportAllocs()
+	for i := 0; i < b.N; i++ {
+		fr.Bytes()
 	}
 }

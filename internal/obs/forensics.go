@@ -39,7 +39,7 @@ type Explanation struct {
 	// operation (Divergence in duplicate pairs for selectors, consumed
 	// tokens for replicators).
 	FillAtConviction int   `json:"fill_at_conviction"`
-	Divergence       int64 `json:"divergence_us"`
+	Divergence       int64 `json:"divergence"`
 
 	// Chain is the supporting evidence in canonical log order: the
 	// inject, forgiven, drop-value, convict, reintegrate and recover

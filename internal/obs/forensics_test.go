@@ -130,6 +130,34 @@ func TestExplanationJSONRoundTrip(t *testing.T) {
 	}
 }
 
+// TestExplanationJSONKeys pins the marshalled keys: times carry a _us
+// suffix, and the divergence, a token count, does not.
+func TestExplanationJSONKeys(t *testing.T) {
+	ex, _ := Explain(chainLog(), "F_in", 2, 150)
+	b, err := json.Marshal(ex)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var obj map[string]json.RawMessage
+	if err := json.Unmarshal(b, &obj); err != nil {
+		t.Fatal(err)
+	}
+	want := []string{"channel", "replica", "reason", "fault_mode",
+		"injected_at_us", "first_violation_at_us", "convicted_at_us", "reintegrated_at_us", "recovered_at_us",
+		"latency_us", "forgiven", "window_fills", "value_drops", "fill_at_conviction", "divergence", "chain"}
+	for _, k := range want {
+		if _, ok := obj[k]; !ok {
+			t.Errorf("key %q missing from %s", k, b)
+		}
+	}
+	if len(obj) != len(want) {
+		t.Errorf("marshalled %d keys, want %d: %s", len(obj), len(want), b)
+	}
+	if got := string(obj["divergence"]); got != "3" {
+		t.Errorf("divergence = %s, want the convict record's Aux 3", got)
+	}
+}
+
 func TestAnnotateTraceFlow(t *testing.T) {
 	ex, _ := Explain(chainLog(), "F_in", 2, 150)
 	rec := NewTraceRecorder()

@@ -18,6 +18,7 @@ import (
 	"math/rand"
 
 	"ftpn/internal/ft"
+	"ftpn/internal/kpn"
 	"ftpn/internal/rtc"
 )
 
@@ -37,7 +38,7 @@ const (
 // always passes Validate and Compile; a failure to do so is a generator
 // bug (gen_test.go sweeps seeds to pin this).
 func Generate(seed int64) *Spec {
-	rng := rand.New(rand.NewSource(seed*0x5851F42D4C957F2D + 0x2545F4914F6CDD1D))
+	rng := kpn.NewRand(seed*0x5851F42D4C957F2D + 0x2545F4914F6CDD1D)
 	g := &builder{rng: rng, spec: &Spec{Name: fmt.Sprintf("gen-%d", seed)}}
 
 	p := []int64{20000, 30000, 40000, 50000, 80000}[rng.Intn(5)]
